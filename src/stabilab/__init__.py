@@ -48,7 +48,6 @@ from .harness import (
 from .learners import (
     CostKind,
     KnnAlgorithm,
-    KnnParams,
     MonteCarloEstimate,
     RidgeAlgorithm,
     RidgeModel,

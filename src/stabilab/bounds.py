@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .datagen import DataSpec, Dataset, SeedSpec, replace_point, sample_dataset
 from .learners import ridge_loo_fast
+from .stability import power_mean_root
 
 KAPPA = 1.271
 
@@ -231,22 +231,12 @@ def pac_bound_subgaussian(
 # Generalised Efron-Stein empirical check
 # ---------------------------------------------------------------------------
 
-def _stat_constant(data: Dataset) -> float:
-    return 0.0
-
-
-def _stat_mean(data: Dataset) -> float:
-    return float(np.mean(data.ys))
-
-
-def _stat_max(data: Dataset) -> float:
-    return float(np.max(data.ys))
-
-
-STAT_REGISTRY: dict[str, Callable[..., float]] = {
-    "constant": lambda data, lam: _stat_constant(data),
-    "mean": lambda data, lam: _stat_mean(data),
-    "max": lambda data, lam: _stat_max(data),
+# Statistics f(dataset, ridge_lam).  ridge_loo_fast is looked up at call
+# time, so a wrapper rebound under this module's name sees every call.
+STAT_REGISTRY: dict[str, Callable[[Dataset, float], float]] = {
+    "constant": lambda data, lam: 0.0,
+    "mean": lambda data, lam: float(np.mean(data.ys)),
+    "max": lambda data, lam: float(np.max(data.ys)),
     "ridge_loo": lambda data, lam: ridge_loo_fast(data, lam),
 }
 
@@ -317,22 +307,13 @@ def efron_stein_moment_check(
         centered_pow[r] = abs(z - ez) ** q
         sumsq_pow[r] = sumsq ** (q / 2.0)
 
-    mean_c = float(np.mean(centered_pow))
-    se_c = float(np.std(centered_pow, ddof=1) / math.sqrt(reps))
-    lhs = mean_c ** (1.0 / q)
-    lhs_se = se_c * lhs / (q * mean_c) if mean_c > 0 else 0.0
-
-    mean_s = float(np.mean(sumsq_pow))
-    se_s = float(np.std(sumsq_pow, ddof=1) / math.sqrt(reps))
-    # rhs = sqrt(2 kappa q) * mean_s^{1/q}
-    rhs = math.sqrt(2.0 * KAPPA * q) * mean_s ** (1.0 / q)
-    rhs_se = math.sqrt(2.0 * KAPPA * q) * se_s * mean_s ** (1.0 / q) / (q * mean_s) if mean_s > 0 else 0.0
-
+    lhs, lhs_se = power_mean_root(centered_pow, q)
+    rhs, rhs_se = power_mean_root(sumsq_pow, q, scale=math.sqrt(2.0 * KAPPA * q))
     return EfronSteinResult(lhs, rhs, lhs_se, rhs_se)
 
 
 # ---------------------------------------------------------------------------
-# Bound sweep export
+# Bounds table rows
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -346,24 +327,3 @@ class BoundsRow:
     value: float
     vacuous: bool
 
-
-def write_bounds_csv(rows: Iterable[BoundsRow], path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["bound_name,b_x,lambda,eta,n,q_or_x,value,vacuous"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.bound_name,
-                    f"{r.b_x:.17g}",
-                    f"{r.lam:.17g}",
-                    f"{r.eta:.17g}",
-                    str(r.n),
-                    f"{r.q_or_x:.17g}",
-                    f"{r.value:.17g}",
-                    "true" if r.vacuous else "false",
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path

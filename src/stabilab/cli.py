@@ -97,9 +97,10 @@ def main(argv: list[str] | None = None) -> int:
     n_rows = len(report.rows)
     print(f"{report.kind}: {n_rows} rows, all_pass={report.all_pass}")
     if report.kind == "rate":
+        fit = report.extras
         print(
-            f"slope={report.slope:.4f} "
-            f"ci=[{report.slope_ci_low:.4f}, {report.slope_ci_high:.4f}]"
+            f"slope={fit['slope']:.4f} "
+            f"ci=[{fit['slope_ci_low']:.4f}, {fit['slope_ci_high']:.4f}]"
         )
     for path in written:
         print(f"wrote {path}")

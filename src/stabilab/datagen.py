@@ -14,7 +14,7 @@ Label models:
   Gaussian noise of scale ``noise_scale``; requires b_y >= ||beta_star|| b_x
   so the clip is a projection of noise excursions only.
 * ``linear_gaussian``  -- Y = <beta_star, X> + Gaussian noise (unbounded Y,
-  sub-Gaussian with proxy v).
+  sub-Gaussian with proxy v); a label bound b_y is rejected.
 * ``bernoulli_label``  -- Y in {0, 1} with P(Y=1 | X) = clip(p0 + <beta_star,
   X>, 0, 1) where p0 is taken from ``noise_scale``.  For the symmetric
   feature families the marginal P(Y=1) equals p0 exactly whenever
@@ -27,7 +27,7 @@ distinct streams are reproducible regardless of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +112,8 @@ class DataSpec:
                 raise ValueError(f"{self.y_model} requires b_y")
             if not (math.isfinite(self.b_y) and self.b_y > 0):
                 raise ValueError("b_y must be a positive real")
+        elif self.b_y is not None:
+            raise ValueError("linear_gaussian labels are unbounded; give v, not b_y")
         if self.y_model == "linear_clipped" and self.b_y < self.beta_norm() * self.b_x:
             raise ValueError(
                 "linear_clipped requires b_y >= ||beta_star||_2 * b_x "
@@ -311,8 +313,3 @@ def dataset_from_csv(path: str | Path) -> Dataset:
     if arr.ndim != 2 or arr.shape[1] != d + 1:
         raise ValueError("malformed dataset rows")
     return Dataset(arr[:, :d], arr[:, d])
-
-
-def with_noise(spec: DataSpec, noise_scale: float) -> DataSpec:
-    """Copy of spec with a different noise scale (convenience for tests)."""
-    return replace(spec, noise_scale=noise_scale)

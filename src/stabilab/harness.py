@@ -23,7 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,7 +36,6 @@ from .bounds import (
     pac_bound_bounded,
     pac_bound_subgaussian,
     ridge_moment_bound,
-    write_bounds_csv,
 )
 from .datagen import DataSpec, SeedSpec, sample_dataset
 from .learners import CostKind, KnnAlgorithm, RidgeAlgorithm, prediction_error_mc, ridge_fit, ridge_loo_fast
@@ -49,7 +48,6 @@ from .stability import (
     ridge_gamma_q,
     ridge_stability_violations,
     stability_profile,
-    write_stability_csv,
     y_norm,
     y_norm_mc_std_error,
 )
@@ -111,11 +109,6 @@ class AlgorithmConfig:
         if len(self.lam) != 1:
             raise ConfigError("this experiment needs exactly one lambda value")
         return self.lam[0]
-
-    def single_k(self) -> int:
-        if len(self.k) != 1:
-            raise ConfigError("this experiment needs exactly one k value")
-        return self.k[0]
 
 
 @dataclass(frozen=True)
@@ -290,23 +283,46 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # Replication scheduling
 # ---------------------------------------------------------------------------
 
-def _worker_count() -> int:
+def _worker_count(count: int) -> int:
+    """Threads for ``count`` tasks: STABILAB_THREADS, capped at the CPU
+    count and at ``count``."""
     raw = os.environ.get("STABILAB_THREADS", "1")
     try:
         value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"STABILAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1, count))
 
 
 def map_indexed(fn: Callable[[int], object], count: int) -> list:
     """Apply a pure indexed function over range(count), optionally on a
     thread pool; results come back in index order either way."""
-    workers = _worker_count()
-    if workers <= 1 or count <= 1:
+    workers = _worker_count(count)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
+
+
+# ---------------------------------------------------------------------------
+# Report
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Report:
+    """Result of one experiment.
+
+    ``rows`` are dataclass instances of one type, emitted one per CSV line
+    and JSON ``rows`` entry; ``all_pass`` is the runner's verdict (CLI exit
+    4 when false); ``extras`` holds the top-level JSON entries that belong
+    to no row.
+    """
+
+    kind: str
+    config: ExperimentConfig
+    rows: list
+    all_pass: bool
+    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -367,41 +383,7 @@ class CoverageRow:
     passed: bool
 
 
-@dataclass
-class CoverageReport:
-    rows: list[CoverageRow]
-    deviations: dict[int, np.ndarray]
-    config: ExperimentConfig
-    kind: str = "coverage"
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def write_csv(self, path: Path) -> None:
-        lines = [
-            "n,x,threshold,exceedance_rate,failure_bound,reps,"
-            "half_width,vacuous,max_dev_ratio,passed"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.x:.17g},{r.threshold:.17g},{r.exceedance_rate:.17g},"
-                f"{r.failure_bound:.17g},{r.reps},{r.half_width:.17g},"
-                f"{str(r.vacuous).lower()},{r.max_dev_ratio:.17g},"
-                f"{str(r.passed).lower()}"
-            )
-        path.write_text("\n".join(lines) + "\n")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": config_to_dict(self.config),
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "deviations": {str(n): list(d) for n, d in self.deviations.items()},
-        }
-
-
-def run_coverage(config: ExperimentConfig) -> CoverageReport:
+def run_coverage(config: ExperimentConfig) -> Report:
     if config.kind != "coverage":
         raise ConfigError(f"expected kind 'coverage', got {config.kind!r}")
     alg = config.algorithm
@@ -433,7 +415,7 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
 
     root = config.root_seed()
     rows: list[CoverageRow] = []
-    deviations: dict[int, np.ndarray] = {}
+    deviations: dict[str, list[float]] = {}
     for ni, n in enumerate(config.n_grid):
         devs, max_se = _deviation_samples(config, n, root.child(ni))
         if max_se >= 0.01 * min_threshold:
@@ -442,7 +424,7 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
                 f"smallest threshold {min_threshold:.3e}; increase test_m "
                 f"(currently {config.test_m})"
             )
-        deviations[n] = devs
+        deviations[str(n)] = devs.tolist()
         for x in config.x_grid:
             thr = thresholds[(n, x)]
             rate = float(np.mean(devs > thr))
@@ -467,7 +449,9 @@ def run_coverage(config: ExperimentConfig) -> CoverageReport:
                     passed=passed,
                 )
             )
-    return CoverageReport(rows, deviations, config)
+    return Report(
+        config.kind, config, rows, all(r.passed for r in rows), {"deviations": deviations}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,36 +465,6 @@ class RateRow:
     reps: int
 
 
-@dataclass
-class RateReport:
-    rows: list[RateRow]
-    slope: float
-    slope_ci_low: float
-    slope_ci_high: float
-    config: ExperimentConfig
-    kind: str = "rate"
-
-    @property
-    def all_pass(self) -> bool:
-        return True  # the slope is reported, not gated, at this level
-
-    def write_csv(self, path: Path) -> None:
-        lines = ["n,median_deviation,reps"]
-        for r in self.rows:
-            lines.append(f"{r.n},{r.median_deviation:.17g},{r.reps}")
-        path.write_text("\n".join(lines) + "\n")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": config_to_dict(self.config),
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-            "slope": self.slope,
-            "slope_ci_low": self.slope_ci_low,
-            "slope_ci_high": self.slope_ci_high,
-        }
-
-
 def _require_geometric(n_grid: Sequence[int]) -> None:
     if len(n_grid) < 4:
         raise PreconditionError("rate needs at least 4 sample sizes")
@@ -522,7 +476,7 @@ def _require_geometric(n_grid: Sequence[int]) -> None:
         raise PreconditionError("n_grid must be geometrically spaced (within 10%)")
 
 
-def run_rate(config: ExperimentConfig) -> RateReport:
+def run_rate(config: ExperimentConfig) -> Report:
     if config.kind != "rate":
         raise ConfigError(f"expected kind 'rate', got {config.kind!r}")
     if config.algorithm.name != "ridge":
@@ -562,41 +516,14 @@ def run_rate(config: ExperimentConfig) -> RateReport:
         RateRow(n, float(m), config.reps)
         for n, m in zip(config.n_grid, medians)
     ]
-    return RateReport(rows, slope, float(ci_low), float(ci_high), config)
+    # The slope is reported, not gated, at this level.
+    extras = {"slope": slope, "slope_ci_low": float(ci_low), "slope_ci_high": float(ci_high)}
+    return Report(config.kind, config, rows, True, extras)
 
 
 # ---------------------------------------------------------------------------
 # Stability sweep
 # ---------------------------------------------------------------------------
-
-def _json_safe(obj: dict) -> dict:
-    """NaN/inf row entries (skipped or theory-free rows) become null."""
-    return {
-        k: (None if isinstance(v, float) and not math.isfinite(v) else v)
-        for k, v in obj.items()
-    }
-
-
-@dataclass
-class SweepReport:
-    rows: list[SweepRow]
-    config: ExperimentConfig
-    kind: str = "stability_sweep"
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.dominated != "false" for r in self.rows)
-
-    def write_csv(self, path: Path) -> None:
-        write_stability_csv(self.rows, path)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": config_to_dict(self.config),
-            "rows": [_json_safe(dataclasses.asdict(r)) for r in self.rows],
-        }
-
 
 def _ridge_norm_cache(
     config: ExperimentConfig, root: SeedSpec
@@ -614,7 +541,7 @@ def _ridge_norm_cache(
     return cache
 
 
-def run_stability_sweep(config: ExperimentConfig) -> SweepReport:
+def run_stability_sweep(config: ExperimentConfig) -> Report:
     if config.kind != "stability_sweep":
         raise ConfigError(f"expected kind 'stability_sweep', got {config.kind!r}")
     if any(q > 8.0 for q in config.q_grid):
@@ -636,26 +563,23 @@ def run_stability_sweep(config: ExperimentConfig) -> SweepReport:
 
     def run_combo(ci: int) -> list[SweepRow]:
         ni, n, pi, param = combos[ci]
-        seed = root.child(ni).child(pi)
-        out: list[SweepRow] = []
         if alg.name == "ridge":
-            if ridge_stability_violations(spec.b_x, param, alg.eta, n):
-                return [
-                    SweepRow("ridge", q, n, param, math.nan, math.nan, math.nan, "skipped")
-                    for q in config.q_grid
-                ]
+            skip = bool(ridge_stability_violations(spec.b_x, param, alg.eta, n))
             algorithm = RidgeAlgorithm(param)
         else:
-            if n < param + 2:
-                return [
-                    SweepRow("knn", q, n, param, math.nan, math.nan, math.nan, "skipped")
-                    for q in config.q_grid
-                ]
-            algorithm = KnnAlgorithm(int(param))
+            skip = n < param + 2
+            algorithm = KnnAlgorithm(param)
+        if skip:
+            return [
+                SweepRow(alg.name, q, n, param, math.nan, math.nan, math.nan, "skipped")
+                for q in config.q_grid
+            ]
         base_cfg = StabilityConfig(
-            q=config.q_grid[0], n=n, reps=config.reps, j_policy="average_all", seed=seed
+            q=config.q_grid[0], n=n, reps=config.reps, j_policy="average_all",
+            seed=root.child(ni).child(pi),
         )
         profile = stability_profile(algorithm, spec, cost_kind, base_cfg, config.q_grid)
+        out: list[SweepRow] = []
         for q in config.q_grid:
             est = profile[q]
             if alg.name == "ridge":
@@ -663,31 +587,20 @@ def run_stability_sweep(config: ExperimentConfig) -> SweepReport:
                 gamma = ridge_gamma_q(
                     RidgeStabilityInputs(spec.b_x, param, alg.eta, n, norm)
                 )
-                gamma_se = 2.0 * gamma * norm_se / norm if norm > 0 else 0.0
-                ok = est.s_q_hat <= gamma + 3.0 * (est.std_error + gamma_se)
-                out.append(
-                    SweepRow("ridge", q, n, param, est.s_q_hat, est.std_error,
-                             gamma, "true" if ok else "false")
-                )
+                slack = est.std_error + (2.0 * gamma * norm_se / norm if norm > 0 else 0.0)
+            elif q == 1.0:
+                gamma, slack = knn_gamma_1(param, n), est.std_error
             else:
-                if q == 1.0:
-                    gamma = knn_gamma_1(int(param), n)
-                    ok = est.s_q_hat <= gamma + 3.0 * est.std_error
-                    out.append(
-                        SweepRow("knn", q, n, param, est.s_q_hat, est.std_error,
-                                 gamma, "true" if ok else "false")
-                    )
-                else:
-                    out.append(
-                        SweepRow("knn", q, n, param, est.s_q_hat, est.std_error,
-                                 math.nan, "no_theory")
-                    )
+                out.append(SweepRow("knn", q, n, param, est.s_q_hat, est.std_error,
+                                    math.nan, "no_theory"))
+                continue
+            ok = est.s_q_hat <= gamma + 3.0 * slack
+            out.append(SweepRow(alg.name, q, n, param, est.s_q_hat, est.std_error,
+                                gamma, "true" if ok else "false"))
         return out
 
-    rows: list[SweepRow] = []
-    for chunk in map_indexed(run_combo, len(combos)):
-        rows.extend(chunk)
-    return SweepReport(rows, config)
+    rows = [row for chunk in map_indexed(run_combo, len(combos)) for row in chunk]
+    return Report(config.kind, config, rows, all(r.dominated != "false" for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -706,34 +619,7 @@ class EfronSteinRow:
     passed: bool
 
 
-@dataclass
-class EfronSteinReport:
-    rows: list[EfronSteinRow]
-    config: ExperimentConfig
-    kind: str = "efron_stein"
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def write_csv(self, path: Path) -> None:
-        lines = ["f,n,q,lhs,rhs,lhs_std_error,rhs_std_error,passed"]
-        for r in self.rows:
-            lines.append(
-                f"{r.f},{r.n},{r.q:.17g},{r.lhs:.17g},{r.rhs:.17g},"
-                f"{r.lhs_std_error:.17g},{r.rhs_std_error:.17g},{str(r.passed).lower()}"
-            )
-        path.write_text("\n".join(lines) + "\n")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": config_to_dict(self.config),
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-        }
-
-
-def run_efron_stein(config: ExperimentConfig) -> EfronSteinReport:
+def run_efron_stein(config: ExperimentConfig) -> Report:
     if config.kind != "efron_stein":
         raise ConfigError(f"expected kind 'efron_stein', got {config.kind!r}")
     if any(q < 2.0 or q > 8.0 for q in config.q_grid):
@@ -742,7 +628,6 @@ def run_efron_stein(config: ExperimentConfig) -> EfronSteinReport:
         config.algorithm.lam[0] if config.algorithm.name == "ridge" else 1.0
     )
     root = config.root_seed()
-    rows: list[EfronSteinRow] = []
     jobs = [
         (fi, f, ni, n, qi, q)
         for fi, f in enumerate(EFRON_STEIN_STATS)
@@ -760,34 +645,13 @@ def run_efron_stein(config: ExperimentConfig) -> EfronSteinReport:
             f, n, q, res.lhs, res.rhs, res.lhs_std_error, res.rhs_std_error, res.passed
         )
 
-    rows = list(map_indexed(run_job, len(jobs)))
-    return EfronSteinReport(rows, config)
+    rows = map_indexed(run_job, len(jobs))
+    return Report(config.kind, config, rows, all(r.passed for r in rows))
 
 
 # ---------------------------------------------------------------------------
 # Bounds table
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BoundsReport:
-    rows: list[BoundsRow]
-    config: ExperimentConfig
-    kind: str = "bounds_table"
-
-    @property
-    def all_pass(self) -> bool:
-        return True  # pure formula evaluation; vacuousness is reported per row
-
-    def write_csv(self, path: Path) -> None:
-        write_bounds_csv(self.rows, path)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": config_to_dict(self.config),
-            "rows": [dataclasses.asdict(r) for r in self.rows],
-        }
-
 
 def _deviation_envelope(spec: DataSpec, lam: float) -> float:
     """Largest possible |LoO - prediction error| for bounded labels: both
@@ -798,7 +662,7 @@ def _deviation_envelope(spec: DataSpec, lam: float) -> float:
     return (spec.b_y * (1.0 + spec.b_x**2 / lam)) ** 2
 
 
-def run_bounds_table(config: ExperimentConfig) -> BoundsReport:
+def run_bounds_table(config: ExperimentConfig) -> Report:
     if config.kind != "bounds_table":
         raise ConfigError(f"expected kind 'bounds_table', got {config.kind!r}")
     alg = config.algorithm
@@ -855,7 +719,8 @@ def run_bounds_table(config: ExperimentConfig) -> BoundsReport:
         raise PreconditionError(
             "bounds_table produced no rows; check the lambda domain and q_grid"
         )
-    return BoundsReport(rows, config)
+    # Pure formula evaluation; vacuousness is reported per row.
+    return Report(config.kind, config, rows, True)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +736,7 @@ RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig):
+def run_experiment(config: ExperimentConfig) -> Report:
     return RUNNERS[config.kind](config)
 
 
@@ -954,7 +819,7 @@ def _svg_figure(
     return "\n".join(parts) + "\n"
 
 
-def _rate_svg(report: RateReport) -> str:
+def _rate_svg(report: Report) -> str:
     pts = [(float(r.n), r.median_deviation) for r in report.rows]
     log_n = [math.log(p[0]) for p in pts]
     fit = np.polyfit(log_n, [math.log(p[1]) for p in pts], 1)
@@ -964,12 +829,12 @@ def _rate_svg(report: RateReport) -> str:
     return _svg_figure(
         [("median deviation", pts)],
         curve,
-        f"median |LoO - prediction error| vs n (slope {report.slope:.3f})",
+        f"median |LoO - prediction error| vs n (slope {report.extras['slope']:.3f})",
         log_log=True,
     )
 
 
-def _coverage_svg(report: CoverageReport) -> str:
+def _coverage_svg(report: Report) -> str:
     series = []
     for n in report.config.n_grid:
         pts = [(r.x, r.exceedance_rate) for r in report.rows if r.n == n]
@@ -981,12 +846,56 @@ def _coverage_svg(report: CoverageReport) -> str:
     )
 
 
-def emit_report(report, formats: Sequence[str], out_dir: str | Path | None = None) -> list[Path]:
+_SVG_FIGURES = {"rate": _rate_svg, "coverage": _coverage_svg}
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _csv_text(report: Report) -> str:
+    """Header from the row dataclass fields (``lam`` is written ``lambda``),
+    then one line per row: 17 significant digits, lowercase booleans."""
+    names = [f.name for f in dataclasses.fields(report.rows[0])]
+    lines = [",".join("lambda" if name == "lam" else name for name in names)]
+    lines += [",".join(_csv_cell(getattr(r, name)) for name in names) for r in report.rows]
+    return "\n".join(lines) + "\n"
+
+
+def _finite_or_null(obj):
+    """Copy of a JSON-able tree with every NaN/inf float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _json_text(report: Report) -> str:
+    obj = {
+        "kind": report.kind,
+        "config": config_to_dict(report.config),
+        "rows": [dataclasses.asdict(r) for r in report.rows],
+        **report.extras,
+    }
+    return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def emit_report(
+    report: Report, formats: Sequence[str], out_dir: str | Path | None = None
+) -> list[Path]:
     """Persist a report as CSV/JSON/SVG files named <kind>_<base_seed>.<ext>.
 
-    SVG is produced for the kinds with a defined figure (coverage and rate);
-    requesting it elsewhere is a no-op.  Emission holds a lock on the output
-    directory so concurrent runs cannot interleave files.
+    Non-finite floats are written as ``nan``/``inf`` in CSV and as null in
+    JSON.  SVG is produced for the kinds with a defined figure (coverage and
+    rate); requesting it elsewhere is a no-op.  Emission holds a lock on the
+    output directory so concurrent runs cannot interleave files.
     """
     if not report.rows:
         raise PreconditionError("refusing to emit an empty report")
@@ -997,25 +906,11 @@ def emit_report(report, formats: Sequence[str], out_dir: str | Path | None = Non
     out = Path(out_dir) if out_dir is not None else Path(report.config.out_dir)
     stem = f"{report.kind}_{report.config.base_seed}"
     written: list[Path] = []
+    renderers = {"csv": _csv_text, "json": _json_text, "svg": _SVG_FIGURES.get(report.kind)}
     with _run_lock(out):
-        if "csv" in formats:
-            path = out / f"{stem}.csv"
-            report.write_csv(path)
-            written.append(path)
-        if "json" in formats:
-            path = out / f"{stem}.json"
-            path.write_text(
-                json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
-            )
-            written.append(path)
-        if "svg" in formats:
-            svg = None
-            if report.kind == "rate":
-                svg = _rate_svg(report)
-            elif report.kind == "coverage":
-                svg = _coverage_svg(report)
-            if svg is not None:
-                path = out / f"{stem}.svg"
-                path.write_text(svg)
+        for ext, render in renderers.items():
+            if ext in formats and render is not None:
+                path = out / f"{stem}.{ext}"
+                path.write_text(render(report))
                 written.append(path)
     return written

@@ -46,15 +46,6 @@ class CostKind(Enum):
 
 
 @dataclass(frozen=True)
-class KnnParams:
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
 class RidgeModel:
     """Fitted ridge coefficients with the regularisation and sample size used."""
 
@@ -159,14 +150,15 @@ def neighbor_order(data: Dataset, x) -> np.ndarray:
     return np.argsort(dists, kind="stable")
 
 
-def knn_classify(data: Dataset, params: KnnParams, x) -> float:
+def knn_classify(data: Dataset, algorithm: KnnAlgorithm, x) -> float:
     """Majority vote of the k nearest labels; boundary (sum == k/2) goes to 1."""
-    if not 1 <= params.k <= data.n - 1:
-        raise ValueError(f"k={params.k} out of range 1..{data.n - 1}")
+    k = algorithm.k
+    if not 1 <= k <= data.n - 1:
+        raise ValueError(f"k={k} out of range 1..{data.n - 1}")
     _require_binary_labels(data.ys)
     order = neighbor_order(data, x)
-    vote = float(np.sum(data.ys[order[: params.k]]))
-    return 1.0 if vote >= params.k / 2.0 else 0.0
+    vote = float(np.sum(data.ys[order[:k]]))
+    return 1.0 if vote >= k / 2.0 else 0.0
 
 
 def _downdate_core(data: Dataset, lam: float):
@@ -220,10 +212,9 @@ def loo_estimate(algorithm, data: Dataset, kind: CostKind) -> float:
     if isinstance(algorithm, KnnAlgorithm):
         if n < algorithm.k + 2:
             raise ValueError("kNN leave-one-out needs n >= k + 2")
-        params = KnnParams(algorithm.k)
         total = 0.0
         for j in range(1, n + 1):
-            y_hat = knn_classify(leave_one_out(data, j), params, data.xs[j - 1])
+            y_hat = knn_classify(leave_one_out(data, j), algorithm, data.xs[j - 1])
             total += cost(kind, y_hat, float(data.ys[j - 1]))
         return total / n
     raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -157,38 +156,32 @@ def _knn_cost_diffs(
     pred = 1.0 if vote >= k / 2.0 else 0.0
     next_label = float(ys[order[k]])
 
-    def flipped(j0: int) -> float:
-        # Removing a point outside the k nearest cannot change the vote.
-        pos = np.nonzero(order[:k] == j0)[0]
-        if pos.size == 0:
-            return 0.0
+    # Removing a point outside the k nearest cannot change the vote.
+    diffs = np.zeros(n)
+    for j0 in order[:k]:
         vote_new = vote - float(ys[j0]) + next_label
         pred_new = 1.0 if vote_new >= k / 2.0 else 0.0
-        return float(pred != pred_new)
-
+        diffs[j0] = float(pred != pred_new)
     if j_policy == "average_all":
-        diffs = np.zeros(n)
-        for p in range(k):
-            j0 = int(order[p])
-            vote_new = vote - float(ys[j0]) + next_label
-            pred_new = 1.0 if vote_new >= k / 2.0 else 0.0
-            diffs[j0] = float(pred != pred_new)
         return diffs
-    return np.asarray([flipped(n - 1)])
+    return diffs[n - 1:]
 
 
-def _power_mean_estimate(
-    per_rep: np.ndarray, q: float, config: StabilityConfig
-) -> StabilityEstimate:
-    """Delta-method q-th-root estimate from per-replication q-th-power means."""
-    mean_q = float(np.mean(per_rep))
-    se_mean = float(np.std(per_rep, ddof=1) / math.sqrt(len(per_rep)))
-    s_hat = mean_q ** (1.0 / q)
-    if mean_q > 0.0:
-        se = se_mean * s_hat / (q * mean_q)
-    else:
-        se = 0.0
-    return StabilityEstimate(s_hat, se, config)
+def power_mean_root(
+    powered: np.ndarray, q: float, scale: float = 1.0
+) -> tuple[float, float]:
+    """``scale * mean(powered)^(1/q)`` with its delta-method standard error.
+
+    ``powered`` holds i.i.d. q-th powers.  The standard error is
+    ``scale * se(mean) * root / (q * mean)``, 0 when the mean is 0; it is
+    evaluated left to right because emitted outputs are byte-stable, and
+    scaling afterwards changes their last bit.
+    """
+    mean = float(np.mean(powered))
+    se_mean = float(np.std(powered, ddof=1) / math.sqrt(len(powered)))
+    root = mean ** (1.0 / q)
+    se = scale * se_mean * root / (q * mean) if mean > 0.0 else 0.0
+    return scale * root, se
 
 
 def stability_profile(
@@ -233,7 +226,7 @@ def stability_profile(
     out: dict[float, StabilityEstimate] = {}
     for q in qs:
         cfg_q = StabilityConfig(q, config.n, config.reps, config.j_policy, config.seed)
-        out[q] = _power_mean_estimate(per_rep[q], q, cfg_q)
+        out[q] = StabilityEstimate(*power_mean_root(per_rep[q], q), cfg_q)
     return out
 
 
@@ -344,9 +337,8 @@ def _enumerate_clipped_labels(spec: DataSpec) -> np.ndarray:
         raise ValueError(f"analytic enumeration supports d <= {_ENUM_MAX_D}")
     beta = np.asarray(spec.beta_star)
     scale = spec.b_x / math.sqrt(d)
-    signs = np.asarray(
-        [[1.0 if (i >> bit) & 1 else -1.0 for bit in range(d)] for i in range(2**d)]
-    )
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)[None, :]) & 1
+    signs = 2.0 * bits - 1.0
     ys = np.clip((signs * scale) @ beta, -spec.b_y, spec.b_y)
     return np.abs(ys)
 
@@ -379,12 +371,9 @@ def y_norm(
             "no closed-form |Y| moments for this spec; use method='mc'"
         )
     if method == "mc":
-        if m < 2:
-            raise ValueError("mc estimation needs m >= 2")
         if seed is None:
             raise ValueError("mc estimation needs a seed")
-        data = sample_dataset(spec, m, seed)
-        return float(np.mean(np.abs(data.ys) ** q) ** (1.0 / q))
+        return y_norm_mc_std_error(spec, q, m, seed)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -392,17 +381,11 @@ def y_norm_mc_std_error(spec: DataSpec, q: float, m: int, seed: SeedSpec) -> tup
     """Monte Carlo ||Y||_q with its delta-method standard error."""
     if m < 2:
         raise ValueError("mc estimation needs m >= 2")
-    data = sample_dataset(spec, m, seed)
-    powered = np.abs(data.ys) ** q
-    mean_q = float(np.mean(powered))
-    se_mean = float(np.std(powered, ddof=1) / math.sqrt(m))
-    norm = mean_q ** (1.0 / q)
-    se = se_mean * norm / (q * mean_q) if mean_q > 0 else 0.0
-    return norm, se
+    return power_mean_root(np.abs(sample_dataset(spec, m, seed).ys) ** q, q)
 
 
 # ---------------------------------------------------------------------------
-# Sweep export
+# Stability sweep rows
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -416,24 +399,3 @@ class SweepRow:
     gamma_theory: float
     dominated: str  # "true" | "false" | "skipped" | "no_theory"
 
-
-def write_stability_csv(rows: Iterable[SweepRow], path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["algo,q,n,lambda_or_k,s_q_hat,std_error,gamma_theory,dominated"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.algo,
-                    f"{r.q:.17g}",
-                    str(r.n),
-                    f"{r.lambda_or_k:.17g}",
-                    f"{r.s_q_hat:.17g}",
-                    f"{r.std_error:.17g}",
-                    f"{r.gamma_theory:.17g}",
-                    r.dominated,
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path

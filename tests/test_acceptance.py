@@ -304,12 +304,12 @@ def test_criterion_8_rate_slope():
         out_dir="out",
     )
     report = run_rate(config)
-    assert -0.65 <= report.slope <= -0.35
+    assert -0.65 <= report.extras["slope"] <= -0.35
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
     _report(
         "criterion 8 deviation rate",
-        f"slope {report.slope:.3f} in [-0.65, -0.35], {elapsed:.2f}s",
+        f"slope {report.extras['slope']:.3f} in [-0.65, -0.35], {elapsed:.2f}s",
     )
 
 

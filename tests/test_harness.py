@@ -1,16 +1,16 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from stabilab import cli
-from stabilab.bounds import gamma_set, pac_bound_bounded
+from stabilab import cli, harness
+from stabilab.bounds import BoundsRow, gamma_set, pac_bound_bounded
 from stabilab.harness import (
     AlgorithmConfig,
     ConfigError,
     ExperimentConfig,
     PreconditionError,
+    Report,
     config_from_dict,
     config_to_dict,
     emit_report,
@@ -140,7 +140,7 @@ class TestCoverage:
         assert report.all_pass
         assert all(r.exceedance_rate == 0.0 for r in report.rows)
         assert len(report.rows) == 3
-        np.testing.assert_array_equal(report.deviations[20], np.zeros(50))
+        assert report.extras["deviations"] == {"20": [0.0] * 50}
 
     def test_vacuous_rows_marked(self):
         report = run_coverage(make_config(spec=ZERO_SPEC))
@@ -230,8 +230,9 @@ class TestRate:
             test_m=400,
         )
         report = run_rate(cfg)
-        assert report.slope < 0.0
-        assert report.slope_ci_low <= report.slope <= report.slope_ci_high
+        fit = report.extras
+        assert fit["slope"] < 0.0
+        assert fit["slope_ci_low"] <= fit["slope"] <= fit["slope_ci_high"]
         assert len(report.rows) == 4
 
     def test_grid_preconditions(self):
@@ -354,16 +355,41 @@ class TestEmission:
         return run_stability_sweep(cfg)
 
     def test_files_written_and_named(self, tmp_path):
-        report = self.sweep_report(tmp_path)
-        written = emit_report(report, ["csv", "json"])
-        assert [p.name for p in written] == [
-            "stability_sweep_77.csv",
-            "stability_sweep_77.json",
+        bounds_cfg = make_config(
+            kind="bounds_table", n_grid=(50,), reps=1, out_dir=str(tmp_path / "b")
+        )
+        cases = [
+            (
+                self.sweep_report(tmp_path / "s"),
+                "stability_sweep_77",
+                "algo,q,n,lambda_or_k,s_q_hat,std_error,gamma_theory,dominated",
+            ),
+            (
+                run_bounds_table(bounds_cfg),
+                "bounds_table_1234",
+                "bound_name,b_x,lambda,eta,n,q_or_x,value,vacuous",
+            ),
         ]
-        header = written[0].read_text().splitlines()[0]
-        assert header == "algo,q,n,lambda_or_k,s_q_hat,std_error,gamma_theory,dominated"
-        obj = json.loads(written[1].read_text())
-        assert obj["kind"] == "stability_sweep"
+        for report, stem, header in cases:
+            written = emit_report(report, ["csv", "json"])
+            assert [p.name for p in written] == [f"{stem}.csv", f"{stem}.json"]
+            assert written[0].read_text().splitlines()[0] == header
+            obj = json.loads(written[1].read_text())
+            assert obj["kind"] == report.kind
+
+    def test_non_finite_floats_are_json_null(self, tmp_path):
+        cfg = make_config(kind="bounds_table", out_dir=str(tmp_path))
+        row = BoundsRow("pac_bounded", 1.0, 1.0, 0.5, 20, 1.0, math.inf, True)
+        report = Report(cfg.kind, cfg, [row], True, {"note": [math.nan]})
+        csv_path, json_path = emit_report(report, ["csv", "json"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        obj = json.loads(json_path.read_text(), parse_constant=reject)
+        assert obj["rows"][0]["value"] is None
+        assert obj["note"] == [None]
+        assert csv_path.read_text().splitlines()[1].split(",")[6] == "inf"
 
     def test_reemission_is_byte_identical(self, tmp_path):
         report = self.sweep_report(tmp_path)
@@ -429,8 +455,19 @@ class TestThreads:
         monkeypatch.setenv("STABILAB_THREADS", "4")
         threaded = run_coverage(cfg)
         assert serial.rows == threaded.rows
-        for n in serial.deviations:
-            np.testing.assert_array_equal(serial.deviations[n], threaded.deviations[n])
+        assert serial.extras == threaded.extras
+
+    def test_worker_count_is_capped_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("STABILAB_THREADS", "100000")
+        assert harness._worker_count(1000) == 4
+        assert harness._worker_count(3) == 3
+        assert harness._worker_count(0) == 1
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._worker_count(1000) == 1
+        monkeypatch.setenv("STABILAB_THREADS", "0")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert harness._worker_count(1000) == 1
 
 
 class TestCli:
@@ -452,6 +489,19 @@ class TestCli:
         bad = tmp_path / "broken.json"
         bad.write_text("{")
         assert cli.main(["coverage", "--config", str(bad)]) == 2
+
+    def test_bounded_label_on_gaussian_model_exit_two(self, tmp_path):
+        # Gaussian labels are unbounded, so a b_y would wrongly select the
+        # bounded-label PAC bound.
+        obj = config_to_dict(make_config(n_grid=(50,), test_m=20000, out_dir=str(tmp_path)))
+        obj["spec"] = {
+            "d": 2, "x_family": "uniform_ball", "b_x": 1.0,
+            "y_model": "linear_gaussian", "beta_star": [0.4, 0.2],
+            "noise_scale": 0.3, "b_y": 0.5,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["coverage", "--config", str(path)]) == 2
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path))

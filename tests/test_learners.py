@@ -8,7 +8,6 @@ from stabilab.datagen import DataSpec, Dataset, SeedSpec, sample_dataset
 from stabilab.learners import (
     CostKind,
     KnnAlgorithm,
-    KnnParams,
     RidgeAlgorithm,
     RidgeModel,
     cost,
@@ -146,12 +145,12 @@ class TestPredictAndCost:
 class TestKnnClassify:
     def test_exact_match_single_neighbor(self):
         data = Dataset(np.array([[0.0], [5.0], [9.0]]), np.array([1.0, 0.0, 0.0]))
-        assert knn_classify(data, KnnParams(1), np.array([0.0])) == 1.0
+        assert knn_classify(data, KnnAlgorithm(1), np.array([0.0])) == 1.0
 
     def test_boundary_vote_goes_positive(self):
         # k=2 with neighbor labels {1, 0}: sum 1 >= k/2 classifies as 1.
         data = Dataset(np.array([[0.0], [1.0], [50.0]]), np.array([1.0, 0.0, 0.0]))
-        assert knn_classify(data, KnnParams(2), np.array([0.5])) == 1.0
+        assert knn_classify(data, KnnAlgorithm(2), np.array([0.5])) == 1.0
 
     def test_five_point_line_against_brute_force(self):
         xs = np.array([[0.0], [1.0], [2.5], [4.0], [6.0]])
@@ -163,30 +162,30 @@ class TestKnnClassify:
             dists.sort()
             vote = sum(ys[i] for _, i in dists[:3])
             expected = 1.0 if vote >= 1.5 else 0.0
-            assert knn_classify(data, KnnParams(3), x) == expected
+            assert knn_classify(data, KnnAlgorithm(3), x) == expected
 
     def test_distance_ties_break_to_lowest_index(self):
         data = Dataset(np.array([[1.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]))
         # Both of the first two points are at distance zero; index 0 wins.
-        assert knn_classify(data, KnnParams(1), np.array([1.0])) == 0.0
+        assert knn_classify(data, KnnAlgorithm(1), np.array([1.0])) == 0.0
 
     def test_prediction_invariant_under_permutation(self):
         rng = np.random.default_rng(11)
         data = Dataset(rng.uniform(-1, 1, (20, 2)), (rng.random(20) < 0.5) * 1.0)
         x = rng.uniform(-1, 1, 2)
-        base = knn_classify(data, KnnParams(5), x)
+        base = knn_classify(data, KnnAlgorithm(5), x)
         for seed in range(10):
             perm = np.random.default_rng(seed).permutation(20)
             shuffled = Dataset(data.xs[perm], data.ys[perm])
-            assert knn_classify(shuffled, KnnParams(5), x) == base
+            assert knn_classify(shuffled, KnnAlgorithm(5), x) == base
 
     def test_errors(self):
         data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            knn_classify(data, KnnParams(2), np.array([0.0]))  # k > n-1
+            knn_classify(data, KnnAlgorithm(2), np.array([0.0]))  # k > n-1
         bad = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
-            knn_classify(bad, KnnParams(1), np.array([0.0]))
+            knn_classify(bad, KnnAlgorithm(1), np.array([0.0]))
 
 
 class TestLooEstimate:

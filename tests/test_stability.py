@@ -8,7 +8,6 @@ from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_
 from stabilab.learners import (
     CostKind,
     KnnAlgorithm,
-    KnnParams,
     RidgeAlgorithm,
     knn_classify,
 )
@@ -91,24 +90,23 @@ class TestEmpiricalStability:
         # the full-sample and leave-one-out predictions differ; recount it
         # by refitting on explicit reduced datasets over the same draws.
         k, n, reps = 3, 20, 150
-        cfg = StabilityConfig(q=1.0, n=n, reps=reps, seed=SeedSpec(21))
-        est = empirical_lq_stability(
-            KnnAlgorithm(k), BERNOULLI_SPEC, CostKind.ZERO_ONE, cfg
-        )
-        params = KnnParams(k)
-        total = 0.0
-        for r in range(reps):
-            seed_r = cfg.seed.child(r)
-            data = sample_dataset(BERNOULLI_SPEC, n, seed_r.child(0))
-            test = sample_dataset(BERNOULLI_SPEC, 1, seed_r.child(1))
-            x = test.xs[0]
-            full = knn_classify(data, params, x)
-            disagreements = 0
-            for j in range(1, n + 1):
-                if knn_classify(leave_one_out(data, j), params, x) != full:
-                    disagreements += 1
-            total += disagreements / n
-        assert est.s_q_hat == pytest.approx(total / reps, abs=1e-12)
+        algorithm = KnnAlgorithm(k)
+        for j_policy, removed in (("average_all", range(1, n + 1)), ("fixed_last", [n])):
+            cfg = StabilityConfig(q=1.0, n=n, reps=reps, j_policy=j_policy, seed=SeedSpec(21))
+            est = empirical_lq_stability(algorithm, BERNOULLI_SPEC, CostKind.ZERO_ONE, cfg)
+            total = 0.0
+            for r in range(reps):
+                seed_r = cfg.seed.child(r)
+                data = sample_dataset(BERNOULLI_SPEC, n, seed_r.child(0))
+                test = sample_dataset(BERNOULLI_SPEC, 1, seed_r.child(1))
+                x = test.xs[0]
+                full = knn_classify(data, algorithm, x)
+                disagreements = 0
+                for j in removed:
+                    if knn_classify(leave_one_out(data, j), algorithm, x) != full:
+                        disagreements += 1
+                total += disagreements / len(removed)
+            assert est.s_q_hat == pytest.approx(total / reps, abs=1e-12), j_policy
 
     def test_two_point_discrete_instance_matches_enumeration(self):
         # d=1 sign feature with Bernoulli labels: (X, Y) takes 4 values with
