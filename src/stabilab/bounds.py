@@ -235,7 +235,7 @@ def pac_bound_subgaussian(
 # time, so a wrapper rebound under this module's name sees every call.
 STAT_REGISTRY: dict[str, Callable[[Dataset, float], float]] = {
     "constant": lambda data, lam: 0.0,
-    "mean": lambda data, lam: float(np.mean(data.ys)),
+    "mean": lambda data, lam: float(data.ys.sum() / data.n),
     "max": lambda data, lam: float(np.max(data.ys)),
     "ridge_loo": lambda data, lam: ridge_loo_fast(data, lam),
 }
@@ -301,9 +301,8 @@ def efron_stein_moment_check(
         fresh = sample_dataset(spec, n, seed_r.child(1))
         z = stat(data, ridge_lam)
         sumsq = 0.0
-        for j in range(1, n + 1):
-            swapped = replace_point(data, j, (fresh.xs[j - 1], float(fresh.ys[j - 1])))
-            sumsq += (z - stat(swapped, ridge_lam)) ** 2
+        for j, z_new in enumerate(zip(fresh.xs, fresh.ys.tolist()), start=1):
+            sumsq += (z - stat(replace_point(data, j, z_new), ridge_lam)) ** 2
         centered_pow[r] = abs(z - ez) ** q
         sumsq_pow[r] = sumsq ** (q / 2.0)
 

@@ -174,7 +174,7 @@ class Dataset:
             raise ValueError("xs and ys disagree on n")
         if self.xs.shape[0] < 1:
             raise ValueError("dataset needs n >= 1")
-        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
+        if not (np.isfinite(self.xs).all() and np.isfinite(self.ys).all()):
             raise ValueError("dataset contains non-finite entries")
 
     @property
@@ -239,13 +239,21 @@ def replace_point(data: Dataset, j: int, z_new: tuple[np.ndarray, float]) -> Dat
         raise ValueError(f"index j={j} out of range 1..{data.n}")
     x_new, y_new = z_new
     x_new = np.asarray(x_new, dtype=np.float64)
+    y_new = float(y_new)
     if x_new.shape != (data.d,):
         raise ValueError(f"replacement x must have shape ({data.d},)")
+    if not (np.isfinite(x_new).all() and math.isfinite(y_new)):
+        raise ValueError("replacement point contains non-finite entries")
     xs = data.xs.copy()
     ys = data.ys.copy()
     xs[j - 1] = x_new
-    ys[j - 1] = float(y_new)
-    return Dataset(xs, ys)
+    ys[j - 1] = y_new
+    # The other rows were validated when data was built (no code writes into
+    # a Dataset's arrays) and the new point just now, so skip
+    # Dataset.__post_init__'s pass over all n rows.
+    swapped = object.__new__(Dataset)
+    swapped.xs, swapped.ys = xs, ys
+    return swapped
 
 
 @dataclass(frozen=True)

@@ -624,9 +624,7 @@ def run_efron_stein(config: ExperimentConfig) -> Report:
         raise ConfigError(f"expected kind 'efron_stein', got {config.kind!r}")
     if any(q < 2.0 or q > 8.0 for q in config.q_grid):
         raise PreconditionError("efron_stein supports q in [2, 8]")
-    ridge_lam = (
-        config.algorithm.lam[0] if config.algorithm.name == "ridge" else 1.0
-    )
+    ridge_lam = config.algorithm.single_lam() if config.algorithm.name == "ridge" else 1.0
     root = config.root_seed()
     jobs = [
         (fi, f, ni, n, qi, q)

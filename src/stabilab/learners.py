@@ -165,20 +165,26 @@ def _downdate_core(data: Dataset, lam: float):
     """Shared quantities for the rank-one leave-one-out downdate.
 
     With A = X'X + (n-1)*lam*I returns g = A^-1 X'y, w (columns A^-1 x_j),
-    s_j = x_j' A^-1 x_j, h = X g, and a mask of indices where 1 - s_j is
-    too small for the downdate to be trusted.
+    s_j = x_j' A^-1 x_j, 1 - s_j, h = X g, and a mask of indices where
+    1 - s_j is too small for the downdate to be trusted.
     """
     n = data.n
     if n < 2:
         raise ValueError("leave-one-out needs n >= 2")
     xs, ys = data.xs, data.ys
-    a = xs.T @ xs + (n - 1) * lam * np.eye(data.d)
+    a = xs.T @ xs
+    a.flat[:: data.d + 1] += (n - 1) * lam
+    # Two solves, X'y first, on purpose: g = w @ ys, or one solve with the
+    # stacked right-hand side [X'y | X'], rounds g differently, and the
+    # constant ridge statistic of a d = 1, y = x sample shows those last
+    # bits in its Efron-Stein lhs, which is checked at 1e-12 relative.
     g = np.linalg.solve(a, xs.T @ ys)
     w = np.linalg.solve(a, xs.T)
     s = np.einsum("ij,ji->i", xs, w)
     h = xs @ g
-    unstable = (1.0 - s) <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
-    return g, w, s, h, unstable
+    one_minus_s = 1.0 - s
+    unstable = one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
+    return g, w, s, one_minus_s, h, unstable
 
 
 def _ridge_loo_betas(data: Dataset, lam: float) -> np.ndarray:
@@ -186,13 +192,15 @@ def _ridge_loo_betas(data: Dataset, lam: float) -> np.ndarray:
 
     Exact: downdates where stable, naive refits elsewhere.
     """
-    g, w, s, h, unstable = _downdate_core(data, lam)
+    g, w, s, one_minus_s, h, unstable = _downdate_core(data, lam)
     ys = data.ys
-    denom_safe = np.where(unstable, 1.0, 1.0 - s)
-    scale = (h - ys * s) / denom_safe
+    any_unstable = unstable.any()
+    denom = np.where(unstable, 1.0, one_minus_s) if any_unstable else one_minus_s
+    scale = (h - ys * s) / denom
     betas = g[None, :] - ys[:, None] * w.T + scale[:, None] * w.T
-    for j in np.nonzero(unstable)[0]:
-        betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam).beta_array()
+    if any_unstable:
+        for j in np.flatnonzero(unstable):
+            betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam).beta_array()
     return betas
 
 
@@ -229,14 +237,16 @@ def ridge_loo_fast(data: Dataset, lam: float) -> float:
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lam must be a positive real")
-    _, _, s, h, unstable = _downdate_core(data, lam)
+    _, _, _, one_minus_s, h, unstable = _downdate_core(data, lam)
     ys = data.ys
-    denom_safe = np.where(unstable, 1.0, 1.0 - s)
-    sq = ((ys - h) / denom_safe) ** 2
-    for j in np.nonzero(unstable)[0]:
-        model = ridge_fit(leave_one_out(data, int(j) + 1), lam)
-        sq[j] = (ys[j] - predict(model, data.xs[j])) ** 2
-    return float(np.mean(sq))
+    any_unstable = unstable.any()
+    denom = np.where(unstable, 1.0, one_minus_s) if any_unstable else one_minus_s
+    sq = ((ys - h) / denom) ** 2
+    if any_unstable:
+        for j in np.flatnonzero(unstable):
+            model = ridge_fit(leave_one_out(data, int(j) + 1), lam)
+            sq[j] = (ys[j] - predict(model, data.xs[j])) ** 2
+    return float(sq.sum() / data.n)
 
 
 class MonteCarloEstimate(NamedTuple):

@@ -198,7 +198,10 @@ class TestSampleSurgery:
         spec = ball_spec()
         data = sample_dataset(spec, 6, SeedSpec(12))
         fresh = sample_dataset(spec, 1, SeedSpec(13))
+        xs_before, ys_before = data.xs.copy(), data.ys.copy()
         out = replace_point(data, 3, (fresh.xs[0], float(fresh.ys[0])))
+        np.testing.assert_array_equal(data.xs, xs_before)
+        np.testing.assert_array_equal(data.ys, ys_before)
         row_diff = np.any(out.xs != data.xs, axis=1) | (out.ys != data.ys)
         assert np.sum(row_diff) == 1 and row_diff[2]
 
@@ -208,6 +211,10 @@ class TestSampleSurgery:
             replace_point(data, 4, (np.zeros(3), 0.0))
         with pytest.raises(ValueError):
             replace_point(data, 1, (np.zeros(2), 0.0))
+        with pytest.raises(ValueError):
+            replace_point(data, 1, (np.array([0.0, np.nan, 0.0]), 0.0))
+        with pytest.raises(ValueError):
+            replace_point(data, 1, (np.zeros(3), np.inf))
 
 
 class TestVerifyAssumptions:

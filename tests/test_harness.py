@@ -503,6 +503,20 @@ class TestCli:
         path.write_text(json.dumps(obj))
         assert cli.main(["coverage", "--config", str(path)]) == 2
 
+    def test_efron_stein_lambda_grid_exit_two(self, tmp_path):
+        # Efron-Stein runs at one lambda; a grid must not silently run at
+        # its first value.
+        cfg = make_config(
+            kind="efron_stein",
+            spec=ZERO_SPEC,
+            algorithm=AlgorithmConfig(name="ridge", lam=(0.5, 2.0), eta=0.5),
+            reps=10,
+            out_dir=str(tmp_path),
+        )
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["efron-stein", "--config", str(path)]) == 2
+        assert not list(tmp_path.glob("efron_stein_*"))
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path))
         path = self.write_config(tmp_path, cfg)

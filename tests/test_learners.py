@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stabilab.datagen import DataSpec, Dataset, SeedSpec, sample_dataset
+from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
     CostKind,
     KnnAlgorithm,
@@ -263,15 +263,19 @@ class TestRidgeLooFast:
         # At lam ~ 1e-14 the downdate denominator 1 - s_j underflows the
         # condition guard, so the fast path must refit naively and still
         # agree with the reference estimator.
-        from stabilab.learners import _downdate_core
+        from stabilab.learners import _downdate_core, _ridge_loo_betas
 
         data = Dataset(np.array([[1.0], [1e-9]]), np.array([0.5, 2.0]))
         lam = 1e-14
-        _, _, _, _, unstable = _downdate_core(data, lam)
+        *_, unstable = _downdate_core(data, lam)
         assert unstable.any()
         fast = ridge_loo_fast(data, lam)
         naive = loo_estimate(RidgeAlgorithm(lam), data, CostKind.SQUARED)
         assert fast == pytest.approx(naive, rel=1e-9)
+        betas = _ridge_loo_betas(data, lam)
+        for j in range(data.n):
+            refit = ridge_fit(leave_one_out(data, j + 1), lam).beta_array()
+            np.testing.assert_allclose(betas[j], refit, rtol=1e-9)
 
 
 class TestPredictionErrorMc:
