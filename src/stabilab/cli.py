@@ -104,6 +104,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     for path in written:
         print(f"wrote {path}")
+    for note in report.notes:
+        print(f"note: {note}", file=sys.stderr)
     if not report.all_pass:
         print("invariant violation: an inequality failed beyond MC slack", file=sys.stderr)
     return _exit_code(report)

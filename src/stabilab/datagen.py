@@ -186,14 +186,38 @@ class Dataset:
         return self.xs.shape[1]
 
 
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(g, axis=1), bit for bit, without the per-row reduce.
+
+    numpy reduces a row of fewer than 8 entries left to right, which the
+    column-by-column sum repeats; from 8 entries on its pairwise reduce
+    uses 8 accumulators, so wider rows go to np.linalg.norm itself.
+    """
+    d = g.shape[1]
+    if d >= 8:
+        return np.linalg.norm(g, axis=1)
+    sq = g[:, 0] * g[:, 0]
+    for c in range(1, d):
+        sq += g[:, c] * g[:, c]
+    return np.sqrt(sq, out=sq)
+
+
 def _sample_features(spec: DataSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     d = spec.d
     if spec.x_family == "uniform_ball":
         g = rng.standard_normal((n, d))
-        norms = np.linalg.norm(g, axis=1)
+        norms = _row_norms(g)
         norms[norms == 0.0] = 1.0  # probability-zero guard
-        radii = spec.b_x * rng.random(n) ** (1.0 / d)
-        return g / norms[:, None] * radii[:, None]
+        radii = rng.random(n)
+        radii **= 1.0 / d
+        radii *= spec.b_x
+        # Per column and in place, divide then multiply, as g / norms * radii
+        # rounds; g * (radii / norms) would round differently.
+        for c in range(d):
+            col = g[:, c]
+            col /= norms
+            col *= radii
+        return g
     if spec.x_family == "uniform_cube":
         half = spec.b_x / math.sqrt(d)
         return rng.uniform(-half, half, size=(n, d))
@@ -202,15 +226,27 @@ def _sample_features(spec: DataSpec, n: int, rng: np.random.Generator) -> np.nda
     return signs * (spec.b_x / math.sqrt(d))
 
 
+def _clip_inplace(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """np.clip(a, lo, hi) into a itself; bitwise equal for finite a."""
+    np.maximum(a, lo, out=a)
+    return np.minimum(a, hi, out=a)
+
+
 def _sample_labels(spec: DataSpec, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # Each label model does the operations of its plain expression, such as
+    # np.clip(signal + noise_scale * noise, -b_y, b_y), in the same order,
+    # in place on the fresh signal array.
     signal = xs @ np.asarray(spec.beta_star)
+    if spec.y_model == "bernoulli_label":
+        signal += spec.noise_scale
+        p = _clip_inplace(signal, 0.0, 1.0)
+        return (rng.random(xs.shape[0]) < p).astype(np.float64)
+    noise = rng.standard_normal(xs.shape[0])
+    noise *= spec.noise_scale
+    signal += noise
     if spec.y_model == "linear_clipped":
-        noise = spec.noise_scale * rng.standard_normal(xs.shape[0])
-        return np.clip(signal + noise, -spec.b_y, spec.b_y)
-    if spec.y_model == "linear_gaussian":
-        return signal + spec.noise_scale * rng.standard_normal(xs.shape[0])
-    p = np.clip(spec.noise_scale + signal, 0.0, 1.0)
-    return (rng.random(xs.shape[0]) < p).astype(np.float64)
+        return _clip_inplace(signal, -spec.b_y, spec.b_y)
+    return signal
 
 
 def sample_dataset(spec: DataSpec, n: int, seed: SeedSpec) -> Dataset:

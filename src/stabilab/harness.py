@@ -315,7 +315,8 @@ class Report:
     ``rows`` are dataclass instances of one type, emitted one per CSV line
     and JSON ``rows`` entry; ``all_pass`` is the runner's verdict (CLI exit
     4 when false); ``extras`` holds the top-level JSON entries that belong
-    to no row.
+    to no row.  ``notes`` are one-line diagnostics that the CLI prints to
+    stderr; they are never emitted, so the output files do not change.
     """
 
     kind: str
@@ -323,6 +324,7 @@ class Report:
     rows: list
     all_pass: bool
     extras: dict = field(default_factory=dict)
+    notes: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +646,15 @@ def run_efron_stein(config: ExperimentConfig) -> Report:
         )
 
     rows = map_indexed(run_job, len(jobs))
-    return Report(config.kind, config, rows, all(r.passed for r in rows))
+    # rhs == 0 exactly: no swap moved the statistic on any draw, so the row
+    # checks nothing.  The "constant" statistic is that case by design.
+    notes = [
+        f"efron_stein {r.f} n={r.n} q={r.q:g}: rhs is 0, no swap moved the "
+        "statistic on any draw, so this row checks nothing"
+        for r in rows
+        if r.rhs == 0.0 and r.f != "constant"
+    ]
+    return Report(config.kind, config, rows, all(r.passed for r in rows), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -742,22 +752,65 @@ def run_experiment(config: ExperimentConfig) -> Report:
 # Emission
 # ---------------------------------------------------------------------------
 
+def _pid_running(pid: int) -> bool:
+    """Whether a process with this pid exists (signal 0 sends nothing)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # it exists, owned by another user
+        pass
+    return True
+
+
+def _lock_holder(lock: Path) -> str:
+    """Who holds a lock file, for the conflict message."""
+    try:
+        text = lock.read_text().strip()
+    except OSError:
+        text = ""
+    if not text.isdigit() or int(text) < 1:
+        return "holder pid unknown"
+    pid = int(text)
+    if _pid_running(pid):
+        return f"held by pid {pid}, which is still running"
+    return f"held by pid {pid}, which is not running; remove the lock file if no run is writing"
+
+
 @contextmanager
 def _run_lock(out_dir: Path):
-    """Single-writer lock on the output directory for the emission phase."""
+    """Single-writer lock on the output directory for the emission phase.
+
+    The lock file holds the writer's pid, so a conflict names the holder and
+    says whether it is still running.  A stale lock is never taken over.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".stabilab.lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError as exc:
         raise PreconditionError(
-            f"output directory is locked by another run: {lock}"
+            f"output directory is locked by another run: {lock} ({_lock_holder(lock)})"
         ) from exc
     try:
-        os.close(fd)
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
         yield
     finally:
         lock.unlink(missing_ok=True)
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write text to a temp file beside path, then rename it over path, so
+    path is either its old self or complete, never truncated."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _svg_figure(
@@ -893,7 +946,8 @@ def emit_report(
     Non-finite floats are written as ``nan``/``inf`` in CSV and as null in
     JSON.  SVG is produced for the kinds with a defined figure (coverage and
     rate); requesting it elsewhere is a no-op.  Emission holds a lock on the
-    output directory so concurrent runs cannot interleave files.
+    output directory so concurrent runs cannot interleave files, and each
+    file is renamed into place whole, so a crash leaves no truncated file.
     """
     if not report.rows:
         raise PreconditionError("refusing to emit an empty report")
@@ -903,12 +957,15 @@ def emit_report(
         raise ConfigError(f"unknown emit formats: {sorted(unknown)}")
     out = Path(out_dir) if out_dir is not None else Path(report.config.out_dir)
     stem = f"{report.kind}_{report.config.base_seed}"
-    written: list[Path] = []
     renderers = {"csv": _csv_text, "json": _json_text, "svg": _SVG_FIGURES.get(report.kind)}
+    # Render everything before touching the directory, so a failing
+    # renderer writes nothing.
+    texts = {
+        out / f"{stem}.{ext}": render(report)
+        for ext, render in renderers.items()
+        if ext in formats and render is not None
+    }
     with _run_lock(out):
-        for ext, render in renderers.items():
-            if ext in formats and render is not None:
-                path = out / f"{stem}.{ext}"
-                path.write_text(render(report))
-                written.append(path)
-    return written
+        for path, text in texts.items():
+            _replace_file(path, text)
+    return list(texts)

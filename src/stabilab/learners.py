@@ -275,12 +275,17 @@ def prediction_error_mc(
     else:
         preds = np.asarray([predictor(test.xs[i]) for i in range(m)], dtype=np.float64)
     if kind is CostKind.SQUARED:
-        costs = (preds - test.ys) ** 2
+        costs = preds
+        costs -= test.ys
+        costs *= costs
     else:
         if not np.all((preds == 0.0) | (preds == 1.0)):
             raise ValueError("zero_one cost requires binary predictions")
         _require_binary_labels(test.ys)
         costs = (preds != test.ys).astype(np.float64)
-    est = float(np.mean(costs))
-    se = float(np.std(costs, ddof=1) / math.sqrt(m))
-    return MonteCarloEstimate(est, se)
+    # np.mean and np.std(ddof=1) run these reductions, in this order.
+    est = costs.sum() / m
+    costs -= est
+    costs *= costs
+    se = math.sqrt(costs.sum() / (m - 1)) / math.sqrt(m)
+    return MonteCarloEstimate(float(est), se)

@@ -1,0 +1,110 @@
+"""Byte-identity gate: sha256 of every emitted file of the reference configs.
+
+    PYTHONPATH=src python3 tests/digests.py --record   # write tests/digests.json
+    PYTHONPATH=src python3 tests/digests.py --check    # compare, exit 1 on a mismatch
+
+Emits CSV/JSON/SVG for the five criterion-10 determinism configs of
+``tests/test_acceptance.py`` and for the seed-0 experiment configs of
+``perfbench/workloads.py`` (26 files), each into a temporary directory, and
+compares the sha256 of every file with ``tests/digests.json``.  Each config's
+``out_dir`` is set to ``"out"`` before the run, so the JSON files do not
+depend on where they were written.  Floating-point results may differ in
+the last bit between numpy/BLAS builds, so the digests are host-specific:
+the environment they were recorded under is stored with them, and a check
+under another environment says so.  Not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+DIGESTS = HERE / "digests.json"
+
+sys.path[:0] = [str(ROOT / "src"), str(HERE), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from stabilab.harness import config_from_dict, emit_report, run_experiment  # noqa: E402
+
+FORMATS = ["csv", "json", "svg"]
+
+
+def reference_configs() -> dict:
+    """{label: ExperimentConfig}, every out_dir set to "out"."""
+    from test_acceptance import DETERMINISM_CONFIGS
+    from workloads import WORKLOADS
+
+    configs = {
+        f"d_{config.kind}": dataclasses.replace(config, out_dir="out")
+        for config in DETERMINISM_CONFIGS
+    }
+    for experiments in WORKLOADS.values():
+        for name, _, config in experiments:
+            configs[name] = config_from_dict({**config, "out_dir": "out"})
+    return configs
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "machine": platform.machine(),
+    }
+
+
+def compute_digests() -> dict[str, str]:
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, config in reference_configs().items():
+            written = emit_report(run_experiment(config), FORMATS, out_dir=Path(tmp) / label)
+            for path in written:
+                digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--record", action="store_true", help=f"write {DIGESTS.name}")
+    mode.add_argument("--check", action="store_true", help=f"compare with {DIGESTS.name}")
+    args = parser.parse_args(argv)
+
+    env, digests = environment(), compute_digests()
+    if args.record:
+        DIGESTS.write_text(
+            json.dumps({"environment": env, "files": digests}, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"recorded {len(digests)} digests to {DIGESTS}")
+        return 0
+
+    recorded = json.loads(DIGESTS.read_text())
+    if recorded["environment"] != env:
+        print(
+            f"note: digests were recorded under {recorded['environment']}, "
+            f"this host is {env}; last-bit differences are possible",
+            file=sys.stderr,
+        )
+    expected = recorded["files"]
+    bad = sorted(
+        name for name in expected.keys() | digests.keys()
+        if expected.get(name) != digests.get(name)
+    )
+    for name in bad:
+        print(f"MISMATCH {name}: recorded {expected.get(name)}, now {digests.get(name)}")
+    print(f"{len(digests) - len(bad)}/{len(expected.keys() | digests.keys())} digests match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -237,6 +237,11 @@ def test_criterion_6_generalized_efron_stein():
     )
     report = run_efron_stein(config)
     assert report.all_pass
+    # With y = x and no noise the ridge LoO statistic never moves, so its
+    # rows check nothing; the report says so in a note (not in the files).
+    assert [note.split(":")[0] for note in report.notes] == [
+        f"efron_stein ridge_loo n={n} q={q}" for n in (20, 50) for q in (2, 4)
+    ]
 
     # Closed form for the mean of n sign variables at q=2:
     # lhs = 1/sqrt(n), rhs = 2*sqrt(2*kappa)/sqrt(n) ~ 3.189/sqrt(n).
@@ -330,72 +335,76 @@ def test_criterion_9_formula_self_consistency():
     _report("criterion 9 formula self-consistency")
 
 
+# The five criterion-10 configs, one per experiment kind; tests/digests.py
+# records the sha256 of their outputs as well.
+DETERMINISM_CONFIGS = [
+    ExperimentConfig(
+        kind="coverage",
+        spec=NOISY_SPEC,
+        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
+        n_grid=(20,),
+        q_grid=(2.0,),
+        x_grid=(1.0, 3.0),
+        reps=50,
+        test_m=300,
+        base_seed=31,
+        out_dir="unused",
+    ),
+    ExperimentConfig(
+        kind="rate",
+        spec=NOISY_SPEC,
+        algorithm=AlgorithmConfig(name="ridge", lam=(0.5,), eta=0.5),
+        n_grid=(8, 16, 32, 64),
+        q_grid=(2.0,),
+        x_grid=(1.0,),
+        reps=100,
+        test_m=300,
+        base_seed=32,
+        out_dir="unused",
+    ),
+    ExperimentConfig(
+        kind="stability_sweep",
+        spec=ANALYTIC_SPEC,
+        algorithm=AlgorithmConfig(name="ridge", lam=(0.5, 1.0), eta=0.5),
+        n_grid=(20,),
+        q_grid=(1.0, 2.0),
+        x_grid=(1.0,),
+        reps=60,
+        test_m=2,
+        base_seed=33,
+        out_dir="unused",
+    ),
+    ExperimentConfig(
+        kind="efron_stein",
+        spec=RADEMACHER_Y_SPEC,
+        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
+        n_grid=(6,),
+        q_grid=(2.0,),
+        x_grid=(1.0,),
+        reps=30,
+        test_m=2,
+        base_seed=34,
+        out_dir="unused",
+    ),
+    ExperimentConfig(
+        kind="bounds_table",
+        spec=ANALYTIC_SPEC,
+        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
+        n_grid=(50,),
+        q_grid=(2.0, 4.0),
+        x_grid=(1.0, 3.0),
+        reps=1,
+        test_m=2,
+        base_seed=35,
+        out_dir="unused",
+    ),
+]
+
+
 def test_criterion_10_determinism(tmp_path):
     start = time.monotonic()
-    configs = [
-        ExperimentConfig(
-            kind="coverage",
-            spec=NOISY_SPEC,
-            algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-            n_grid=(20,),
-            q_grid=(2.0,),
-            x_grid=(1.0, 3.0),
-            reps=50,
-            test_m=300,
-            base_seed=31,
-            out_dir="unused",
-        ),
-        ExperimentConfig(
-            kind="rate",
-            spec=NOISY_SPEC,
-            algorithm=AlgorithmConfig(name="ridge", lam=(0.5,), eta=0.5),
-            n_grid=(8, 16, 32, 64),
-            q_grid=(2.0,),
-            x_grid=(1.0,),
-            reps=100,
-            test_m=300,
-            base_seed=32,
-            out_dir="unused",
-        ),
-        ExperimentConfig(
-            kind="stability_sweep",
-            spec=ANALYTIC_SPEC,
-            algorithm=AlgorithmConfig(name="ridge", lam=(0.5, 1.0), eta=0.5),
-            n_grid=(20,),
-            q_grid=(1.0, 2.0),
-            x_grid=(1.0,),
-            reps=60,
-            test_m=2,
-            base_seed=33,
-            out_dir="unused",
-        ),
-        ExperimentConfig(
-            kind="efron_stein",
-            spec=RADEMACHER_Y_SPEC,
-            algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-            n_grid=(6,),
-            q_grid=(2.0,),
-            x_grid=(1.0,),
-            reps=30,
-            test_m=2,
-            base_seed=34,
-            out_dir="unused",
-        ),
-        ExperimentConfig(
-            kind="bounds_table",
-            spec=ANALYTIC_SPEC,
-            algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-            n_grid=(50,),
-            q_grid=(2.0, 4.0),
-            x_grid=(1.0, 3.0),
-            reps=1,
-            test_m=2,
-            base_seed=35,
-            out_dir="unused",
-        ),
-    ]
     formats = ["csv", "json", "svg"]
-    for config in configs:
+    for config in DETERMINISM_CONFIGS:
         blobs = []
         for attempt in ("first", "second"):
             out = tmp_path / f"{config.kind}_{attempt}"

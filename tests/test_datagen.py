@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from stabilab.datagen import (
+    X_FAMILIES,
+    Y_MODELS,
     DataSpec,
     Dataset,
     SeedSpec,
@@ -76,7 +78,57 @@ class TestDataSpecValidation:
             ball_spec(b_y=None)
 
 
+def _reference_sample(spec, n, seed):
+    """sample_dataset written with the plain broadcast expressions (norm
+    reduce, broadcast scaling, np.clip), drawing the same numbers in the
+    same order; the sampler must match it bit for bit."""
+    rng = seed.generator()
+    d = spec.d
+    if spec.x_family == "uniform_ball":
+        g = rng.standard_normal((n, d))
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0.0] = 1.0
+        radii = spec.b_x * rng.random(n) ** (1.0 / d)
+        xs = g / norms[:, None] * radii[:, None]
+    elif spec.x_family == "uniform_cube":
+        half = spec.b_x / math.sqrt(d)
+        xs = rng.uniform(-half, half, size=(n, d))
+    else:
+        xs = (rng.integers(0, 2, size=(n, d)) * 2 - 1) * (spec.b_x / math.sqrt(d))
+    signal = xs @ np.asarray(spec.beta_star)
+    if spec.y_model == "linear_clipped":
+        ys = np.clip(signal + spec.noise_scale * rng.standard_normal(n), -spec.b_y, spec.b_y)
+    elif spec.y_model == "linear_gaussian":
+        ys = signal + spec.noise_scale * rng.standard_normal(n)
+    else:
+        p = np.clip(spec.noise_scale + signal, 0.0, 1.0)
+        ys = (rng.random(n) < p).astype(np.float64)
+    return xs, ys
+
+
 class TestSampling:
+    def test_matches_reference_expressions_bitwise(self):
+        labels = {
+            "linear_clipped": dict(noise_scale=0.5, b_y=0.45),  # the clip binds
+            "linear_gaussian": dict(noise_scale=0.5),
+            "bernoulli_label": dict(noise_scale=0.4, b_y=1.0),
+        }
+        for d in (1, 2, 3, 7, 8, 12):
+            beta = tuple([0.3 / math.sqrt(d)] * d)
+            for x_family in X_FAMILIES:
+                for y_model in Y_MODELS:
+                    spec = DataSpec(
+                        d=d, x_family=x_family, b_x=1.0, y_model=y_model,
+                        beta_star=beta, **labels[y_model],
+                    )
+                    for n in (1, 2, 50, 20000):
+                        seed = SeedSpec(d, n)
+                        data = sample_dataset(spec, n, seed)
+                        xs, ys = _reference_sample(spec, n, seed)
+                        where = (d, x_family, y_model, n)
+                        assert np.array_equal(data.xs, xs), where
+                        assert np.array_equal(data.ys, ys), where
+
     def test_zero_signal_zero_noise_gives_zero_labels(self):
         spec = ball_spec(beta_star=(0.0, 0.0, 0.0), noise_scale=0.0)
         data = sample_dataset(spec, 50, SeedSpec(1))

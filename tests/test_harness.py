@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -435,6 +436,35 @@ class TestEmission:
         with pytest.raises(PreconditionError, match="locked"):
             emit_report(report, ["csv"])
 
+    def test_failed_emission_leaves_no_partial_file_temp_or_lock(self, tmp_path, monkeypatch):
+        report = self.sweep_report(tmp_path)
+
+        def broken(_report):
+            raise RuntimeError("renderer failed")
+
+        # A renderer that raises after the CSV was rendered writes nothing.
+        monkeypatch.setattr(harness, "_json_text", broken)
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            emit_report(report, ["csv", "json"])
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        # A write that fails on the second file leaves the first one whole
+        # and no temp file or lock behind.
+        real_replace, calls = harness.os.replace, []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(harness.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(report, ["csv", "json"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stability_sweep_77.csv"]
+        assert (tmp_path / "stability_sweep_77.csv").read_text() == harness._csv_text(report)
+
     def test_unknown_format(self, tmp_path):
         report = self.sweep_report(tmp_path)
         with pytest.raises(ConfigError, match="formats"):
@@ -484,6 +514,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert "coverage: 3 rows" in out
         assert (tmp_path / "out" / "coverage_1234.csv").exists()
+
+    def test_lock_names_its_pid_exit_three(self, tmp_path, capsys):
+        cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        lock = tmp_path / "out" / ".stabilab.lock"
+        lock.parent.mkdir()
+        # This process is running; no Linux pid reaches 2**31 - 1.
+        for pid, state in ((os.getpid(), "still running"), (2**31 - 1, "not running")):
+            lock.write_text(f"{pid}\n")
+            assert cli.main(["coverage", "--config", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert "locked" in err
+            assert f"pid {pid}, which is {state}" in err
+            # The lock is never taken over and nothing was written.
+            assert lock.read_text() == f"{pid}\n"
+            assert not (tmp_path / "out" / "coverage_1234.csv").exists()
+
+    def test_degenerate_efron_stein_rows_print_a_note(self, tmp_path, capsys):
+        # Criterion 6's spec: d = 1 signs, y = x, no noise, so X'X = X'y = n
+        # on every draw and no swap moves the ridge LoO statistic.
+        y_equals_x = DataSpec(
+            d=1, x_family="rademacher_coords", b_x=1.0, y_model="linear_clipped",
+            beta_star=(1.0,), noise_scale=0.0, b_y=1.0,
+        )
+        for spec, expected in (
+            (y_equals_x, [f"ridge_loo n={n} q={q}" for n in (20, 50) for q in (2, 4)]),
+            (NOISY_SPEC, []),
+        ):
+            cfg = make_config(
+                kind="efron_stein", spec=spec, n_grid=(20, 50), q_grid=(2.0, 4.0),
+                reps=10, base_seed=20244, out_dir=str(tmp_path / "out"),
+            )
+            path = self.write_config(tmp_path, cfg)
+            assert cli.main(["efron-stein", "--config", str(path)]) == 0
+            captured = capsys.readouterr()
+            notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+            assert [line.split(":")[1].removeprefix(" efron_stein ") for line in notes] == expected
 
     def test_bad_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

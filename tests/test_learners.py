@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -323,6 +324,15 @@ class TestPredictionErrorMc:
         first = prediction_error_mc(model, spec, 500, CostKind.SQUARED, SeedSpec(8))
         second = prediction_error_mc(model, spec, 500, CostKind.SQUARED, SeedSpec(8))
         assert first == second
+        # Bit for bit the np.mean / np.std(ddof=1) of the squared residuals.
+        for x_family in ("uniform_cube", "uniform_ball"):
+            spec_x = dataclasses.replace(spec, x_family=x_family)
+            for m in (2, 3, 500, 20000):
+                got = prediction_error_mc(model, spec_x, m, CostKind.SQUARED, SeedSpec(m))
+                test = sample_dataset(spec_x, m, SeedSpec(m))
+                costs = (test.xs @ model.beta_array() - test.ys) ** 2
+                assert got.estimate == float(np.mean(costs))
+                assert got.std_error == float(np.std(costs, ddof=1) / math.sqrt(m))
 
     def test_callable_predictor(self):
         spec = DataSpec(
@@ -339,6 +349,9 @@ class TestPredictionErrorMc:
         )
         # Misclassification rate of the constant-1 predictor is P(Y=0) = 0.5.
         assert est == pytest.approx(0.5, abs=0.1)
+        costs = (sample_dataset(spec, 400, SeedSpec(9)).ys != 1.0).astype(np.float64)
+        assert est == float(np.mean(costs))
+        assert se == float(np.std(costs, ddof=1) / math.sqrt(400))
 
     def test_rejects_tiny_m(self):
         spec = DataSpec(
