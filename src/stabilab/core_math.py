@@ -22,42 +22,35 @@ SOLVE_RESIDUAL_RTOL = 1e-10
 MAX_CONDITION = 1e14
 
 
-def as_vector(v) -> np.ndarray:
-    """Validate and return a 1-d float64 vector (dim >= 1, finite)."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise ValueError(f"expected a vector with dim >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector contains non-finite entries")
-    return arr
-
-
-def as_square_matrix(m) -> np.ndarray:
-    """Validate and return a square 2-d float64 matrix (dim >= 1, finite)."""
+def as_square_matrix(m, stack: bool = False) -> np.ndarray:
+    """Validate and return a square 2-d float64 matrix (dim >= 1, finite),
+    or with ``stack`` a 3-d stack (k, d, d) of them."""
     arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+    if arr.ndim != 2 + stack or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
     return arr
 
 
 def require_symmetric(m: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Raise unless |m_ij - m_ji| <= rtol * max(1, |m_ij|) for all entries."""
-    m = as_square_matrix(m)
-    gap = np.abs(m - m.T)
+    """Raise unless |m_ij - m_ji| <= rtol * max(1, |m_ij|) for all entries
+    of m, a square matrix or a (k, d, d) stack of them."""
+    m = as_square_matrix(m, stack=np.ndim(m) == 3)
+    gap = np.abs(m - m.swapaxes(-1, -2))
     scale = np.maximum(1.0, np.abs(m))
-    if np.any(gap > rtol * scale):
+    if (gap > rtol * scale).any():
         raise ValueError("matrix is not symmetric within tolerance")
     return m
 
 
 def require_psd(m: np.ndarray, rtol: float = PSD_RTOL) -> np.ndarray:
-    """Raise unless the symmetric matrix m is PSD up to a relative tolerance."""
+    """Raise unless the symmetric matrix m (each of a stack) is PSD up to a
+    relative tolerance."""
     m = require_symmetric(m)
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-    scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-    if float(eigs.min()) < -rtol * scale:
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.swapaxes(-1, -2)))
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
+    if (eigs.min(axis=-1) < -rtol * scale).any():
         raise ValueError("matrix is not positive semidefinite within tolerance")
     return m
 
@@ -67,23 +60,29 @@ def solve_regularized(s, lam: float, b) -> np.ndarray:
 
     The shifted system is positive definite, so the solve is always
     well posed.  The result is verified to satisfy
-    ||(s + lam*I) v - b|| <= 1e-10 * max(1, ||b||).
+    ||(s + lam*I) v - b|| <= 1e-10 * max(1, ||b||).  ``s`` may be a stack
+    (k, d, d) with ``b`` of shape (k, d): every system is checked, and each
+    solve rounds exactly as it does alone.
     """
     s = require_psd(s)
-    b = as_vector(b)
-    if s.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {s.shape[0]}, vector {b.shape[0]}")
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != s.shape[:-1]:
+        raise ValueError(f"dimension mismatch: matrix {s.shape}, vector {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("vector contains non-finite entries")
     if not np.isfinite(lam) or lam <= 0.0:
         raise ValueError("lam must be a positive real")
 
-    a = s + lam * np.eye(s.shape[0])
-    v = np.linalg.solve(a, b)
-    residual = float(np.linalg.norm(a @ v - b))
-    if residual > SOLVE_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(b))):
+    a = s + lam * np.eye(s.shape[-1])
+    v = np.linalg.solve(a, b[..., None])
+    r = (a @ v)[..., 0] - b
+    # Squared norms: no square roots unless the check fails.
+    r2, b2 = (r * r).sum(axis=-1), (b * b).sum(axis=-1)
+    if (r2 > SOLVE_RESIDUAL_RTOL**2 * np.maximum(1.0, b2)).any():
         raise ArithmeticError(
-            f"regularised solve residual {residual:.3e} exceeds tolerance"
+            f"regularised solve residual {np.sqrt(r2.max()):.3e} exceeds tolerance"
         )
-    return v
+    return v[..., 0]
 
 
 def operator_norm(m, rtol: float = 1e-8, max_iters: int = 500) -> float:

@@ -18,6 +18,9 @@ downdate: with A = X'X + (n-1)*lam*I, g = A^-1 X'y, s_j = x_j' A^-1 x_j,
 the held-out residual is (y_j - x_j'g) / (1 - s_j).  A conditioning guard
 falls back to a naive refit for any index where the downdate is unstable,
 so the fast path is exact, never approximate.
+
+The ``*_stacked`` kernels take a stack of equally sized samples, xs of
+shape (m, n, d), and round every sample as its per-dataset twin does.
 """
 
 from __future__ import annotations
@@ -98,15 +101,20 @@ class KnnAlgorithm:
             raise ValueError("k must be >= 1")
 
 
+def ridge_fit_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
+    """Ridge coefficients (m, d) of each sample of a stack xs (m, n, d),
+    ys (m, n); every row rounds as the fit of its sample alone."""
+    xt = xs.swapaxes(1, 2)
+    n = xs.shape[1]
+    return solve_regularized(xt @ xs / n, lam, (xt @ ys[..., None])[..., 0] / n)
+
+
 def ridge_fit(data: Dataset, lam: float) -> RidgeModel:
     """Closed-form ridge fit; symmetric in the training points."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lam must be a positive real")
-    n = data.n
-    cov = data.xs.T @ data.xs / n
-    rhs = data.xs.T @ data.ys / n
-    beta = solve_regularized(cov, lam, rhs)
-    return RidgeModel(beta=tuple(float(b) for b in beta), lam=lam, n_fit=n)
+    beta = ridge_fit_stacked(data.xs[None], data.ys[None], lam)[0]
+    return RidgeModel(beta=tuple(float(b) for b in beta), lam=lam, n_fit=data.n)
 
 
 def predict(model: RidgeModel, x) -> float:
@@ -150,6 +158,26 @@ def neighbor_order(data: Dataset, x) -> np.ndarray:
     return np.argsort(dists, kind="stable")
 
 
+def knn_loo_flips_stacked(xs: np.ndarray, ys: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """1.0 where removing training point j flips the kNN vote at the query
+    x[r], else 0.0, for each sample of a stack xs (m, n, d), ys (m, n)
+    with labels in {0, 1} and n >= k + 2; shape (m, n).
+
+    Only the k nearest points can flip the vote: each is replaced by the
+    (k+1)-th nearest.  Votes are small integers, so every sum is exact.
+    """
+    dists = np.linalg.norm(xs - x[:, None, :], axis=2)
+    order = np.argsort(dists, axis=1, kind="stable")
+    nearest = order[:, :k]
+    labels = np.take_along_axis(ys, nearest, axis=1)
+    vote = labels.sum(axis=1, keepdims=True)
+    next_label = np.take_along_axis(ys, order[:, k:k + 1], axis=1)
+    flipped = (vote >= k / 2.0) != (vote - labels + next_label >= k / 2.0)
+    flips = np.zeros(ys.shape)
+    np.put_along_axis(flips, nearest, flipped, axis=1)
+    return flips
+
+
 def knn_classify(data: Dataset, algorithm: KnnAlgorithm, x) -> float:
     """Majority vote of the k nearest labels; boundary (sum == k/2) goes to 1."""
     k = algorithm.k
@@ -187,20 +215,41 @@ def _downdate_core(data: Dataset, lam: float):
     return g, w, s, one_minus_s, h, unstable
 
 
+def ridge_loo_betas_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
+    """Rank-one-downdate leave-one-out coefficients of a stack of samples.
+
+    For xs (m, n, d), ys (m, n) returns betas (m, n, d), betas[r, j] the
+    refit of sample r without point j, and the (m, n) mask of the
+    downdates that ``_downdate_core`` deems unstable, whose betas are not
+    exact.  Every stable one rounds as ``_downdate_core``'s on sample r.
+    """
+    n, d = xs.shape[1:]
+    xt = xs.swapaxes(1, 2)
+    a = xt @ xs
+    diag = np.arange(d)
+    a[:, diag, diag] += (n - 1) * lam
+    # Two solves, X'y first, as in _downdate_core.
+    g = np.linalg.solve(a, xt @ ys[..., None])
+    w = np.linalg.solve(a, xt)
+    s = np.einsum("rij,rji->ri", xs, w)
+    one_minus_s = 1.0 - s
+    unstable = one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
+    scale = ((xs @ g)[..., 0] - ys * s) / np.where(unstable, 1.0, one_minus_s)
+    wt = w.swapaxes(1, 2)
+    return g.swapaxes(1, 2) - ys[..., None] * wt + scale[..., None] * wt, unstable
+
+
 def _ridge_loo_betas(data: Dataset, lam: float) -> np.ndarray:
     """All n leave-one-out coefficient vectors, betas[j] = refit without point j.
 
     Exact: downdates where stable, naive refits elsewhere.
     """
-    g, w, s, one_minus_s, h, unstable = _downdate_core(data, lam)
-    ys = data.ys
-    any_unstable = unstable.any()
-    denom = np.where(unstable, 1.0, one_minus_s) if any_unstable else one_minus_s
-    scale = (h - ys * s) / denom
-    betas = g[None, :] - ys[:, None] * w.T + scale[:, None] * w.T
-    if any_unstable:
-        for j in np.flatnonzero(unstable):
-            betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam).beta_array()
+    if data.n < 2:
+        raise ValueError("leave-one-out needs n >= 2")
+    betas, unstable = ridge_loo_betas_stacked(data.xs[None], data.ys[None], lam)
+    betas = betas[0]
+    for j in np.flatnonzero(unstable[0]):
+        betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam).beta_array()
     return betas
 
 

@@ -38,13 +38,18 @@ from .learners import (
     KnnAlgorithm,
     RidgeAlgorithm,
     _ridge_loo_betas,
-    cost,
-    neighbor_order,
-    predict,
+    knn_loo_flips_stacked,
     ridge_fit,
+    ridge_fit_stacked,
+    ridge_loo_betas_stacked,
 )
 
 J_POLICIES = ("fixed_last", "average_all")
+
+# Bytes of one chunk's stacked training features in stability_profile:
+# enough replications to amortise the per-chunk numpy calls, few enough
+# that the stacks and the kernels' temporaries stay small.
+_CHUNK_BYTES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -129,42 +134,28 @@ class StabilityEstimate:
     config: StabilityConfig
 
 
-def _ridge_cost_diffs(
-    data: Dataset, lam: float, x: np.ndarray, y: float, j_policy: str
+def _ridge_cost_diffs_stacked(
+    xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float, j_policy: str
 ) -> np.ndarray:
-    full = ridge_fit(data, lam)
-    c_full = cost(CostKind.SQUARED, predict(full, x), y)
-    if j_policy == "average_all":
-        betas = _ridge_loo_betas(data, lam)
-        preds = betas @ x
-        costs = (preds - y) ** 2
-        return np.abs(c_full - costs)
-    model = ridge_fit(leave_one_out(data, data.n), lam)
-    c_loo = cost(CostKind.SQUARED, predict(model, x), y)
-    return np.asarray([abs(c_full - c_loo)])
+    """|squared cost of the full fit - that of each LoO refit| at the test
+    point of every sample of a stack, shape (m, n), or (m, 1) for fixed_last."""
 
+    def sq_cost(betas: np.ndarray) -> np.ndarray:
+        # The stacked matmul rounds as predict()'s beta @ x (einsum does
+        # not), and cost() squares a Python float with libm's pow, which
+        # np.float_power calls too; x * x differs on ~0.1% of values.
+        return np.float_power((betas[:, None, :] @ x[..., None])[:, 0, 0] - y, 2.0)
 
-def _knn_cost_diffs(
-    data: Dataset, k: int, x: np.ndarray, y: float, j_policy: str
-) -> np.ndarray:
-    n = data.n
-    if n < k + 2:
-        raise ValueError("kNN stability needs n >= k + 2")
-    order = neighbor_order(data, x)
-    ys = data.ys
-    vote = float(np.sum(ys[order[:k]]))
-    pred = 1.0 if vote >= k / 2.0 else 0.0
-    next_label = float(ys[order[k]])
-
-    # Removing a point outside the k nearest cannot change the vote.
-    diffs = np.zeros(n)
-    for j0 in order[:k]:
-        vote_new = vote - float(ys[j0]) + next_label
-        pred_new = 1.0 if vote_new >= k / 2.0 else 0.0
-        diffs[j0] = float(pred != pred_new)
-    if j_policy == "average_all":
-        return diffs
-    return diffs[n - 1:]
+    n = xs.shape[1]
+    c_full = sq_cost(ridge_fit_stacked(xs, ys, lam))
+    if j_policy == "fixed_last":
+        c_loo = sq_cost(ridge_fit_stacked(xs[:, :n - 1], ys[:, :n - 1], lam))
+        return np.abs(c_full - c_loo)[:, None]
+    betas, unstable = ridge_loo_betas_stacked(xs, ys, lam)
+    for r in np.flatnonzero(unstable.any(axis=1)):
+        betas[r] = _ridge_loo_betas(Dataset(xs[r], ys[r]), lam)
+    costs = ((betas @ x[..., None])[..., 0] - y[:, None]) ** 2
+    return np.abs(c_full[:, None] - costs)
 
 
 def power_mean_root(
@@ -207,21 +198,33 @@ def stability_profile(
             raise ValueError("kNN stability is defined for the 0-1 cost")
         if config.n < algorithm.k + 2:
             raise ValueError("kNN stability needs n >= k + 2")
+        if spec.y_model != "bernoulli_label":
+            raise ValueError("kNN stability needs labels in {0, 1} (y_model 'bernoulli_label')")
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
+    # Every replication is drawn from its own seed streams, exactly as it
+    # would be alone; a chunk of draws is stacked and the kernels run once
+    # per chunk.
+    n, d = config.n, spec.d
+    chunk = max(1, _CHUNK_BYTES // (8 * n * d))
     per_rep = {q: np.empty(config.reps) for q in qs}
-    for r in range(config.reps):
-        seed_r = config.seed.child(r)
-        data = sample_dataset(spec, config.n, seed_r.child(0))
-        test = sample_dataset(spec, 1, seed_r.child(1))
-        x, y = test.xs[0], float(test.ys[0])
+    for start in range(0, config.reps, chunk):
+        m = min(chunk, config.reps - start)
+        xs, ys, x, y = np.empty((m, n, d)), np.empty((m, n)), np.empty((m, d)), np.empty(m)
+        for i in range(m):
+            seed_r = config.seed.child(start + i)
+            data = sample_dataset(spec, n, seed_r.child(0))
+            test = sample_dataset(spec, 1, seed_r.child(1))
+            xs[i], ys[i], x[i], y[i] = data.xs, data.ys, test.xs[0], test.ys[0]
         if isinstance(algorithm, RidgeAlgorithm):
-            diffs = _ridge_cost_diffs(data, algorithm.lam, x, y, config.j_policy)
+            diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, algorithm.lam, config.j_policy)
         else:
-            diffs = _knn_cost_diffs(data, algorithm.k, x, y, config.j_policy)
+            diffs = knn_loo_flips_stacked(xs, ys, x, algorithm.k)
+            if config.j_policy == "fixed_last":
+                diffs = diffs[:, n - 1:]
         for q in qs:
-            per_rep[q][r] = float(np.mean(diffs**q))
+            per_rep[q][start:start + m] = np.mean(diffs**q, axis=1)
 
     out: dict[float, StabilityEstimate] = {}
     for q in qs:

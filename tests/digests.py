@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tests/digests.py --record   # write tests/digests.json
     PYTHONPATH=src python3 tests/digests.py --check    # compare, exit 1 on a mismatch
+    PYTHONPATH=src python3 tests/digests.py --check --only c4_ridge_sweep,d_stability_sweep
 
 Emits CSV/JSON/SVG for the five criterion-10 determinism configs of
 ``tests/test_acceptance.py`` and for the seed-0 experiment configs of
@@ -11,7 +12,8 @@ compares the sha256 of every file with ``tests/digests.json``.  Each config's
 depend on where they were written.  Floating-point results may differ in
 the last bit between numpy/BLAS builds, so the digests are host-specific:
 the environment they were recorded under is stored with them, and a check
-under another environment says so.  Not collected by pytest.
+under another environment says so.  ``--only`` checks the files of the
+named configs alone.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -63,10 +65,13 @@ def environment() -> dict:
     }
 
 
-def compute_digests() -> dict[str, str]:
+def compute_digests(labels=None) -> dict[str, str]:
+    """{label/file: sha256} of the configs named in ``labels`` (all if None)."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, config in reference_configs().items():
+            if labels is not None and label not in labels:
+                continue
             written = emit_report(run_experiment(config), FORMATS, out_dir=Path(tmp) / label)
             for path in written:
                 digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -78,9 +83,21 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", action="store_true", help=f"write {DIGESTS.name}")
     mode.add_argument("--check", action="store_true", help=f"compare with {DIGESTS.name}")
+    parser.add_argument(
+        "--only", metavar="LABEL[,LABEL]",
+        help="with --check, run and compare only these configs (default: all)",
+    )
     args = parser.parse_args(argv)
+    labels = None
+    if args.only is not None:
+        if args.record:
+            parser.error("--only works with --check; --record writes every digest")
+        labels = set(args.only.split(","))
+        unknown = sorted(labels - reference_configs().keys())
+        if unknown:
+            parser.error(f"unknown labels {unknown}; known: {sorted(reference_configs())}")
 
-    env, digests = environment(), compute_digests()
+    env, digests = environment(), compute_digests(labels)
     if args.record:
         DIGESTS.write_text(
             json.dumps({"environment": env, "files": digests}, indent=2, sort_keys=True) + "\n"
@@ -95,7 +112,10 @@ def main(argv: list[str] | None = None) -> int:
             f"this host is {env}; last-bit differences are possible",
             file=sys.stderr,
         )
-    expected = recorded["files"]
+    expected = {
+        name: digest for name, digest in recorded["files"].items()
+        if labels is None or name.split("/", 1)[0] in labels
+    }
     bad = sorted(
         name for name in expected.keys() | digests.keys()
         if expected.get(name) != digests.get(name)

@@ -44,6 +44,24 @@ class TestSolveRegularized:
         with pytest.raises(ValueError, match="semidefinite"):
             solve_regularized(-np.eye(2), 0.1, np.ones(2))
 
+    def test_stack_solves_as_alone_and_checks_every_matrix(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 3, 3))
+        s = a @ a.swapaxes(1, 2)
+        b = rng.standard_normal((5, 3))
+        v = solve_regularized(s, 0.5, b)
+        for i in range(5):
+            assert np.array_equal(v[i], solve_regularized(s[i], 0.5, b[i]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_regularized(s, 0.5, b[:4])
+        asymmetric = s.copy()
+        asymmetric[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_regularized(asymmetric, 0.5, b)
+        s[4] = -np.eye(3)
+        with pytest.raises(ValueError, match="semidefinite"):
+            solve_regularized(s, 0.5, b)
+
     @settings(deadline=None, max_examples=50)
     @given(
         seed=st.integers(0, 10_000),

@@ -584,6 +584,22 @@ class TestCli:
         assert cli.main(["efron-stein", "--config", str(path)]) == 2
         assert not list(tmp_path.glob("efron_stein_*"))
 
+    def test_knn_stability_on_real_valued_labels_exit_three(self, tmp_path, capsys):
+        # The kNN bound is for the 0-1 cost; clipped-linear labels are real
+        # valued, so a "dominated" row there would verify nothing.
+        cfg = make_config(
+            kind="stability_sweep",
+            algorithm=AlgorithmConfig(name="knn", k=(3,)),
+            n_grid=(20,),
+            q_grid=(1.0,),
+            reps=10,
+            out_dir=str(tmp_path),
+        )
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["stability", "--config", str(path)]) == 3
+        assert "labels in {0, 1}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("stability_sweep_*"))
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path))
         path = self.write_config(tmp_path, cfg)

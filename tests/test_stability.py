@@ -3,13 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stabilab import stability
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
     CostKind,
     KnnAlgorithm,
     RidgeAlgorithm,
+    _downdate_core,
     knn_classify,
+    knn_loo_flips_stacked,
+    neighbor_order,
+    ridge_fit,
+    ridge_fit_stacked,
+    ridge_loo_betas_stacked,
 )
 from stabilab.stability import (
     RidgeStabilityInputs,
@@ -18,6 +27,7 @@ from stabilab.stability import (
     check_ridge_stability_domain,
     empirical_lq_stability,
     knn_gamma_1,
+    power_mean_root,
     ridge_gamma_q,
     ridge_param_diff_check,
     ridge_stability_violations,
@@ -179,6 +189,187 @@ class TestEmpiricalStability:
             StabilityConfig(q=1.0, n=10, reps=1)
         with pytest.raises(ValueError):
             StabilityConfig(q=1.0, n=10, reps=10, j_policy="sometimes")
+
+
+# The estimator one replication at a time, with the per-dataset expressions:
+# the reference that stability_profile's stacked chunks match bit for bit.
+
+def _reference_beta(xs, ys, lam):
+    """ridge_fit's expressions on one sample, before stacking."""
+    n, d = xs.shape
+    return np.linalg.solve(xs.T @ xs / n + lam * np.eye(d), xs.T @ ys / n)
+
+
+def _reference_loo_betas(data, lam):
+    """_ridge_loo_betas on _downdate_core, with naive refits where unstable."""
+    g, w, s, one_minus_s, h, unstable = _downdate_core(data, lam)
+    ys = data.ys
+    scale = (h - ys * s) / np.where(unstable, 1.0, one_minus_s)
+    betas = g[None, :] - ys[:, None] * w.T + scale[:, None] * w.T
+    for j in np.flatnonzero(unstable):
+        loo = leave_one_out(data, int(j) + 1)
+        betas[j] = _reference_beta(loo.xs, loo.ys, lam)
+    return betas
+
+
+def _reference_ridge_diffs(data, lam, x, y, j_policy):
+    def sq_cost(beta):
+        return float((float(beta @ x) - y) ** 2)
+
+    c_full = sq_cost(_reference_beta(data.xs, data.ys, lam))
+    if j_policy == "average_all":
+        return np.abs(c_full - (_reference_loo_betas(data, lam) @ x - y) ** 2)
+    loo = leave_one_out(data, data.n)
+    return np.asarray([abs(c_full - sq_cost(_reference_beta(loo.xs, loo.ys, lam)))])
+
+
+def _reference_knn_diffs(data, k, x, j_policy):
+    n = data.n
+    order = neighbor_order(data, x)
+    ys = data.ys
+    vote = float(np.sum(ys[order[:k]]))
+    pred = 1.0 if vote >= k / 2.0 else 0.0
+    next_label = float(ys[order[k]])
+    diffs = np.zeros(n)
+    for j0 in order[:k]:
+        vote_new = vote - float(ys[j0]) + next_label
+        pred_new = 1.0 if vote_new >= k / 2.0 else 0.0
+        diffs[j0] = float(pred != pred_new)
+    return diffs if j_policy == "average_all" else diffs[n - 1:]
+
+
+def _reference_profile(algorithm, spec, config, qs):
+    """{q: (s_q_hat, std_error)}, one replication at a time."""
+    per_rep = {q: np.empty(config.reps) for q in qs}
+    for r in range(config.reps):
+        seed_r = config.seed.child(r)
+        data = sample_dataset(spec, config.n, seed_r.child(0))
+        test = sample_dataset(spec, 1, seed_r.child(1))
+        x, y = test.xs[0], float(test.ys[0])
+        if isinstance(algorithm, RidgeAlgorithm):
+            diffs = _reference_ridge_diffs(data, algorithm.lam, x, y, config.j_policy)
+        else:
+            diffs = _reference_knn_diffs(data, algorithm.k, x, config.j_policy)
+        for q in qs:
+            per_rep[q][r] = float(np.mean(diffs**q))
+    return {q: power_mean_root(per_rep[q], q) for q in qs}
+
+
+def _rademacher(rng, shape):
+    d = shape[-1]
+    return (rng.integers(0, 2, size=shape) * 2 - 1) / math.sqrt(d)
+
+
+class TestStackedKernels:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3, 8]),
+        n=st.sampled_from([2, 3, 50]),
+        m=st.integers(1, 64),
+        lam=st.floats(0.01, 10.0),
+    )
+    def test_ridge_matches_per_sample_reference_bitwise(self, seed, d, n, m, lam):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-1.0, 1.0, size=(m, n, d)) / math.sqrt(d)
+        ys = rng.standard_normal((m, n))
+        x, y = rng.uniform(-1.0, 1.0, size=(m, d)) / math.sqrt(d), rng.standard_normal(m)
+        full = ridge_fit_stacked(xs, ys, lam)
+        last_out = ridge_fit_stacked(xs[:, : n - 1], ys[:, : n - 1], lam)
+        betas, unstable = ridge_loo_betas_stacked(xs, ys, lam)
+        policies = {p: stability._ridge_cost_diffs_stacked(xs, ys, x, y, lam, p)
+                    for p in ("average_all", "fixed_last")}
+        for r in range(m):
+            data = Dataset(xs[r], ys[r])
+            loo = leave_one_out(data, n)
+            assert np.array_equal(full[r], _reference_beta(xs[r], ys[r], lam))
+            assert np.array_equal(ridge_fit(data, lam).beta_array(), full[r])
+            assert np.array_equal(last_out[r], _reference_beta(loo.xs, loo.ys, lam))
+            assert np.array_equal(unstable[r], _downdate_core(data, lam)[-1])
+            assert np.array_equal(betas[r], _reference_loo_betas(data, lam))
+            for policy, diffs in policies.items():
+                ref = _reference_ridge_diffs(data, lam, x[r], float(y[r]), policy)
+                assert np.array_equal(diffs[r], ref), policy
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3]),
+        n=st.integers(3, 40),
+        m=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_knn_matches_per_sample_reference_bitwise(self, seed, d, n, m, data):
+        # Sign features put many training points at the same distance from
+        # the query, so the vote depends on the stable lowest-index order.
+        k = data.draw(st.integers(1, n - 2), label="k")
+        rng = np.random.default_rng(seed)
+        xs, x = _rademacher(rng, (m, n, d)), _rademacher(rng, (m, d))
+        ys = rng.integers(0, 2, size=(m, n)).astype(np.float64)
+        flips = knn_loo_flips_stacked(xs, ys, x, k)
+        for r in range(m):
+            ref = _reference_knn_diffs(Dataset(xs[r], ys[r]), k, x[r], "average_all")
+            assert np.array_equal(flips[r], ref)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("j_policy", ["average_all", "fixed_last"])
+    @pytest.mark.parametrize(
+        "algorithm, spec",
+        [(RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC), (KnnAlgorithm(3), BERNOULLI_SPEC)],
+        ids=["ridge", "knn"],
+    )
+    def test_profile_matches_per_replication_reference_around_chunk_size(
+        self, algorithm, spec, j_policy, offset
+    ):
+        n, qs = 50, (1.0, 1.5, 2.0, 4.0)
+        chunk = stability._CHUNK_BYTES // (8 * n * spec.d)
+        assert chunk >= 2
+        cfg = StabilityConfig(q=1.0, n=n, reps=chunk + offset, j_policy=j_policy,
+                              seed=SeedSpec(26))
+        kind = CostKind.SQUARED if isinstance(algorithm, RidgeAlgorithm) else CostKind.ZERO_ONE
+        profile = stability_profile(algorithm, spec, kind, cfg, qs)
+        reference = _reference_profile(algorithm, spec, cfg, qs)
+        for q in qs:
+            assert (profile[q].s_q_hat, profile[q].std_error) == reference[q], q
+
+    def test_near_singular_downdates_match_naive_refits(self, monkeypatch):
+        # Two sign directions, three points, lam ~ 0: a point alone on its
+        # direction has s_j ~ 1, so its downdate is unstable and the sample
+        # must go through _ridge_loo_betas and its naive refits.
+        spec = DataSpec(d=2, x_family="rademacher_coords", b_x=1.0,
+                        y_model="linear_clipped", beta_star=(0.5, -0.3),
+                        noise_scale=0.3, b_y=1.0)
+        lam, n, q = 1e-14, 3, 2.0
+        cfg = StabilityConfig(q=q, n=n, reps=40, seed=SeedSpec(5))
+        draws = [(sample_dataset(spec, n, cfg.seed.child(r).child(0)),
+                  sample_dataset(spec, 1, cfg.seed.child(r).child(1))) for r in range(cfg.reps)]
+        unstable = [_downdate_core(data, lam)[-1].any() for data, _ in draws]
+        assert 0 < sum(unstable) < cfg.reps
+
+        fallbacks = []
+        original = stability._ridge_loo_betas
+
+        def recording(data, lam):
+            fallbacks.append(data.xs.copy())
+            return original(data, lam)
+
+        monkeypatch.setattr(stability, "_ridge_loo_betas", recording)
+        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, CostKind.SQUARED, cfg)
+        expected = [data.xs for (data, _), u in zip(draws, unstable) if u]
+        assert len(fallbacks) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(fallbacks, expected))
+        assert (est.s_q_hat, est.std_error) == _reference_profile(
+            RidgeAlgorithm(lam), spec, cfg, (q,))[q]
+
+        powered = []
+        for data, test in draws:
+            x, y = test.xs[0], float(test.ys[0])
+            c_full = (ridge_fit(data, lam).beta_array() @ x - y) ** 2
+            c_loo = [(ridge_fit(leave_one_out(data, j), lam).beta_array() @ x - y) ** 2
+                     for j in range(1, n + 1)]
+            powered.append(np.mean(np.abs(c_full - np.asarray(c_loo)) ** q))
+        assert est.s_q_hat == pytest.approx(power_mean_root(np.asarray(powered), q)[0],
+                                            rel=1e-9)
 
 
 class TestRidgeGamma:
