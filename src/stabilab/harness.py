@@ -171,11 +171,18 @@ def _as_tuple(value) -> tuple:
     return (value,)
 
 
+def _as_int(value, name: str) -> int:
+    """int(value), but a bool or a fractional number is an error, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_dict(obj: dict) -> DataSpec:
     _check_keys(obj, _SPEC_KEYS, "spec")
     try:
         return DataSpec(
-            d=int(obj["d"]),
+            d=_as_int(obj["d"], "d"),
             x_family=str(obj["x_family"]),
             b_x=float(obj["b_x"]),
             y_model=str(obj["y_model"]),
@@ -213,7 +220,7 @@ def algorithm_from_dict(obj: dict) -> AlgorithmConfig:
         name=name,
         lam=_as_tuple(obj["lambda"]) if "lambda" in obj else (),
         eta=None if obj.get("eta") is None else float(obj["eta"]),
-        k=_as_tuple(obj["k"]) if "k" in obj else (),
+        k=tuple(_as_int(v, "k") for v in _as_tuple(obj["k"])) if "k" in obj else (),
     )
 
 
@@ -236,12 +243,12 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
             kind=str(obj["kind"]),
             spec=spec_from_dict(obj["spec"]),
             algorithm=algorithm_from_dict(obj["algorithm"]),
-            n_grid=_as_tuple(obj["n_grid"]),
+            n_grid=tuple(_as_int(v, "n_grid") for v in _as_tuple(obj["n_grid"])),
             q_grid=_as_tuple(obj["q_grid"]),
             x_grid=_as_tuple(obj["x_grid"]),
-            reps=int(obj["reps"]),
-            test_m=int(obj["test_m"]),
-            base_seed=int(obj["base_seed"]),
+            reps=_as_int(obj["reps"], "reps"),
+            test_m=_as_int(obj["test_m"], "test_m"),
+            base_seed=_as_int(obj["base_seed"], "base_seed"),
             out_dir=str(obj["out_dir"]),
         )
     except KeyError as exc:

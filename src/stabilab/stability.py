@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
+from .datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset, sample_stack
 from .learners import (
     CostKind,
     KnnAlgorithm,
@@ -211,12 +211,10 @@ def stability_profile(
     per_rep = {q: np.empty(config.reps) for q in qs}
     for start in range(0, config.reps, chunk):
         m = min(chunk, config.reps - start)
-        xs, ys, x, y = np.empty((m, n, d)), np.empty((m, n)), np.empty((m, d)), np.empty(m)
-        for i in range(m):
-            seed_r = config.seed.child(start + i)
-            data = sample_dataset(spec, n, seed_r.child(0))
-            test = sample_dataset(spec, 1, seed_r.child(1))
-            xs[i], ys[i], x[i], y[i] = data.xs, data.ys, test.xs[0], test.ys[0]
+        seeds = [config.seed.child(r) for r in range(start, start + m)]
+        xs, ys = sample_stack(spec, n, [s.child(0) for s in seeds])
+        x, y = sample_stack(spec, 1, [s.child(1) for s in seeds])
+        x, y = x[:, 0], y[:, 0]
         if isinstance(algorithm, RidgeAlgorithm):
             diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, algorithm.lam, config.j_policy)
         else:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabilab.datagen import (
     X_FAMILIES,
@@ -14,6 +16,7 @@ from stabilab.datagen import (
     leave_one_out,
     replace_point,
     sample_dataset,
+    sample_stack,
     verify_assumptions,
 )
 
@@ -106,21 +109,26 @@ def _reference_sample(spec, n, seed):
     return xs, ys
 
 
+_LABELS = {
+    "linear_clipped": dict(noise_scale=0.5, b_y=0.45),  # the clip binds
+    "linear_gaussian": dict(noise_scale=0.5),
+    "bernoulli_label": dict(noise_scale=0.4, b_y=1.0),
+}
+
+
+def _family_spec(d, x_family, y_model):
+    return DataSpec(
+        d=d, x_family=x_family, b_x=1.0, y_model=y_model,
+        beta_star=tuple([0.3 / math.sqrt(d)] * d), **_LABELS[y_model],
+    )
+
+
 class TestSampling:
     def test_matches_reference_expressions_bitwise(self):
-        labels = {
-            "linear_clipped": dict(noise_scale=0.5, b_y=0.45),  # the clip binds
-            "linear_gaussian": dict(noise_scale=0.5),
-            "bernoulli_label": dict(noise_scale=0.4, b_y=1.0),
-        }
         for d in (1, 2, 3, 7, 8, 12):
-            beta = tuple([0.3 / math.sqrt(d)] * d)
             for x_family in X_FAMILIES:
                 for y_model in Y_MODELS:
-                    spec = DataSpec(
-                        d=d, x_family=x_family, b_x=1.0, y_model=y_model,
-                        beta_star=beta, **labels[y_model],
-                    )
+                    spec = _family_spec(d, x_family, y_model)
                     for n in (1, 2, 50, 20000):
                         seed = SeedSpec(d, n)
                         data = sample_dataset(spec, n, seed)
@@ -193,6 +201,44 @@ class TestSampling:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             sample_dataset(ball_spec(), 0, SeedSpec(1))
+
+
+class TestSampleStack:
+    @pytest.mark.parametrize("y_model", Y_MODELS)
+    @pytest.mark.parametrize("x_family", X_FAMILIES)
+    @settings(deadline=None, max_examples=40)
+    @given(
+        d=st.sampled_from([1, 2, 3, 7, 8, 12]),
+        n=st.sampled_from([1, 2, 50]),
+        m=st.sampled_from([1, 2, 37]),
+        base_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_every_stream_matches_reference_bitwise(self, x_family, y_model, d, n, m, base_seed):
+        spec = _family_spec(d, x_family, y_model)
+        seeds = [SeedSpec(base_seed, i) for i in range(m)]
+        xs, ys = sample_stack(spec, n, seeds)
+        assert xs.shape == (m, n, d) and ys.shape == (m, n)
+        for i, seed in enumerate(seeds):
+            ref_xs, ref_ys = _reference_sample(spec, n, seed)
+            assert np.array_equal(xs[i], ref_xs), i
+            assert np.array_equal(ys[i], ref_ys), i
+
+    def test_invalid_n_or_no_seeds(self):
+        with pytest.raises(ValueError, match="n must be"):
+            sample_stack(ball_spec(), 0, [SeedSpec(1)])
+        with pytest.raises(ValueError, match="at least one seed"):
+            sample_stack(ball_spec(), 5, [])
+
+    def test_non_finite_labels_are_rejected_as_by_sample_dataset(self):
+        # |noise| > 1.8 overflows noise_scale * noise; among 50 normal draws
+        # some almost surely do.
+        spec = DataSpec(d=2, x_family="uniform_ball", b_x=1.0, y_model="linear_gaussian",
+                        beta_star=(0.0, 0.0), noise_scale=1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                sample_dataset(spec, 50, SeedSpec(3))
+            with pytest.raises(ValueError, match="non-finite"):
+                sample_stack(spec, 50, [SeedSpec(3), SeedSpec(4)])
 
 
 class TestSampleSurgery:

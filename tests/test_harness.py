@@ -600,6 +600,41 @@ class TestCli:
         assert "labels in {0, 1}" in capsys.readouterr().err
         assert not list(tmp_path.glob("stability_sweep_*"))
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            (None, "reps", 20.9),
+            (None, "base_seed", 7.5),
+            (None, "n_grid", [50.7]),
+            (None, "test_m", 300.5),
+            ("algorithm", "k", [1.9]),
+            ("spec", "d", 1.5),
+            ("spec", "d", True),
+        ],
+    )
+    def test_non_integral_integer_field_exit_two(self, tmp_path, capsys, where, key, value):
+        # int() would truncate these to a run of another config than the
+        # file names, and emit that truncated config as if it were given.
+        obj = config_to_dict(make_config(
+            kind="stability_sweep",
+            spec=DataSpec(d=1, x_family="uniform_ball", b_x=1.0, y_model="bernoulli_label",
+                          beta_star=(0.1,), noise_scale=0.5, b_y=1.0),
+            algorithm=AlgorithmConfig(name="knn", k=(1,)),
+            n_grid=(50,), q_grid=(1.0,), reps=20, base_seed=7, out_dir=str(tmp_path),
+        ))
+        (obj if where is None else obj[where])[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["stability", "--config", str(path)]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not list(tmp_path.glob("stability_sweep_*"))
+
+    def test_integral_float_fields_are_accepted(self):
+        obj = config_to_dict(make_config())
+        obj.update(reps=50.0, n_grid=[20.0])
+        obj["spec"]["d"] = 2.0
+        assert config_from_dict(obj) == make_config()
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path))
         path = self.write_config(tmp_path, cfg)
