@@ -11,8 +11,7 @@ Five experiment kinds share one JSON config schema (``ExperimentConfig``):
 
 Determinism contract: reruns with an identical config produce byte-identical
 CSV/JSON/SVG outputs.  All randomness flows from ``base_seed`` through
-per-replication child streams, and reductions happen in fixed index order,
-so the ``STABILAB_THREADS`` worker cap affects speed only, never results.
+per-replication child streams, and reductions happen in fixed index order.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid, q_grid and x_grid must all be nonempty")
         if any(n < 2 for n in self.n_grid):
             raise ConfigError("all n_grid entries must be >= 2")
+        if not all(math.isfinite(v) for v in self.q_grid + self.x_grid):
+            raise ConfigError("all q_grid and x_grid entries must be finite")
         if any(q < 1.0 for q in self.q_grid):
             raise ConfigError("all q_grid entries must be >= 1")
         if any(x <= 0.0 for x in self.x_grid):
@@ -287,31 +287,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Replication scheduling
-# ---------------------------------------------------------------------------
-
-def _worker_count(count: int) -> int:
-    """Threads for ``count`` tasks: STABILAB_THREADS, capped at the CPU
-    count and at ``count``."""
-    raw = os.environ.get("STABILAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"STABILAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(value, os.cpu_count() or 1, count))
-
-
-def map_indexed(fn: Callable[[int], object], count: int) -> list:
-    """Apply a pure indexed function over range(count), optionally on a
-    thread pool; results come back in index order either way."""
-    workers = _worker_count(count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
-# ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
 
@@ -357,8 +332,9 @@ def _deviation_samples(
     """
     lam = config.algorithm.single_lam()
     spec = config.spec
-
-    def one(r: int) -> tuple[float, float]:
+    devs = np.empty(config.reps)
+    max_se = -math.inf
+    for r in range(config.reps):
         seed_r = n_seed.child(r)
         data = sample_dataset(spec, n, seed_r.child(0))
         loo = ridge_loo_fast(data, lam)
@@ -366,11 +342,8 @@ def _deviation_samples(
         est, se = prediction_error_mc(
             model, spec, config.test_m, CostKind.SQUARED, seed_r.child(1)
         )
-        return abs(loo - est), se
-
-    results = map_indexed(one, config.reps)
-    devs = np.asarray([d for d, _ in results])
-    max_se = max(se for _, se in results)
+        devs[r] = abs(loo - est)
+        max_se = max(max_se, se)
     return devs, max_se
 
 
@@ -534,20 +507,24 @@ def run_rate(config: ExperimentConfig) -> Report:
 # Stability sweep
 # ---------------------------------------------------------------------------
 
+def _y_norm_or_mc(spec: DataSpec, order: float, seed: SeedSpec) -> tuple[float, float]:
+    """(norm, std_error) of ||Y||_order: analytic with zero error where a
+    closed form exists, else a fixed-size Monte Carlo estimate from ``seed``."""
+    try:
+        return y_norm(spec, order), 0.0
+    except ValueError:
+        return y_norm_mc_std_error(spec, order, _YNORM_MC_DRAWS, seed)
+
+
 def _ridge_norm_cache(
     config: ExperimentConfig, root: SeedSpec
 ) -> dict[float, tuple[float, float]]:
-    """(norm, std_error) of ||Y||_{2q} per q; analytic where available, else
-    a fixed-size Monte Carlo estimate whose error widens the dominance margin."""
-    cache: dict[float, tuple[float, float]] = {}
-    for qi, q in enumerate(config.q_grid):
-        try:
-            cache[q] = (y_norm(config.spec, 2.0 * q, method="analytic"), 0.0)
-        except ValueError:
-            cache[q] = y_norm_mc_std_error(
-                config.spec, 2.0 * q, _YNORM_MC_DRAWS, root.child(_YNORM_ROLE).child(qi)
-            )
-    return cache
+    """(norm, std_error) of ||Y||_{2q} per q; a Monte Carlo error widens the
+    dominance margin."""
+    return {
+        q: _y_norm_or_mc(config.spec, 2.0 * q, root.child(_YNORM_ROLE).child(qi))
+        for qi, q in enumerate(config.q_grid)
+    }
 
 
 def run_stability_sweep(config: ExperimentConfig) -> Report:
@@ -567,48 +544,43 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
         params = list(alg.k)
         cost_kind = CostKind.ZERO_ONE
 
-    combos = [(ni, n, pi, p) for ni, n in enumerate(config.n_grid)
-              for pi, p in enumerate(params)]
-
-    def run_combo(ci: int) -> list[SweepRow]:
-        ni, n, pi, param = combos[ci]
-        if alg.name == "ridge":
-            skip = bool(ridge_stability_violations(spec.b_x, param, alg.eta, n))
-            algorithm = RidgeAlgorithm(param)
-        else:
-            skip = n < param + 2
-            algorithm = KnnAlgorithm(param)
-        if skip:
-            return [
-                SweepRow(alg.name, q, n, param, math.nan, math.nan, math.nan, "skipped")
-                for q in config.q_grid
-            ]
-        base_cfg = StabilityConfig(
-            q=config.q_grid[0], n=n, reps=config.reps, j_policy="average_all",
-            seed=root.child(ni).child(pi),
-        )
-        profile = stability_profile(algorithm, spec, cost_kind, base_cfg, config.q_grid)
-        out: list[SweepRow] = []
-        for q in config.q_grid:
-            est = profile[q]
+    rows: list[SweepRow] = []
+    for ni, n in enumerate(config.n_grid):
+        for pi, param in enumerate(params):
             if alg.name == "ridge":
-                norm, norm_se = norms[q]
-                gamma = ridge_gamma_q(
-                    RidgeStabilityInputs(spec.b_x, param, alg.eta, n, norm)
-                )
-                slack = est.std_error + (2.0 * gamma * norm_se / norm if norm > 0 else 0.0)
-            elif q == 1.0:
-                gamma, slack = knn_gamma_1(param, n), est.std_error
+                skip = bool(ridge_stability_violations(spec.b_x, param, alg.eta, n))
+                algorithm = RidgeAlgorithm(param)
             else:
-                out.append(SweepRow("knn", q, n, param, est.s_q_hat, est.std_error,
-                                    math.nan, "no_theory"))
+                skip = n < param + 2
+                algorithm = KnnAlgorithm(param)
+            if skip:
+                rows += [
+                    SweepRow(alg.name, q, n, param, math.nan, math.nan, math.nan, "skipped")
+                    for q in config.q_grid
+                ]
                 continue
-            ok = est.s_q_hat <= gamma + 3.0 * slack
-            out.append(SweepRow(alg.name, q, n, param, est.s_q_hat, est.std_error,
-                                gamma, "true" if ok else "false"))
-        return out
-
-    rows = [row for chunk in map_indexed(run_combo, len(combos)) for row in chunk]
+            base_cfg = StabilityConfig(
+                q=config.q_grid[0], n=n, reps=config.reps, j_policy="average_all",
+                seed=root.child(ni).child(pi),
+            )
+            profile = stability_profile(algorithm, spec, cost_kind, base_cfg, config.q_grid)
+            for q in config.q_grid:
+                est = profile[q]
+                if alg.name == "ridge":
+                    norm, norm_se = norms[q]
+                    gamma = ridge_gamma_q(
+                        RidgeStabilityInputs(spec.b_x, param, alg.eta, n, norm)
+                    )
+                    slack = est.std_error + (2.0 * gamma * norm_se / norm if norm > 0 else 0.0)
+                elif q == 1.0:
+                    gamma, slack = knn_gamma_1(param, n), est.std_error
+                else:
+                    rows.append(SweepRow("knn", q, n, param, est.s_q_hat, est.std_error,
+                                         math.nan, "no_theory"))
+                    continue
+                ok = est.s_q_hat <= gamma + 3.0 * slack
+                rows.append(SweepRow(alg.name, q, n, param, est.s_q_hat, est.std_error,
+                                     gamma, "true" if ok else "false"))
     return Report(config.kind, config, rows, all(r.dominated != "false" for r in rows))
 
 
@@ -631,28 +603,24 @@ class EfronSteinRow:
 def run_efron_stein(config: ExperimentConfig) -> Report:
     if config.kind != "efron_stein":
         raise ConfigError(f"expected kind 'efron_stein', got {config.kind!r}")
+    if config.algorithm.name != "ridge":
+        raise PreconditionError("efron_stein requires the ridge algorithm")
     if any(q < 2.0 or q > 8.0 for q in config.q_grid):
         raise PreconditionError("efron_stein supports q in [2, 8]")
-    ridge_lam = config.algorithm.single_lam() if config.algorithm.name == "ridge" else 1.0
+    ridge_lam = config.algorithm.single_lam()
     root = config.root_seed()
-    jobs = [
-        (fi, f, ni, n, qi, q)
-        for fi, f in enumerate(EFRON_STEIN_STATS)
-        for ni, n in enumerate(config.n_grid)
-        for qi, q in enumerate(config.q_grid)
-    ]
-
-    def run_job(ji: int) -> EfronSteinRow:
-        fi, f, ni, n, qi, q = jobs[ji]
-        seed = root.child(fi).child(ni).child(qi)
-        res = efron_stein_moment_check(
-            f, config.spec, n, q, config.reps, seed, ridge_lam=ridge_lam
-        )
-        return EfronSteinRow(
-            f, n, q, res.lhs, res.rhs, res.lhs_std_error, res.rhs_std_error, res.passed
-        )
-
-    rows = map_indexed(run_job, len(jobs))
+    rows: list[EfronSteinRow] = []
+    for fi, f in enumerate(EFRON_STEIN_STATS):
+        for ni, n in enumerate(config.n_grid):
+            for qi, q in enumerate(config.q_grid):
+                seed = root.child(fi).child(ni).child(qi)
+                res = efron_stein_moment_check(
+                    f, config.spec, n, q, config.reps, seed, ridge_lam=ridge_lam
+                )
+                rows.append(EfronSteinRow(
+                    f, n, q, res.lhs, res.rhs, res.lhs_std_error, res.rhs_std_error,
+                    res.passed,
+                ))
     # rhs == 0 exactly: no swap moved the statistic on any draw, so the row
     # checks nothing.  The "constant" statistic is that case by design.
     notes = [
@@ -693,13 +661,8 @@ def run_bounds_table(config: ExperimentConfig) -> Report:
 
     def norm(q: float) -> float:
         if q not in norm_cache:
-            try:
-                norm_cache[q] = y_norm(spec, q, method="analytic")
-            except ValueError:
-                norm_cache[q] = y_norm(
-                    spec, q, method="mc", m=_YNORM_MC_DRAWS,
-                    seed=root.child(_YNORM_ROLE).child(len(norm_cache)),
-                )
+            seed = root.child(_YNORM_ROLE).child(len(norm_cache))
+            norm_cache[q] = _y_norm_or_mc(spec, q, seed)[0]
         return norm_cache[q]
 
     rows: list[BoundsRow] = []

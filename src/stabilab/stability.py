@@ -344,38 +344,27 @@ def _enumerate_clipped_labels(spec: DataSpec) -> np.ndarray:
     return np.abs(ys)
 
 
-def y_norm(
-    spec: DataSpec,
-    q: float,
-    method: str = "analytic",
-    m: int = 0,
-    seed: SeedSpec | None = None,
-) -> float:
-    """Population L^q norm of |Y| under the given label distribution.
+def y_norm(spec: DataSpec, q: float) -> float:
+    """Population L^q norm of |Y| under the given label distribution, in
+    closed form.
 
-    ``method="analytic"`` is available for the Bernoulli label model (with
-    its closed-form marginal) and for noise-free clipped-linear labels over
-    sign-pattern features, where the finitely many outcomes are enumerated.
-    ``method="mc"`` estimates the norm from m fresh draws.
+    Available for the Bernoulli label model (with its closed-form marginal)
+    and for noise-free clipped-linear labels over sign-pattern features,
+    where the finitely many outcomes are enumerated.  Any other spec raises
+    ``ValueError``; ``y_norm_mc_std_error`` estimates the norm from draws.
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")
-    if method == "analytic":
-        if spec.y_model == "bernoulli_label":
-            return spec.bernoulli_p() ** (1.0 / q)
-        if spec.y_model == "linear_clipped" and spec.noise_scale == 0.0 and (
-            spec.x_family == "rademacher_coords"
-        ):
-            abs_y = _enumerate_clipped_labels(spec)
-            return float(np.mean(abs_y**q) ** (1.0 / q))
-        raise ValueError(
-            "no closed-form |Y| moments for this spec; use method='mc'"
-        )
-    if method == "mc":
-        if seed is None:
-            raise ValueError("mc estimation needs a seed")
-        return y_norm_mc_std_error(spec, q, m, seed)[0]
-    raise ValueError(f"unknown method {method!r}")
+    if spec.y_model == "bernoulli_label":
+        return spec.bernoulli_p() ** (1.0 / q)
+    if spec.y_model == "linear_clipped" and spec.noise_scale == 0.0 and (
+        spec.x_family == "rademacher_coords"
+    ):
+        abs_y = _enumerate_clipped_labels(spec)
+        return float(np.mean(abs_y**q) ** (1.0 / q))
+    raise ValueError(
+        "no closed-form |Y| moments for this spec; use y_norm_mc_std_error"
+    )
 
 
 def y_norm_mc_std_error(spec: DataSpec, q: float, m: int, seed: SeedSpec) -> tuple[float, float]:

@@ -13,7 +13,8 @@ depend on where they were written.  Floating-point results may differ in
 the last bit between numpy/BLAS builds, so the digests are host-specific:
 the environment they were recorded under is stored with them, and a check
 under another environment says so.  ``--only`` checks the files of the
-named configs alone.  Not collected by pytest.
+named configs alone.  Not collected by pytest; ``tests/test_digests.py``
+runs the check of the five determinism configs in the test suite.
 """
 
 from __future__ import annotations

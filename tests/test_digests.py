@@ -1,0 +1,23 @@
+"""Byte-identity gate in the test suite: the five criterion-10 determinism
+configs must emit exactly the files whose sha256 ``tests/digests.json``
+records.  The benchmark configs' digests are checked by ``tests/digests.py
+--check`` alone, because they take far longer to run."""
+
+import json
+
+import pytest
+
+import digests
+
+
+def test_determinism_configs_match_recorded_digests():
+    recorded = json.loads(digests.DIGESTS.read_text())["environment"]
+    env = digests.environment()
+    if recorded != env:
+        pytest.skip(
+            f"digests were recorded under {recorded}, this host is {env}; "
+            "last-bit differences are possible"
+        )
+    labels = sorted(label for label in digests.reference_configs() if label.startswith("d_"))
+    assert len(labels) == 5
+    assert digests.main(["--check", "--only", ",".join(labels)]) == 0

@@ -477,29 +477,6 @@ class TestEmission:
             emit_report(report, ["csv"])
 
 
-class TestThreads:
-    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = make_config(spec=NOISY_SPEC, test_m=400, out_dir=str(tmp_path / "a"))
-        monkeypatch.setenv("STABILAB_THREADS", "1")
-        serial = run_coverage(cfg)
-        monkeypatch.setenv("STABILAB_THREADS", "4")
-        threaded = run_coverage(cfg)
-        assert serial.rows == threaded.rows
-        assert serial.extras == threaded.extras
-
-    def test_worker_count_is_capped_by_cpus_and_tasks(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("STABILAB_THREADS", "100000")
-        assert harness._worker_count(1000) == 4
-        assert harness._worker_count(3) == 3
-        assert harness._worker_count(0) == 1
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        assert harness._worker_count(1000) == 1
-        monkeypatch.setenv("STABILAB_THREADS", "0")
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        assert harness._worker_count(1000) == 1
-
-
 class TestCli:
     def write_config(self, tmp_path, cfg):
         path = tmp_path / "config.json"
@@ -584,6 +561,22 @@ class TestCli:
         assert cli.main(["efron-stein", "--config", str(path)]) == 2
         assert not list(tmp_path.glob("efron_stein_*"))
 
+    def test_efron_stein_knn_exit_three(self, tmp_path, capsys):
+        # The swap statistics include ridge LoO, which needs a lambda; a kNN
+        # config must not run it at a lambda the config never gave.
+        cfg = make_config(
+            kind="efron_stein",
+            spec=DataSpec(d=2, x_family="uniform_ball", b_x=1.0, y_model="bernoulli_label",
+                          beta_star=(0.2, 0.1), noise_scale=0.5, b_y=1.0),
+            algorithm=AlgorithmConfig(name="knn", k=(3,)),
+            reps=10,
+            out_dir=str(tmp_path),
+        )
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["efron-stein", "--config", str(path)]) == 3
+        assert "requires the ridge algorithm" in capsys.readouterr().err
+        assert not list(tmp_path.glob("efron_stein_*"))
+
     def test_knn_stability_on_real_valued_labels_exit_three(self, tmp_path, capsys):
         # The kNN bound is for the 0-1 cost; clipped-linear labels are real
         # valued, so a "dominated" row there would verify nothing.
@@ -628,6 +621,35 @@ class TestCli:
         assert cli.main(["stability", "--config", str(path)]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
         assert not list(tmp_path.glob("stability_sweep_*"))
+
+    @pytest.mark.parametrize(
+        "command, algorithm, key, value",
+        [
+            ("bounds-table", RIDGE_ALG, "x_grid", [math.nan, 1.0]),
+            ("bounds-table", RIDGE_ALG, "q_grid", [2.0, math.inf]),
+            ("stability", AlgorithmConfig(name="knn", k=(1,)), "q_grid", [math.nan]),
+        ],
+        ids=["x_grid_nan", "q_grid_inf", "knn_q_grid_nan"],
+    )
+    def test_non_finite_grid_entry_exit_two(
+        self, tmp_path, capsys, command, algorithm, key, value
+    ):
+        # Python's json parses NaN and Infinity; a NaN passes every range
+        # check and would be emitted as a nan row.
+        kind = cli._COMMAND_KINDS[command]
+        obj = config_to_dict(make_config(
+            kind=kind,
+            spec=DataSpec(d=1, x_family="uniform_ball", b_x=1.0, y_model="bernoulli_label",
+                          beta_star=(0.1,), noise_scale=0.5, b_y=1.0),
+            algorithm=algorithm,
+            n_grid=(50,), q_grid=(2.0,), x_grid=(1.0,), reps=20, out_dir=str(tmp_path),
+        ))
+        obj[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{kind}_*"))
 
     def test_integral_float_fields_are_accepted(self):
         obj = config_to_dict(make_config())

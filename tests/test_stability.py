@@ -33,6 +33,7 @@ from stabilab.stability import (
     ridge_stability_violations,
     stability_profile,
     y_norm,
+    y_norm_mc_std_error,
 )
 
 BERNOULLI_SPEC = DataSpec(
@@ -475,7 +476,7 @@ class TestYNorm:
             assert y_norm(self.CONSTANT_SPEC, q) == pytest.approx(2.0, rel=1e-12)
 
     def test_constant_magnitude_mc_exact_at_q2(self):
-        val = y_norm(self.CONSTANT_SPEC, 2.0, method="mc", m=100, seed=SeedSpec(31))
+        val, _ = y_norm_mc_std_error(self.CONSTANT_SPEC, 2.0, 100, SeedSpec(31))
         assert val == 2.0
 
     def test_bernoulli_moments(self):
@@ -511,11 +512,9 @@ class TestYNorm:
         with pytest.raises(ValueError, match="closed-form"):
             y_norm(NOISY_RIDGE_SPEC, 2.0)
 
-    def test_mc_needs_seed_and_size(self):
-        with pytest.raises(ValueError):
-            y_norm(self.CONSTANT_SPEC, 2.0, method="mc", m=1, seed=SeedSpec(1))
-        with pytest.raises(ValueError):
-            y_norm(self.CONSTANT_SPEC, 2.0, method="mc", m=100)
+    def test_mc_needs_size(self):
+        with pytest.raises(ValueError, match="m >= 2"):
+            y_norm_mc_std_error(self.CONSTANT_SPEC, 2.0, 1, SeedSpec(1))
 
 
 class TestDominanceSmoke:
