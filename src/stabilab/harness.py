@@ -178,18 +178,36 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _as_float(value, name: str) -> float:
+    """float(value) of a JSON number; a bool or a string is an error, not
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _as_optional_float(obj: dict, key: str) -> float | None:
+    return None if obj.get(key) is None else _as_float(obj[key], key)
+
+
 def spec_from_dict(obj: dict) -> DataSpec:
     _check_keys(obj, _SPEC_KEYS, "spec")
     try:
         return DataSpec(
             d=_as_int(obj["d"], "d"),
             x_family=str(obj["x_family"]),
-            b_x=float(obj["b_x"]),
+            b_x=_as_float(obj["b_x"], "b_x"),
             y_model=str(obj["y_model"]),
-            beta_star=tuple(float(t) for t in obj["beta_star"]),
-            noise_scale=float(obj.get("noise_scale", 0.0)),
-            b_y=None if obj.get("b_y") is None else float(obj["b_y"]),
-            v=None if obj.get("v") is None else float(obj["v"]),
+            beta_star=tuple(_as_float(t, "beta_star") for t in obj["beta_star"]),
+            noise_scale=_as_float(obj.get("noise_scale", 0.0), "noise_scale"),
+            b_y=_as_optional_float(obj, "b_y"),
+            v=_as_optional_float(obj, "v"),
         )
     except KeyError as exc:
         raise ConfigError(f"spec is missing required key {exc}") from exc
@@ -218,8 +236,8 @@ def algorithm_from_dict(obj: dict) -> AlgorithmConfig:
     name = str(obj.get("name", ""))
     return AlgorithmConfig(
         name=name,
-        lam=_as_tuple(obj["lambda"]) if "lambda" in obj else (),
-        eta=None if obj.get("eta") is None else float(obj["eta"]),
+        lam=tuple(_as_float(v, "lambda") for v in _as_tuple(obj.get("lambda", ()))),
+        eta=_as_optional_float(obj, "eta"),
         k=tuple(_as_int(v, "k") for v in _as_tuple(obj["k"])) if "k" in obj else (),
     )
 
@@ -244,12 +262,12 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
             spec=spec_from_dict(obj["spec"]),
             algorithm=algorithm_from_dict(obj["algorithm"]),
             n_grid=tuple(_as_int(v, "n_grid") for v in _as_tuple(obj["n_grid"])),
-            q_grid=_as_tuple(obj["q_grid"]),
-            x_grid=_as_tuple(obj["x_grid"]),
+            q_grid=tuple(_as_float(v, "q_grid") for v in _as_tuple(obj["q_grid"])),
+            x_grid=tuple(_as_float(v, "x_grid") for v in _as_tuple(obj["x_grid"])),
             reps=_as_int(obj["reps"], "reps"),
             test_m=_as_int(obj["test_m"], "test_m"),
             base_seed=_as_int(obj["base_seed"], "base_seed"),
-            out_dir=str(obj["out_dir"]),
+            out_dir=_as_str(obj["out_dir"], "out_dir"),
         )
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc}") from exc
@@ -538,11 +556,9 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
 
     if alg.name == "ridge":
         params = list(alg.lam)
-        cost_kind = CostKind.SQUARED
         norms = _ridge_norm_cache(config, root)
     else:
         params = list(alg.k)
-        cost_kind = CostKind.ZERO_ONE
 
     rows: list[SweepRow] = []
     for ni, n in enumerate(config.n_grid):
@@ -560,10 +576,9 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
                 ]
                 continue
             base_cfg = StabilityConfig(
-                q=config.q_grid[0], n=n, reps=config.reps, j_policy="average_all",
-                seed=root.child(ni).child(pi),
+                q=config.q_grid[0], n=n, reps=config.reps, seed=root.child(ni).child(pi)
             )
-            profile = stability_profile(algorithm, spec, cost_kind, base_cfg, config.q_grid)
+            profile = stability_profile(algorithm, spec, base_cfg, config.q_grid)
             for q in config.q_grid:
                 est = profile[q]
                 if alg.name == "ridge":
@@ -691,7 +706,8 @@ def run_bounds_table(config: ExperimentConfig) -> Report:
             if n >= 3 and v is not None:
                 value = pac_bound_subgaussian(gammas, _analytic_y_mean(spec), v, n, x)
                 rows.append(
-                    BoundsRow("pac_subgaussian", spec.b_x, lam, eta, n, x, value, False)
+                    BoundsRow("pac_subgaussian", spec.b_x, lam, eta, n, x, value,
+                              value > envelope)
                 )
     if not rows:
         raise PreconditionError(

@@ -13,11 +13,15 @@ The kNN classifier votes over the k nearest training points in Euclidean
 distance, with distance ties broken by lowest index, and classifies the
 boundary case (label sum exactly k/2) as 1.
 
-``ridge_loo_fast`` accelerates the leave-one-out risk with a rank-one
-downdate: with A = X'X + (n-1)*lam*I, g = A^-1 X'y, s_j = x_j' A^-1 x_j,
-the held-out residual is (y_j - x_j'g) / (1 - s_j).  A conditioning guard
-falls back to a naive refit for any index where the downdate is unstable,
-so the fast path is exact, never approximate.
+Every ridge leave-one-out shortcut runs one rank-one downdate
+(``_loo_downdate_stacked``): with A = X'X + (n-1)*lam*I, g = A^-1 X'y and
+s_j = x_j' A^-1 x_j, the held-out residual is (y_j - x_j'g) / (1 - s_j).
+``ridge_loo_fast`` applies it to a stack of one sample, and
+``ridge_loo_betas_stacked`` turns it into the leave-one-out coefficients
+of a stack.  A conditioning guard marks every index where the downdate is
+unstable; ``_ridge_loo_betas`` refits those naively, and ``ridge_loo_fast``
+takes their coefficients from it, so the fast paths are exact, never
+approximate.
 
 The ``*_stacked`` kernels take a stack of equally sized samples, xs of
 shape (m, n, d), and round every sample as its per-dataset twin does.
@@ -189,51 +193,43 @@ def knn_classify(data: Dataset, algorithm: KnnAlgorithm, x) -> float:
     return 1.0 if vote >= k / 2.0 else 0.0
 
 
-def _downdate_core(data: Dataset, lam: float):
-    """Shared quantities for the rank-one leave-one-out downdate.
+def _loo_downdate_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
+    """The rank-one leave-one-out downdate of each sample of a stack
+    xs (m, n, d), ys (m, n).
 
-    With A = X'X + (n-1)*lam*I returns g = A^-1 X'y, w (columns A^-1 x_j),
-    s_j = x_j' A^-1 x_j, 1 - s_j, h = X g, and a mask of indices where
-    1 - s_j is too small for the downdate to be trusted.
+    With A = X'X + (n-1)*lam*I per sample returns g = A^-1 X'y (m, d, 1),
+    w (m, d, n) with columns A^-1 x_j, s_j = x_j' A^-1 x_j, 1 - s_j, and the
+    (m, n) mask of indices where 1 - s_j is too small for the downdate to
+    be trusted.
     """
-    n = data.n
+    n, d = xs.shape[1:]
     if n < 2:
         raise ValueError("leave-one-out needs n >= 2")
-    xs, ys = data.xs, data.ys
-    a = xs.T @ xs
-    a.flat[:: data.d + 1] += (n - 1) * lam
+    xt = xs.swapaxes(1, 2)
+    a = xt @ xs
+    # The diagonal through a strided view of the fresh (C-contiguous)
+    # product: cheaper per call than a fancy-indexed add.
+    a.reshape(-1, d * d)[:, :: d + 1] += (n - 1) * lam
     # Two solves, X'y first, on purpose: g = w @ ys, or one solve with the
     # stacked right-hand side [X'y | X'], rounds g differently, and the
     # constant ridge statistic of a d = 1, y = x sample shows those last
     # bits in its Efron-Stein lhs, which is checked at 1e-12 relative.
-    g = np.linalg.solve(a, xs.T @ ys)
-    w = np.linalg.solve(a, xs.T)
-    s = np.einsum("ij,ji->i", xs, w)
-    h = xs @ g
+    g = np.linalg.solve(a, xt @ ys[..., None])
+    w = np.linalg.solve(a, xt)
+    s = np.einsum("rij,rji->ri", xs, w)
     one_minus_s = 1.0 - s
     unstable = one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
-    return g, w, s, one_minus_s, h, unstable
+    return g, w, s, one_minus_s, unstable
 
 
 def ridge_loo_betas_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
     """Rank-one-downdate leave-one-out coefficients of a stack of samples.
 
     For xs (m, n, d), ys (m, n) returns betas (m, n, d), betas[r, j] the
-    refit of sample r without point j, and the (m, n) mask of the
-    downdates that ``_downdate_core`` deems unstable, whose betas are not
-    exact.  Every stable one rounds as ``_downdate_core``'s on sample r.
+    refit of sample r without point j, and the (m, n) mask of the unstable
+    downdates, whose betas are not exact.
     """
-    n, d = xs.shape[1:]
-    xt = xs.swapaxes(1, 2)
-    a = xt @ xs
-    diag = np.arange(d)
-    a[:, diag, diag] += (n - 1) * lam
-    # Two solves, X'y first, as in _downdate_core.
-    g = np.linalg.solve(a, xt @ ys[..., None])
-    w = np.linalg.solve(a, xt)
-    s = np.einsum("rij,rji->ri", xs, w)
-    one_minus_s = 1.0 - s
-    unstable = one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
+    g, w, s, one_minus_s, unstable = _loo_downdate_stacked(xs, ys, lam)
     scale = ((xs @ g)[..., 0] - ys * s) / np.where(unstable, 1.0, one_minus_s)
     wt = w.swapaxes(1, 2)
     return g.swapaxes(1, 2) - ys[..., None] * wt + scale[..., None] * wt, unstable
@@ -242,12 +238,11 @@ def ridge_loo_betas_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
 def _ridge_loo_betas(data: Dataset, lam: float) -> np.ndarray:
     """All n leave-one-out coefficient vectors, betas[j] = refit without point j.
 
-    Exact: downdates where stable, naive refits elsewhere.
+    Exact: downdates where stable, naive refits elsewhere.  C-ordered, so
+    a row's dot product rounds as that of a fitted model's coefficients.
     """
-    if data.n < 2:
-        raise ValueError("leave-one-out needs n >= 2")
     betas, unstable = ridge_loo_betas_stacked(data.xs[None], data.ys[None], lam)
-    betas = betas[0]
+    betas = np.ascontiguousarray(betas[0])
     for j in np.flatnonzero(unstable[0]):
         betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam).beta_array()
     return betas
@@ -281,20 +276,21 @@ def ridge_loo_fast(data: Dataset, lam: float) -> float:
     """Rank-one-downdate leave-one-out risk for ridge with squared cost.
 
     Exactly equals loo_estimate(RidgeAlgorithm(lam), data, SQUARED); the
-    shortcut residual (y_j - x_j'g)/(1 - s_j) is used where stable and a
-    naive refit elsewhere.
+    shortcut residual (y_j - x_j'g)/(1 - s_j) is used where stable and the
+    naive refit of ``_ridge_loo_betas`` elsewhere.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lam must be a positive real")
-    _, _, _, one_minus_s, h, unstable = _downdate_core(data, lam)
-    ys = data.ys
+    xs, ys = data.xs, data.ys
+    g, _, _, one_minus_s, unstable = _loo_downdate_stacked(xs[None], ys[None], lam)
+    one_minus_s, unstable = one_minus_s[0], unstable[0]
     any_unstable = unstable.any()
     denom = np.where(unstable, 1.0, one_minus_s) if any_unstable else one_minus_s
-    sq = ((ys - h) / denom) ** 2
+    sq = ((ys - xs @ g[0, :, 0]) / denom) ** 2
     if any_unstable:
+        betas = _ridge_loo_betas(data, lam)
         for j in np.flatnonzero(unstable):
-            model = ridge_fit(leave_one_out(data, int(j) + 1), lam)
-            sq[j] = (ys[j] - predict(model, data.xs[j])) ** 2
+            sq[j] = (ys[j] - float(betas[j] @ xs[j])) ** 2
     return float(sq.sum() / data.n)
 
 

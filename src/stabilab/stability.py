@@ -3,10 +3,11 @@
 The empirical estimator draws, per replication, a training sample D of
 size n and an independent test point (X, Y), fits the algorithm on D and
 on the sample with point j removed, and averages the q-th power of the
-absolute cost difference; the q-th root of the grand mean is the
-estimate.  ``j_policy`` selects either a single fixed j (the last point)
-or an average over all j, which is valid because the population quantity
-does not depend on j for symmetric algorithms, and cuts variance.
+absolute cost difference, averaged over every j; the q-th root of the
+grand mean is the estimate.  Averaging over j is valid because the
+population quantity does not depend on j for symmetric algorithms, and
+it cuts variance.  The cost is the squared error for ridge and the 0-1
+disagreement for kNN.
 
 Closed forms:
 
@@ -34,7 +35,6 @@ import numpy as np
 
 from .datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset, sample_stack
 from .learners import (
-    CostKind,
     KnnAlgorithm,
     RidgeAlgorithm,
     _ridge_loo_betas,
@@ -43,8 +43,6 @@ from .learners import (
     ridge_fit_stacked,
     ridge_loo_betas_stacked,
 )
-
-J_POLICIES = ("fixed_last", "average_all")
 
 # Bytes of one chunk's stacked training features in stability_profile:
 # enough replications to amortise the per-chunk numpy calls, few enough
@@ -113,7 +111,6 @@ class StabilityConfig:
     q: float
     n: int
     reps: int
-    j_policy: str = "average_all"
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self) -> None:
@@ -123,8 +120,6 @@ class StabilityConfig:
             raise ValueError("n must be >= 2")
         if self.reps < 2:
             raise ValueError("reps must be >= 2")
-        if self.j_policy not in J_POLICIES:
-            raise ValueError(f"j_policy must be one of {J_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -135,22 +130,15 @@ class StabilityEstimate:
 
 
 def _ridge_cost_diffs_stacked(
-    xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float, j_policy: str
+    xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float
 ) -> np.ndarray:
     """|squared cost of the full fit - that of each LoO refit| at the test
-    point of every sample of a stack, shape (m, n), or (m, 1) for fixed_last."""
-
-    def sq_cost(betas: np.ndarray) -> np.ndarray:
-        # The stacked matmul rounds as predict()'s beta @ x (einsum does
-        # not), and cost() squares a Python float with libm's pow, which
-        # np.float_power calls too; x * x differs on ~0.1% of values.
-        return np.float_power((betas[:, None, :] @ x[..., None])[:, 0, 0] - y, 2.0)
-
-    n = xs.shape[1]
-    c_full = sq_cost(ridge_fit_stacked(xs, ys, lam))
-    if j_policy == "fixed_last":
-        c_loo = sq_cost(ridge_fit_stacked(xs[:, :n - 1], ys[:, :n - 1], lam))
-        return np.abs(c_full - c_loo)[:, None]
+    point of every sample of a stack, shape (m, n)."""
+    # The stacked matmul rounds as predict()'s beta @ x (einsum does not),
+    # and cost() squares a Python float with libm's pow, which
+    # np.float_power calls too; x * x differs on ~0.1% of values.
+    full = ridge_fit_stacked(xs, ys, lam)
+    c_full = np.float_power((full[:, None, :] @ x[..., None])[:, 0, 0] - y, 2.0)
     betas, unstable = ridge_loo_betas_stacked(xs, ys, lam)
     for r in np.flatnonzero(unstable.any(axis=1)):
         betas[r] = _ridge_loo_betas(Dataset(xs[r], ys[r]), lam)
@@ -178,7 +166,6 @@ def power_mean_root(
 def stability_profile(
     algorithm,
     spec: DataSpec,
-    kind: CostKind,
     config: StabilityConfig,
     qs: Iterable[float],
 ) -> dict[float, StabilityEstimate]:
@@ -190,17 +177,12 @@ def stability_profile(
     qs = tuple(float(q) for q in qs)
     if any(q < 1.0 for q in qs):
         raise ValueError("all q must be >= 1")
-    if isinstance(algorithm, RidgeAlgorithm):
-        if kind is not CostKind.SQUARED:
-            raise ValueError("ridge stability is defined for the squared cost")
-    elif isinstance(algorithm, KnnAlgorithm):
-        if kind is not CostKind.ZERO_ONE:
-            raise ValueError("kNN stability is defined for the 0-1 cost")
+    if isinstance(algorithm, KnnAlgorithm):
         if config.n < algorithm.k + 2:
             raise ValueError("kNN stability needs n >= k + 2")
         if spec.y_model != "bernoulli_label":
             raise ValueError("kNN stability needs labels in {0, 1} (y_model 'bernoulli_label')")
-    else:
+    elif not isinstance(algorithm, RidgeAlgorithm):
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
     # Every replication is drawn from its own seed streams, exactly as it
@@ -216,26 +198,24 @@ def stability_profile(
         x, y = sample_stack(spec, 1, [s.child(1) for s in seeds])
         x, y = x[:, 0], y[:, 0]
         if isinstance(algorithm, RidgeAlgorithm):
-            diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, algorithm.lam, config.j_policy)
+            diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, algorithm.lam)
         else:
             diffs = knn_loo_flips_stacked(xs, ys, x, algorithm.k)
-            if config.j_policy == "fixed_last":
-                diffs = diffs[:, n - 1:]
         for q in qs:
             per_rep[q][start:start + m] = np.mean(diffs**q, axis=1)
 
     out: dict[float, StabilityEstimate] = {}
     for q in qs:
-        cfg_q = StabilityConfig(q, config.n, config.reps, config.j_policy, config.seed)
+        cfg_q = StabilityConfig(q, config.n, config.reps, config.seed)
         out[q] = StabilityEstimate(*power_mean_root(per_rep[q], q), cfg_q)
     return out
 
 
 def empirical_lq_stability(
-    algorithm, spec: DataSpec, kind: CostKind, config: StabilityConfig
+    algorithm, spec: DataSpec, config: StabilityConfig
 ) -> StabilityEstimate:
     """Monte Carlo estimate of the L^q stability at config.q."""
-    return stability_profile(algorithm, spec, kind, config, (config.q,))[config.q]
+    return stability_profile(algorithm, spec, config, (config.q,))[config.q]
 
 
 # ---------------------------------------------------------------------------

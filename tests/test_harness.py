@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -341,6 +342,21 @@ class TestBoundsTable:
         # These constants dwarf the attainable squared-error range here.
         assert all(r.vacuous for r in pac_rows.values())
 
+    def test_subgaussian_rows_compare_with_the_envelope(self):
+        cfg = make_config(
+            kind="bounds_table",
+            spec=dataclasses.replace(NOISY_SPEC, v=0.05),
+            n_grid=(50,),
+            q_grid=(2.0,),
+            x_grid=(1.0,),
+            reps=1,
+        )
+        rows = {r.bound_name: r for r in run_bounds_table(cfg).rows}
+        envelope = harness._deviation_envelope(cfg.spec, 1.0)
+        for name in ("pac_bounded", "pac_subgaussian"):
+            assert rows[name].value > envelope
+            assert rows[name].vacuous, name
+
 
 class TestEmission:
     def sweep_report(self, out_dir, base_seed=77):
@@ -652,10 +668,46 @@ class TestCli:
         assert not list(tmp_path.glob(f"{kind}_*"))
 
     def test_integral_float_fields_are_accepted(self):
+        # Integral floats in integer fields, and JSON integers in float fields.
         obj = config_to_dict(make_config())
-        obj.update(reps=50.0, n_grid=[20.0])
+        obj.update(reps=50.0, n_grid=[20.0], q_grid=[2], x_grid=[1, 3])
         obj["spec"]["d"] = 2.0
-        assert config_from_dict(obj) == make_config()
+        obj["spec"]["b_x"] = 1
+        obj["algorithm"]["lambda"] = 1
+        assert config_from_dict(obj) == make_config(x_grid=(1.0, 3.0))
+
+    def test_bool_or_string_float_field_exit_two(self, tmp_path, capsys):
+        # float() turns true into 1.0 and "1.0" into 1.0, so these ran a
+        # config that the file does not state.
+        for where, key, value in [
+            ("algorithm", "lambda", True),
+            ("algorithm", "eta", "0.5"),
+            ("spec", "b_x", True),
+            ("spec", "b_y", "0.6"),
+            (None, "q_grid", [True]),
+            (None, "x_grid", ["1.0"]),
+        ]:
+            obj = config_to_dict(make_config(
+                kind="bounds_table", n_grid=(50,), x_grid=(1.0,), reps=1,
+                out_dir=str(tmp_path),
+            ))
+            (obj if where is None else obj[where])[key] = value
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(obj))
+            assert cli.main(["bounds-table", "--config", str(path)]) == 2, key
+            assert f"{key} must be a number" in capsys.readouterr().err
+            assert not list(tmp_path.glob("bounds_table_*"))
+
+    def test_non_string_out_dir_exit_two(self, tmp_path, capsys, monkeypatch):
+        # str(None) would write into ./None.
+        monkeypatch.chdir(tmp_path)
+        obj = config_to_dict(make_config(spec=ZERO_SPEC))
+        obj["out_dir"] = None
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["coverage", "--config", str(path)]) == 2
+        assert "out_dir must be a string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path))

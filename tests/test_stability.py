@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from stabilab import stability
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
-    CostKind,
+    DOWNDATE_CONDITION_LIMIT,
     KnnAlgorithm,
     RidgeAlgorithm,
-    _downdate_core,
     knn_classify,
     knn_loo_flips_stacked,
     neighbor_order,
+    predict,
     ridge_fit,
     ridge_fit_stacked,
     ridge_loo_betas_stacked,
+    ridge_loo_fast,
 )
 from stabilab.stability import (
     RidgeStabilityInputs,
@@ -92,7 +93,7 @@ class TestEmpiricalStability:
             b_y=1.0,
         )
         cfg = StabilityConfig(q=2.0, n=10, reps=20, seed=SeedSpec(1))
-        est = empirical_lq_stability(RidgeAlgorithm(1.0), spec, CostKind.SQUARED, cfg)
+        est = empirical_lq_stability(RidgeAlgorithm(1.0), spec, cfg)
         assert est.s_q_hat == 0.0
         assert est.std_error == 0.0
 
@@ -102,22 +103,21 @@ class TestEmpiricalStability:
         # by refitting on explicit reduced datasets over the same draws.
         k, n, reps = 3, 20, 150
         algorithm = KnnAlgorithm(k)
-        for j_policy, removed in (("average_all", range(1, n + 1)), ("fixed_last", [n])):
-            cfg = StabilityConfig(q=1.0, n=n, reps=reps, j_policy=j_policy, seed=SeedSpec(21))
-            est = empirical_lq_stability(algorithm, BERNOULLI_SPEC, CostKind.ZERO_ONE, cfg)
-            total = 0.0
-            for r in range(reps):
-                seed_r = cfg.seed.child(r)
-                data = sample_dataset(BERNOULLI_SPEC, n, seed_r.child(0))
-                test = sample_dataset(BERNOULLI_SPEC, 1, seed_r.child(1))
-                x = test.xs[0]
-                full = knn_classify(data, algorithm, x)
-                disagreements = 0
-                for j in removed:
-                    if knn_classify(leave_one_out(data, j), algorithm, x) != full:
-                        disagreements += 1
-                total += disagreements / len(removed)
-            assert est.s_q_hat == pytest.approx(total / reps, abs=1e-12), j_policy
+        cfg = StabilityConfig(q=1.0, n=n, reps=reps, seed=SeedSpec(21))
+        est = empirical_lq_stability(algorithm, BERNOULLI_SPEC, cfg)
+        total = 0.0
+        for r in range(reps):
+            seed_r = cfg.seed.child(r)
+            data = sample_dataset(BERNOULLI_SPEC, n, seed_r.child(0))
+            test = sample_dataset(BERNOULLI_SPEC, 1, seed_r.child(1))
+            x = test.xs[0]
+            full = knn_classify(data, algorithm, x)
+            disagreements = 0
+            for j in range(1, n + 1):
+                if knn_classify(leave_one_out(data, j), algorithm, x) != full:
+                    disagreements += 1
+            total += disagreements / n
+        assert est.s_q_hat == pytest.approx(total / reps, abs=1e-12)
 
     def test_two_point_discrete_instance_matches_enumeration(self):
         # d=1 sign feature with Bernoulli labels: (X, Y) takes 4 values with
@@ -157,39 +157,23 @@ class TestEmpiricalStability:
         exact = exact_pow ** (1.0 / q)
 
         cfg = StabilityConfig(q=q, n=2, reps=4000, seed=SeedSpec(22))
-        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, CostKind.SQUARED, cfg)
+        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, cfg)
         assert est.s_q_hat == pytest.approx(exact, abs=4 * est.std_error + 1e-12)
 
     def test_monotone_in_q_on_shared_draws(self):
         cfg = StabilityConfig(q=1.0, n=20, reps=100, seed=SeedSpec(23))
         profile = stability_profile(
-            RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC, CostKind.SQUARED, cfg, (1.0, 2.0, 4.0, 8.0)
+            RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC, cfg, (1.0, 2.0, 4.0, 8.0)
         )
         values = [profile[q].s_q_hat for q in (1.0, 2.0, 4.0, 8.0)]
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi * (1 + 1e-12)
-
-    def test_fixed_last_policy_runs(self):
-        cfg = StabilityConfig(q=1.0, n=12, reps=50, j_policy="fixed_last", seed=SeedSpec(24))
-        est = empirical_lq_stability(
-            RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, CostKind.SQUARED, cfg
-        )
-        assert est.s_q_hat >= 0.0
-
-    def test_cost_mismatch_rejected(self):
-        cfg = StabilityConfig(q=1.0, n=10, reps=10, seed=SeedSpec(25))
-        with pytest.raises(ValueError, match="squared"):
-            empirical_lq_stability(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, CostKind.ZERO_ONE, cfg)
-        with pytest.raises(ValueError, match="0-1"):
-            empirical_lq_stability(KnnAlgorithm(3), BERNOULLI_SPEC, CostKind.SQUARED, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StabilityConfig(q=0.5, n=10, reps=10)
         with pytest.raises(ValueError):
             StabilityConfig(q=1.0, n=10, reps=1)
-        with pytest.raises(ValueError):
-            StabilityConfig(q=1.0, n=10, reps=10, j_policy="sometimes")
 
 
 # The estimator one replication at a time, with the per-dataset expressions:
@@ -201,9 +185,37 @@ def _reference_beta(xs, ys, lam):
     return np.linalg.solve(xs.T @ xs / n + lam * np.eye(d), xs.T @ ys / n)
 
 
+def _reference_downdate(data, lam):
+    """The rank-one downdate of one sample, with the per-dataset expressions:
+    g = A^-1 X'y, w (columns A^-1 x_j), s_j = x_j' A^-1 x_j, 1 - s_j,
+    h = X g and the unstable mask, for A = X'X + (n-1)*lam*I."""
+    xs, ys = data.xs, data.ys
+    a = xs.T @ xs
+    a.flat[:: data.d + 1] += (data.n - 1) * lam
+    g = np.linalg.solve(a, xs.T @ ys)
+    w = np.linalg.solve(a, xs.T)
+    s = np.einsum("ij,ji->i", xs, w)
+    h = xs @ g
+    one_minus_s = 1.0 - s
+    unstable = one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
+    return g, w, s, one_minus_s, h, unstable
+
+
+def _reference_loo_fast(data, lam):
+    """ridge_loo_fast on _reference_downdate: the shortcut residual where
+    stable, a naive refit's residual elsewhere."""
+    _, _, _, one_minus_s, h, unstable = _reference_downdate(data, lam)
+    ys = data.ys
+    sq = ((ys - h) / np.where(unstable, 1.0, one_minus_s)) ** 2
+    for j in np.flatnonzero(unstable):
+        model = ridge_fit(leave_one_out(data, int(j) + 1), lam)
+        sq[j] = (ys[j] - predict(model, data.xs[j])) ** 2
+    return float(sq.sum() / data.n)
+
+
 def _reference_loo_betas(data, lam):
-    """_ridge_loo_betas on _downdate_core, with naive refits where unstable."""
-    g, w, s, one_minus_s, h, unstable = _downdate_core(data, lam)
+    """_ridge_loo_betas on _reference_downdate, with naive refits where unstable."""
+    g, w, s, one_minus_s, h, unstable = _reference_downdate(data, lam)
     ys = data.ys
     scale = (h - ys * s) / np.where(unstable, 1.0, one_minus_s)
     betas = g[None, :] - ys[:, None] * w.T + scale[:, None] * w.T
@@ -213,30 +225,23 @@ def _reference_loo_betas(data, lam):
     return betas
 
 
-def _reference_ridge_diffs(data, lam, x, y, j_policy):
-    def sq_cost(beta):
-        return float((float(beta @ x) - y) ** 2)
-
-    c_full = sq_cost(_reference_beta(data.xs, data.ys, lam))
-    if j_policy == "average_all":
-        return np.abs(c_full - (_reference_loo_betas(data, lam) @ x - y) ** 2)
-    loo = leave_one_out(data, data.n)
-    return np.asarray([abs(c_full - sq_cost(_reference_beta(loo.xs, loo.ys, lam)))])
+def _reference_ridge_diffs(data, lam, x, y):
+    c_full = float((float(_reference_beta(data.xs, data.ys, lam) @ x) - y) ** 2)
+    return np.abs(c_full - (_reference_loo_betas(data, lam) @ x - y) ** 2)
 
 
-def _reference_knn_diffs(data, k, x, j_policy):
-    n = data.n
+def _reference_knn_diffs(data, k, x):
     order = neighbor_order(data, x)
     ys = data.ys
     vote = float(np.sum(ys[order[:k]]))
     pred = 1.0 if vote >= k / 2.0 else 0.0
     next_label = float(ys[order[k]])
-    diffs = np.zeros(n)
+    diffs = np.zeros(data.n)
     for j0 in order[:k]:
         vote_new = vote - float(ys[j0]) + next_label
         pred_new = 1.0 if vote_new >= k / 2.0 else 0.0
         diffs[j0] = float(pred != pred_new)
-    return diffs if j_policy == "average_all" else diffs[n - 1:]
+    return diffs
 
 
 def _reference_profile(algorithm, spec, config, qs):
@@ -248,9 +253,9 @@ def _reference_profile(algorithm, spec, config, qs):
         test = sample_dataset(spec, 1, seed_r.child(1))
         x, y = test.xs[0], float(test.ys[0])
         if isinstance(algorithm, RidgeAlgorithm):
-            diffs = _reference_ridge_diffs(data, algorithm.lam, x, y, config.j_policy)
+            diffs = _reference_ridge_diffs(data, algorithm.lam, x, y)
         else:
-            diffs = _reference_knn_diffs(data, algorithm.k, x, config.j_policy)
+            diffs = _reference_knn_diffs(data, algorithm.k, x)
         for q in qs:
             per_rep[q][r] = float(np.mean(diffs**q))
     return {q: power_mean_root(per_rep[q], q) for q in qs}
@@ -266,7 +271,7 @@ class TestStackedKernels:
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.sampled_from([1, 2, 3, 8]),
-        n=st.sampled_from([2, 3, 50]),
+        n=st.sampled_from([2, 3, 20, 50]),
         m=st.integers(1, 64),
         lam=st.floats(0.01, 10.0),
     )
@@ -276,21 +281,32 @@ class TestStackedKernels:
         ys = rng.standard_normal((m, n))
         x, y = rng.uniform(-1.0, 1.0, size=(m, d)) / math.sqrt(d), rng.standard_normal(m)
         full = ridge_fit_stacked(xs, ys, lam)
-        last_out = ridge_fit_stacked(xs[:, : n - 1], ys[:, : n - 1], lam)
         betas, unstable = ridge_loo_betas_stacked(xs, ys, lam)
-        policies = {p: stability._ridge_cost_diffs_stacked(xs, ys, x, y, lam, p)
-                    for p in ("average_all", "fixed_last")}
+        diffs = stability._ridge_cost_diffs_stacked(xs, ys, x, y, lam)
         for r in range(m):
             data = Dataset(xs[r], ys[r])
-            loo = leave_one_out(data, n)
             assert np.array_equal(full[r], _reference_beta(xs[r], ys[r], lam))
             assert np.array_equal(ridge_fit(data, lam).beta_array(), full[r])
-            assert np.array_equal(last_out[r], _reference_beta(loo.xs, loo.ys, lam))
-            assert np.array_equal(unstable[r], _downdate_core(data, lam)[-1])
+            assert np.array_equal(unstable[r], _reference_downdate(data, lam)[-1])
             assert np.array_equal(betas[r], _reference_loo_betas(data, lam))
-            for policy, diffs in policies.items():
-                ref = _reference_ridge_diffs(data, lam, x[r], float(y[r]), policy)
-                assert np.array_equal(diffs[r], ref), policy
+            assert ridge_loo_fast(data, lam) == _reference_loo_fast(data, lam)
+            ref = _reference_ridge_diffs(data, lam, x[r], float(y[r]))
+            assert np.array_equal(diffs[r], ref)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 20, 50]),
+        lam=st.floats(0.01, 10.0),
+    )
+    def test_ridge_loo_fast_matches_reference_on_sign_labels_equal_to_features(
+        self, seed, n, lam
+    ):
+        # Criterion 6's constant statistic: d = 1 Rademacher x and y = x, so
+        # X'X = X'y = n and only the last bits of the downdate move.
+        xs = _rademacher(np.random.default_rng(seed), (n, 1))
+        data = Dataset(xs, xs[:, 0].copy())
+        assert ridge_loo_fast(data, lam) == _reference_loo_fast(data, lam)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -309,26 +325,23 @@ class TestStackedKernels:
         ys = rng.integers(0, 2, size=(m, n)).astype(np.float64)
         flips = knn_loo_flips_stacked(xs, ys, x, k)
         for r in range(m):
-            ref = _reference_knn_diffs(Dataset(xs[r], ys[r]), k, x[r], "average_all")
+            ref = _reference_knn_diffs(Dataset(xs[r], ys[r]), k, x[r])
             assert np.array_equal(flips[r], ref)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    @pytest.mark.parametrize("j_policy", ["average_all", "fixed_last"])
     @pytest.mark.parametrize(
         "algorithm, spec",
         [(RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC), (KnnAlgorithm(3), BERNOULLI_SPEC)],
         ids=["ridge", "knn"],
     )
     def test_profile_matches_per_replication_reference_around_chunk_size(
-        self, algorithm, spec, j_policy, offset
+        self, algorithm, spec, offset
     ):
         n, qs = 50, (1.0, 1.5, 2.0, 4.0)
         chunk = stability._CHUNK_BYTES // (8 * n * spec.d)
         assert chunk >= 2
-        cfg = StabilityConfig(q=1.0, n=n, reps=chunk + offset, j_policy=j_policy,
-                              seed=SeedSpec(26))
-        kind = CostKind.SQUARED if isinstance(algorithm, RidgeAlgorithm) else CostKind.ZERO_ONE
-        profile = stability_profile(algorithm, spec, kind, cfg, qs)
+        cfg = StabilityConfig(q=1.0, n=n, reps=chunk + offset, seed=SeedSpec(26))
+        profile = stability_profile(algorithm, spec, cfg, qs)
         reference = _reference_profile(algorithm, spec, cfg, qs)
         for q in qs:
             assert (profile[q].s_q_hat, profile[q].std_error) == reference[q], q
@@ -344,8 +357,11 @@ class TestStackedKernels:
         cfg = StabilityConfig(q=q, n=n, reps=40, seed=SeedSpec(5))
         draws = [(sample_dataset(spec, n, cfg.seed.child(r).child(0)),
                   sample_dataset(spec, 1, cfg.seed.child(r).child(1))) for r in range(cfg.reps)]
-        unstable = [_downdate_core(data, lam)[-1].any() for data, _ in draws]
+        unstable = [_reference_downdate(data, lam)[-1].any() for data, _ in draws]
         assert 0 < sum(unstable) < cfg.reps
+        # ridge_loo_fast takes the unstable indices from _ridge_loo_betas.
+        assert all(ridge_loo_fast(data, lam) == _reference_loo_fast(data, lam)
+                   for data, _ in draws)
 
         fallbacks = []
         original = stability._ridge_loo_betas
@@ -355,7 +371,7 @@ class TestStackedKernels:
             return original(data, lam)
 
         monkeypatch.setattr(stability, "_ridge_loo_betas", recording)
-        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, CostKind.SQUARED, cfg)
+        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, cfg)
         expected = [data.xs for (data, _), u in zip(draws, unstable) if u]
         assert len(fallbacks) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(fallbacks, expected))
@@ -530,7 +546,7 @@ class TestDominanceSmoke:
         )
         n, lam, eta, q = 50, 1.0, 0.5, 2.0
         cfg = StabilityConfig(q=q, n=n, reps=300, seed=SeedSpec(33))
-        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, CostKind.SQUARED, cfg)
+        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, cfg)
         gamma = ridge_gamma_q(
             RidgeStabilityInputs(1.0, lam, eta, n, y_norm(spec, 2 * q))
         )
@@ -539,5 +555,5 @@ class TestDominanceSmoke:
     def test_knn_dominated_at_one_configuration(self):
         k, n = 3, 50
         cfg = StabilityConfig(q=1.0, n=n, reps=400, seed=SeedSpec(34))
-        est = empirical_lq_stability(KnnAlgorithm(k), BERNOULLI_SPEC, CostKind.ZERO_ONE, cfg)
+        est = empirical_lq_stability(KnnAlgorithm(k), BERNOULLI_SPEC, cfg)
         assert est.s_q_hat <= knn_gamma_1(k, n) + 3.0 * est.std_error
