@@ -260,6 +260,42 @@ class TestRidgeLooFast:
             worst = max(worst, abs(fast - naive) / max(naive, 1e-300))
         assert worst <= 1e-9
 
+    def test_preconditions(self):
+        data = random_instance(3)
+        for lam in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lam"):
+                ridge_loo_fast(data, lam)
+        with pytest.raises(ValueError, match="n >= 2"):
+            ridge_loo_fast(Dataset(np.array([[1.0]]), np.array([1.0])), 1.0)
+
+    def test_only_unstable_samples_refit_through_ridge_loo_betas(self, monkeypatch):
+        # _ridge_loo_betas holds the one naive-refit loop: a stable sample
+        # never reaches it, an unstable one reaches it once and takes the
+        # residual of its refit at every unstable index.
+        from stabilab import learners
+
+        calls = []
+        original = learners._ridge_loo_betas
+
+        def recording(data, lam):
+            calls.append(data)
+            return original(data, lam)
+
+        monkeypatch.setattr(learners, "_ridge_loo_betas", recording)
+        stable = random_instance(4)
+        ridge_loo_fast(stable, 1.0)
+        assert calls == []
+
+        data = Dataset(np.array([[1.0], [1e-9]]), np.array([0.5, 2.0]))
+        lam = 1e-14
+        fast = ridge_loo_fast(data, lam)
+        assert len(calls) == 1 and calls[0] is data
+        betas = original(data, lam)
+        residuals = [
+            (float(data.ys[j]) - float(betas[j] @ data.xs[j])) ** 2 for j in range(data.n)
+        ]
+        assert fast == pytest.approx(sum(residuals) / data.n, rel=1e-12)
+
     def test_near_singular_downdate_falls_back_to_naive(self):
         # At lam ~ 1e-14 the downdate denominator 1 - s_j underflows the
         # condition guard, so the fast path must refit naively and still

@@ -57,6 +57,17 @@ NOISY_RIDGE_SPEC = DataSpec(
     b_y=0.6,
 )
 
+# Three features: the stacks hold fewer replications per chunk than at d = 2.
+NOISY_RIDGE_SPEC_D3 = DataSpec(
+    d=3,
+    x_family="uniform_ball",
+    b_x=1.0,
+    y_model="linear_clipped",
+    beta_star=(0.4, 0.2, -0.3),
+    noise_scale=0.2,
+    b_y=0.6,
+)
+
 
 class TestValidityDomain:
     def test_valid_configuration_passes(self):
@@ -168,6 +179,19 @@ class TestEmpiricalStability:
         values = [profile[q].s_q_hat for q in (1.0, 2.0, 4.0, 8.0)]
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi * (1 + 1e-12)
+
+    def test_algorithm_preconditions(self):
+        # The algorithm alone fixes the cost, so only its own preconditions
+        # are checked: a known algorithm, and 0/1 labels and n >= k + 2 for kNN.
+        cfg = StabilityConfig(q=1.0, n=10, reps=10, seed=SeedSpec(25))
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            empirical_lq_stability(object(), NOISY_RIDGE_SPEC, cfg)
+        with pytest.raises(ValueError, match="labels in"):
+            empirical_lq_stability(KnnAlgorithm(3), NOISY_RIDGE_SPEC, cfg)
+        with pytest.raises(ValueError, match="n >= k"):
+            empirical_lq_stability(KnnAlgorithm(9), BERNOULLI_SPEC, cfg)
+        with pytest.raises(ValueError, match="q must be"):
+            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, cfg, (2.0, 0.5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -331,8 +355,12 @@ class TestStackedKernels:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize(
         "algorithm, spec",
-        [(RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC), (KnnAlgorithm(3), BERNOULLI_SPEC)],
-        ids=["ridge", "knn"],
+        [
+            (RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC),
+            (RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC_D3),
+            (KnnAlgorithm(3), BERNOULLI_SPEC),
+        ],
+        ids=["ridge", "ridge_d3", "knn"],
     )
     def test_profile_matches_per_replication_reference_around_chunk_size(
         self, algorithm, spec, offset
