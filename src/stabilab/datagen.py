@@ -21,15 +21,20 @@ Label models:
   ||beta_star|| b_x <= min(p0, 1-p0).
 
 Seeding uses a splitmix64-style avalanche of (base_seed, stream_index), so
-distinct streams are reproducible regardless of evaluation order.
+distinct streams are reproducible regardless of evaluation order.  A
+stream's derived seed s seeds ``np.random.PCG64(s)``: numpy's
+``SeedSequence(s)`` hashes s into four 64-bit words, and PCG64 sets its
+128-bit state and increment from them with PCG's ``srandom`` step.
+``sample_stack`` repeats that hash on a whole array of seeds at once and
+sets each stream's state on one reused PCG64, with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +45,12 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(base_seed: int, stream_index: int) -> int:
-    """Splitmix64 avalanche of (base_seed, stream_index) into one 64-bit seed."""
+def _mix64(base_seed, stream_index):
+    """Splitmix64 avalanche of (base_seed, stream_index) into one 64-bit seed.
+
+    Takes Python ints, or uint64 arrays (broadcast together), on which
+    numpy wraps modulo 2**64 as the masks do for ints.
+    """
     x = (base_seed ^ ((stream_index * _GOLDEN) & _MASK64)) & _MASK64
     x = (x + _GOLDEN) & _MASK64
     x ^= x >> 30
@@ -52,6 +61,18 @@ def _mix64(base_seed: int, stream_index: int) -> int:
     return x
 
 
+def _as_seed_int(value, name: str) -> int:
+    """int(value), but a bool or a fractional number is an error, not truncated."""
+    if type(value) is int:  # the common case, kept cheap for SeedSpec.child
+        return value
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, (bool, np.bool_)) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """A reproducible random stream: (base_seed, stream_index)."""
@@ -60,9 +81,9 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.base_seed) <= _MASK64:
+        if not 0 <= _as_seed_int(self.base_seed, "base_seed") <= _MASK64:
             raise ValueError("base_seed must be a 64-bit unsigned integer")
-        if int(self.stream_index) < 0:
+        if _as_seed_int(self.stream_index, "stream_index") < 0:
             raise ValueError("stream_index must be nonnegative")
 
     def derived_seed(self) -> int:
@@ -72,8 +93,92 @@ class SeedSpec:
         """Sub-stream rooted at this stream's derived seed."""
         return SeedSpec(self.derived_seed(), stream_index)
 
+    def grandchild_seeds(self, start: int, stop: int, stream_index: int) -> np.ndarray:
+        """child(r).child(stream_index).derived_seed() for r in range(start,
+        stop), as a uint64 array, without building the SeedSpecs."""
+        if not 0 <= start <= stop or stream_index < 0:
+            raise ValueError("grandchild_seeds needs 0 <= start <= stop and stream_index >= 0")
+        children = _mix64(self.derived_seed(), np.arange(start, stop, dtype=np.uint64))
+        return _mix64(children, stream_index)
+
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.derived_seed()))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4,
+# and PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (count, 1) of the xor and the multiplier of count successive
+    hashes: the hash constant before and after it is multiplied by mult,
+    modulo 2**32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+# Pool size 4 and at most two entropy words (a 64-bit seed): hashes 0-3
+# fill the pool, and hashes 4-15 mix every ordered pair of its words.  The
+# output hashes 8 words, 4 uint64, from the pool in turn.
+_POOL_XOR, _POOL_MULT = _hash_consts(_INIT_A, _MULT_A, 16)
+_OUT_XOR, _OUT_MULT = _hash_consts(_INIT_B, _MULT_B, 8)
+_OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of np.random.PCG64(int(s)).state for each uint64 seed s.
+
+    SeedSequence(s).generate_state(4, np.uint64) vectorised over the seeds
+    in uint32, then PCG64's srandom step on each stream's 128-bit words.
+    """
+    # The pool starts as the seed's 32-bit words, low first; a seed below
+    # 2**32 has one word, and the pool hashes a missing word as 0.
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds.astype(np.uint32)
+    pool[1] = (seeds >> 32).astype(np.uint32)
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MULT[:4])
+    # Word src is mixed into each other word in turn; it does not change
+    # while it is the source, so its three hashes are taken at once.
+    for src, dst in enumerate(_OTHER_WORDS):
+        k = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = _hashmix(pool[src], _POOL_XOR[k], _POOL_MULT[k])
+        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = _hashmix(np.concatenate([pool, pool]), _OUT_XOR, _OUT_MULT).astype(np.uint64)
+    # Words 2k and 2k+1 are the low and high halves of uint64 k.
+    words = (out[0::2] | (out[1::2] << 32)).T.tolist()
+    states = []
+    for s0, s1, i0, i1 in words:
+        # PCG64 takes initstate from words 0 (high half) and 1, initseq from
+        # words 2 and 3, then srandom: inc = initseq << 1 | 1; step from 0;
+        # add initstate; step.  A step is state * MULT + inc mod 2**128.
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+@functools.cache
+def _stream_generator() -> np.random.Generator:
+    """The Generator on the one PCG64 that sample_stack re-seeds per stream.
+
+    Made on first use, so that importing stabilab does not import
+    numpy.random.
+    """
+    return np.random.Generator(np.random.PCG64(0))
 
 
 @dataclass(frozen=True)
@@ -266,22 +371,37 @@ def sample_dataset(spec: DataSpec, n: int, seed: SeedSpec) -> Dataset:
     return Dataset(xs, _labels(spec, signal, draws))
 
 
-def sample_stack(spec: DataSpec, n: int, seeds: Sequence[SeedSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """One n-point sample per seed, stacked: xs (m, n, d) and ys (m, n).
+def sample_stack(spec: DataSpec, n: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One n-point sample per derived seed, stacked: xs (m, n, d) and ys (m, n).
 
-    Sample i is bit for bit sample_dataset(spec, n, seeds[i]): its stream
-    makes the same PCG64 calls, in the same order and with the same sizes,
-    into preallocated stacks; the arithmetic after the draws runs once.
+    seeds holds m uint64 derived seeds (SeedSpec.derived_seed()), and
+    sample i is bit for bit sample_dataset(spec, n, seed) for the SeedSpec
+    whose derived seed is seeds[i].  Each stream's PCG64 state is set on
+    one reused generator, which makes the same calls, in the same order
+    and with the same sizes, into preallocated stacks; the arithmetic
+    after the draws runs once.  The generator is shared by every call, so
+    sample_stack must not run in two threads at once.
     """
+    seeds = np.asarray(seeds, dtype=np.uint64)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not seeds:
-        raise ValueError("sample_stack needs at least one seed")
+    if seeds.ndim != 1 or len(seeds) == 0:
+        raise ValueError("sample_stack needs at least one seed, in a 1-d array")
     m, d = len(seeds), spec.d
     xs, radii, draws = np.empty((m, n, d)), np.empty((m, n)), np.empty((m, n))
     half = spec.b_x / math.sqrt(d)
-    for i, seed in enumerate(seeds):
-        rng = seed.generator()
+    rng = _stream_generator()
+    bit_generator = rng.bit_generator
+    label_draw = rng.random if spec.y_model == "bernoulli_label" else rng.standard_normal
+    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
+        # has_uint32 = 0 drops a 32-bit half-word that integers() may have
+        # buffered from the previous stream, as a fresh PCG64 has none.
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         if spec.x_family == "uniform_ball":
             rng.standard_normal(out=xs[i])
             rng.random(out=radii[i])
@@ -289,7 +409,6 @@ def sample_stack(spec: DataSpec, n: int, seeds: Sequence[SeedSpec]) -> tuple[np.
             xs[i] = rng.uniform(-half, half, size=(n, d))
         else:
             xs[i] = rng.integers(0, 2, size=(n, d))
-        label_draw = rng.random if spec.y_model == "bernoulli_label" else rng.standard_normal
         label_draw(out=draws[i])
     if spec.x_family == "uniform_ball":
         flat = xs.reshape(m * n, d)

@@ -186,16 +186,16 @@ def stability_profile(
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
     # Every replication is drawn from its own seed streams, exactly as it
-    # would be alone; a chunk of draws is stacked and the kernels run once
-    # per chunk.
+    # would be alone: the training sample from seed.child(r).child(0) and
+    # the test point from seed.child(r).child(1).  A chunk of draws is
+    # stacked and the kernels run once per chunk.
     n, d = config.n, spec.d
     chunk = max(1, _CHUNK_BYTES // (8 * n * d))
     per_rep = {q: np.empty(config.reps) for q in qs}
     for start in range(0, config.reps, chunk):
         m = min(chunk, config.reps - start)
-        seeds = [config.seed.child(r) for r in range(start, start + m)]
-        xs, ys = sample_stack(spec, n, [s.child(0) for s in seeds])
-        x, y = sample_stack(spec, 1, [s.child(1) for s in seeds])
+        xs, ys = sample_stack(spec, n, config.seed.grandchild_seeds(start, start + m, 0))
+        x, y = sample_stack(spec, 1, config.seed.grandchild_seeds(start, start + m, 1))
         x, y = x[:, 0], y[:, 0]
         if isinstance(algorithm, RidgeAlgorithm):
             diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, algorithm.lam)

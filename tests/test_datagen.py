@@ -19,6 +19,7 @@ from stabilab.datagen import (
     sample_stack,
     verify_assumptions,
 )
+from stabilab.datagen import _pcg64_states
 
 
 def ball_spec(**kwargs):
@@ -35,6 +36,17 @@ def ball_spec(**kwargs):
     return DataSpec(**defaults)
 
 
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _assert_states_match(seeds):
+    states = _pcg64_states(seeds)
+    assert len(states) == len(seeds)
+    for s, (state, inc) in zip(seeds.tolist(), states):
+        ref = np.random.PCG64(int(s)).state["state"]
+        assert (state, inc) == (ref["state"], ref["inc"]), s
+
+
 class TestSeedSpec:
     def test_same_inputs_same_stream(self):
         a = SeedSpec(123, 4).generator().random(5)
@@ -49,6 +61,52 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(0, -2)
+
+    @pytest.mark.parametrize("base_seed, stream_index", [
+        (1.5, 0), (True, 0), (np.bool_(True), 0), (0, 2.7), (0, False),
+        (float("nan"), 0), (0, float("inf")), ("1", 0),
+    ])
+    def test_bool_or_fractional_fields_are_rejected(self, base_seed, stream_index):
+        # int() would truncate these onto the streams of other specs.
+        with pytest.raises(ValueError, match="must be an integer"):
+            SeedSpec(base_seed, stream_index)
+
+    def test_numpy_and_integral_float_fields_are_accepted(self):
+        for spec, base_seed in ((SeedSpec(np.uint64(2**64 - 1), np.int32(3)), 2**64 - 1),
+                                (SeedSpec(2.0**63, 3.0), 2**63)):
+            assert spec.derived_seed() == SeedSpec(base_seed, 3).derived_seed()
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        base_seed=st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+        start=st.integers(0, 2**40),
+        m=st.integers(0, 5),
+        stream_index=st.sampled_from([0, 1, 2**64 - 1]),
+    )
+    def test_grandchild_seeds_and_states_match_the_scalar_path_bitwise(
+        self, base_seed, start, m, stream_index
+    ):
+        spec = SeedSpec(base_seed)
+        seeds = spec.grandchild_seeds(start, start + m, stream_index)
+        assert seeds.dtype == np.uint64 and seeds.shape == (m,)
+        rs = range(start, start + m)
+        assert seeds.tolist() == [spec.child(r).child(stream_index).derived_seed() for r in rs]
+        # The derived seeds, and the base seed itself (edge values included),
+        # as PCG64 seeds.
+        _assert_states_match(seeds)
+        _assert_states_match(np.array([base_seed], dtype=np.uint64))
+
+    def test_states_of_one_and_two_word_edge_seeds(self):
+        # Seeds below 2**32 are one SeedSequence entropy word, the others two.
+        _assert_states_match(np.array(_EDGE_SEEDS, dtype=np.uint64))
+
+    def test_grandchild_seeds_validation(self):
+        with pytest.raises(ValueError):
+            SeedSpec(1).grandchild_seeds(3, 2, 0)
+        with pytest.raises(ValueError):
+            SeedSpec(1).grandchild_seeds(-1, 2, 0)
+        with pytest.raises(ValueError):
+            SeedSpec(1).grandchild_seeds(0, 2, -1)
 
 
 class TestDataSpecValidation:
@@ -203,6 +261,10 @@ class TestSampling:
             sample_dataset(ball_spec(), 0, SeedSpec(1))
 
 
+def _derived_seeds(specs):
+    return np.array([spec.derived_seed() for spec in specs], dtype=np.uint64)
+
+
 class TestSampleStack:
     @pytest.mark.parametrize("y_model", Y_MODELS)
     @pytest.mark.parametrize("x_family", X_FAMILIES)
@@ -216,18 +278,52 @@ class TestSampleStack:
     def test_every_stream_matches_reference_bitwise(self, x_family, y_model, d, n, m, base_seed):
         spec = _family_spec(d, x_family, y_model)
         seeds = [SeedSpec(base_seed, i) for i in range(m)]
-        xs, ys = sample_stack(spec, n, seeds)
+        xs, ys = sample_stack(spec, n, _derived_seeds(seeds))
         assert xs.shape == (m, n, d) and ys.shape == (m, n)
         for i, seed in enumerate(seeds):
             ref_xs, ref_ys = _reference_sample(spec, n, seed)
             assert np.array_equal(xs[i], ref_xs), i
             assert np.array_equal(ys[i], ref_ys), i
 
+    @pytest.mark.parametrize("y_model", Y_MODELS)
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 1), (1, 3), (5, 3), (25, 1)])
+    def test_rademacher_streams_after_an_odd_word_count_match_sample_dataset(self, y_model, n, d):
+        # integers(0, 2) takes 32-bit half-words, so an odd n * d leaves one
+        # buffered in the bit generator; the next stream must not start
+        # from it.
+        spec = _family_spec(d, "rademacher_coords", y_model)
+        seeds = [SeedSpec(11, i) for i in range(4)]
+        xs, ys = sample_stack(spec, n, _derived_seeds(seeds))
+        for i, seed in enumerate(seeds):
+            data = sample_dataset(spec, n, seed)
+            assert np.array_equal(xs[i], data.xs), i
+            assert np.array_equal(ys[i], data.ys), i
+
+    def test_held_generator_is_not_disturbed_and_calls_repeat(self):
+        spec = _family_spec(3, "rademacher_coords", "bernoulli_label")
+        seeds = _derived_seeds([SeedSpec(5, i) for i in range(3)])
+        # An odd count of integers(0, 2) leaves a half-word buffered in the
+        # held generator, which its next integers() call must use.
+        untouched = SeedSpec(9).generator()
+        expected = [untouched.integers(0, 2, size=(1, 3)) for _ in range(2)] + [untouched.random(4)]
+        held = SeedSpec(9).generator()
+        first = held.integers(0, 2, size=(1, 3))
+        a = sample_stack(spec, 7, seeds)
+        b = sample_stack(spec, 7, seeds)
+        after = [held.integers(0, 2, size=(1, 3)), held.random(4)]
+        for got, want in zip([first, *after], expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
     def test_invalid_n_or_no_seeds(self):
         with pytest.raises(ValueError, match="n must be"):
-            sample_stack(ball_spec(), 0, [SeedSpec(1)])
+            sample_stack(ball_spec(), 0, _derived_seeds([SeedSpec(1)]))
+        with pytest.raises(ValueError, match="at least one seed"):
+            sample_stack(ball_spec(), 5, np.array([], dtype=np.uint64))
         with pytest.raises(ValueError, match="at least one seed"):
             sample_stack(ball_spec(), 5, [])
+        with pytest.raises(ValueError, match="1-d array"):
+            sample_stack(ball_spec(), 5, np.ones((2, 1), dtype=np.uint64))
 
     def test_non_finite_labels_are_rejected_as_by_sample_dataset(self):
         # |noise| > 1.8 overflows noise_scale * noise; among 50 normal draws
@@ -238,7 +334,7 @@ class TestSampleStack:
             with pytest.raises(ValueError, match="non-finite"):
                 sample_dataset(spec, 50, SeedSpec(3))
             with pytest.raises(ValueError, match="non-finite"):
-                sample_stack(spec, 50, [SeedSpec(3), SeedSpec(4)])
+                sample_stack(spec, 50, _derived_seeds([SeedSpec(3), SeedSpec(4)]))
 
 
 class TestSampleSurgery:

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -498,6 +501,16 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_dict(cfg)))
         return path
+
+    def test_import_leaves_numpy_random_unimported(self):
+        # numpy imports numpy.random lazily; importing it at start-up would
+        # add its cost to every CLI run.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, stabilab.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_success_exit_zero(self, tmp_path, capsys):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
