@@ -17,13 +17,11 @@ from .bounds import (
     tail_prob_bound,
     tail_threshold,
 )
-from .core_math import harville_residual, operator_norm, solve_regularized
+from .core_math import solve_regularized
 from .datagen import (
     DataSpec,
     Dataset,
     SeedSpec,
-    dataset_from_csv,
-    dataset_to_csv,
     leave_one_out,
     replace_point,
     sample_dataset,
@@ -64,7 +62,6 @@ from .stability import (
     StabilityConfig,
     StabilityEstimate,
     SweepRow,
-    empirical_lq_stability,
     knn_gamma_1,
     ridge_gamma_q,
     ridge_param_diff_check,

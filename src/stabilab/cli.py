@@ -20,6 +20,7 @@ from .harness import (
     PreconditionError,
     emit_report,
     load_config,
+    parse_formats,
     run_experiment,
 )
 
@@ -76,13 +77,13 @@ def main(argv: list[str] | None = None) -> int:
             overrides["out_dir"] = args.out
         if overrides:
             config = dataclasses.replace(config, **overrides)
+        formats = parse_formats(args.emit.split(","))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         report = run_experiment(config)
-        formats = args.emit.split(",")
         written = emit_report(report, formats)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -95,8 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     n_rows = len(report.rows)
-    print(f"{report.kind}: {n_rows} rows, all_pass={report.all_pass}")
-    if report.kind == "rate":
+    print(f"{config.kind}: {n_rows} rows, all_pass={report.all_pass}")
+    if config.kind == "rate":
         fit = report.extras
         print(
             f"slope={fit['slope']:.4f} "

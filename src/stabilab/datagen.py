@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -61,8 +60,9 @@ def _mix64(base_seed, stream_index):
     return x
 
 
-def _as_seed_int(value, name: str) -> int:
-    """int(value), but a bool or a fractional number is an error, not truncated."""
+def _as_integer(value, name: str) -> int:
+    """int(value) of an int, a numpy integer or an integral float; a bool, a
+    string or a fractional number is a ValueError, not converted."""
     if type(value) is int:  # the common case, kept cheap for SeedSpec.child
         return value
     integral = isinstance(value, (int, np.integer)) or (
@@ -81,9 +81,9 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= _as_seed_int(self.base_seed, "base_seed") <= _MASK64:
+        if not 0 <= _as_integer(self.base_seed, "base_seed") <= _MASK64:
             raise ValueError("base_seed must be a 64-bit unsigned integer")
-        if _as_seed_int(self.stream_index, "stream_index") < 0:
+        if _as_integer(self.stream_index, "stream_index") < 0:
             raise ValueError("stream_index must be nonnegative")
 
     def derived_seed(self) -> int:
@@ -493,31 +493,3 @@ def verify_assumptions(data: Dataset, spec: DataSpec) -> AssumptionReport:
             emp = float(np.mean(centered**q) ** (1.0 / q))
             ratios[q] = emp / (2.0 * math.e * math.sqrt(v) * math.sqrt(q))
     return AssumptionReport(max_x, max_y, x_ok, y_ok, ratios)
-
-
-def dataset_to_csv(data: Dataset, path: str | Path) -> Path:
-    """Write `x1,...,xd,y` rows with 17 significant digits (exact round trip)."""
-    path = Path(path)
-    header = ",".join([f"x{i + 1}" for i in range(data.d)] + ["y"])
-    lines = [header]
-    for i in range(data.n):
-        vals = [*data.xs[i], data.ys[i]]
-        lines.append(",".join(f"{val:.17g}" for val in vals))
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def dataset_from_csv(path: str | Path) -> Dataset:
-    """Read a dataset written by :func:`dataset_to_csv`."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError("empty dataset file")
-    header = lines[0].split(",")
-    if header[-1] != "y" or len(header) < 2:
-        raise ValueError("malformed dataset header; expected x1,...,xd,y")
-    d = len(header) - 1
-    rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != d + 1:
-        raise ValueError("malformed dataset rows")
-    return Dataset(arr[:, :d], arr[:, d])

@@ -35,8 +35,8 @@ from .bounds import (
     pac_bound_subgaussian,
     ridge_moment_bound,
 )
-from .datagen import DataSpec, SeedSpec, sample_dataset
-from .learners import CostKind, KnnAlgorithm, RidgeAlgorithm, prediction_error_mc, ridge_fit, ridge_loo_fast
+from .datagen import DataSpec, SeedSpec, _as_integer, sample_dataset
+from .learners import KnnAlgorithm, RidgeAlgorithm, prediction_error_mc, ridge_fit, ridge_loo_fast
 from .stability import (
     RidgeStabilityInputs,
     StabilityConfig,
@@ -171,13 +171,6 @@ def _as_tuple(value) -> tuple:
     return (value,)
 
 
-def _as_int(value, name: str) -> int:
-    """int(value), but a bool or a fractional number is an error, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _as_float(value, name: str) -> float:
     """float(value) of a JSON number; a bool or a string is an error, not
     converted."""
@@ -200,7 +193,7 @@ def spec_from_dict(obj: dict) -> DataSpec:
     _check_keys(obj, _SPEC_KEYS, "spec")
     try:
         return DataSpec(
-            d=_as_int(obj["d"], "d"),
+            d=_as_integer(obj["d"], "d"),
             x_family=str(obj["x_family"]),
             b_x=_as_float(obj["b_x"], "b_x"),
             y_model=str(obj["y_model"]),
@@ -238,7 +231,7 @@ def algorithm_from_dict(obj: dict) -> AlgorithmConfig:
         name=name,
         lam=tuple(_as_float(v, "lambda") for v in _as_tuple(obj.get("lambda", ()))),
         eta=_as_optional_float(obj, "eta"),
-        k=tuple(_as_int(v, "k") for v in _as_tuple(obj["k"])) if "k" in obj else (),
+        k=tuple(_as_integer(v, "k") for v in _as_tuple(obj["k"])) if "k" in obj else (),
     )
 
 
@@ -261,12 +254,12 @@ def config_from_dict(obj: dict) -> ExperimentConfig:
             kind=str(obj["kind"]),
             spec=spec_from_dict(obj["spec"]),
             algorithm=algorithm_from_dict(obj["algorithm"]),
-            n_grid=tuple(_as_int(v, "n_grid") for v in _as_tuple(obj["n_grid"])),
+            n_grid=tuple(_as_integer(v, "n_grid") for v in _as_tuple(obj["n_grid"])),
             q_grid=tuple(_as_float(v, "q_grid") for v in _as_tuple(obj["q_grid"])),
             x_grid=tuple(_as_float(v, "x_grid") for v in _as_tuple(obj["x_grid"])),
-            reps=_as_int(obj["reps"], "reps"),
-            test_m=_as_int(obj["test_m"], "test_m"),
-            base_seed=_as_int(obj["base_seed"], "base_seed"),
+            reps=_as_integer(obj["reps"], "reps"),
+            test_m=_as_integer(obj["test_m"], "test_m"),
+            base_seed=_as_integer(obj["base_seed"], "base_seed"),
             out_dir=_as_str(obj["out_dir"], "out_dir"),
         )
     except KeyError as exc:
@@ -319,7 +312,6 @@ class Report:
     stderr; they are never emitted, so the output files do not change.
     """
 
-    kind: str
     config: ExperimentConfig
     rows: list
     all_pass: bool
@@ -357,9 +349,7 @@ def _deviation_samples(
         data = sample_dataset(spec, n, seed_r.child(0))
         loo = ridge_loo_fast(data, lam)
         model = ridge_fit(data, lam)
-        est, se = prediction_error_mc(
-            model, spec, config.test_m, CostKind.SQUARED, seed_r.child(1)
-        )
+        est, se = prediction_error_mc(model, spec, config.test_m, seed_r.child(1))
         devs[r] = abs(loo - est)
         max_se = max(max_se, se)
     return devs, max_se
@@ -449,9 +439,7 @@ def run_coverage(config: ExperimentConfig) -> Report:
                     passed=passed,
                 )
             )
-    return Report(
-        config.kind, config, rows, all(r.passed for r in rows), {"deviations": deviations}
-    )
+    return Report(config, rows, all(r.passed for r in rows), {"deviations": deviations})
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +506,7 @@ def run_rate(config: ExperimentConfig) -> Report:
     ]
     # The slope is reported, not gated, at this level.
     extras = {"slope": slope, "slope_ci_low": float(ci_low), "slope_ci_high": float(ci_high)}
-    return Report(config.kind, config, rows, True, extras)
+    return Report(config, rows, True, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +563,7 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
                     for q in config.q_grid
                 ]
                 continue
-            base_cfg = StabilityConfig(
-                q=config.q_grid[0], n=n, reps=config.reps, seed=root.child(ni).child(pi)
-            )
+            base_cfg = StabilityConfig(n=n, reps=config.reps, seed=root.child(ni).child(pi))
             profile = stability_profile(algorithm, spec, base_cfg, config.q_grid)
             for q in config.q_grid:
                 est = profile[q]
@@ -596,7 +582,7 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
                 ok = est.s_q_hat <= gamma + 3.0 * slack
                 rows.append(SweepRow(alg.name, q, n, param, est.s_q_hat, est.std_error,
                                      gamma, "true" if ok else "false"))
-    return Report(config.kind, config, rows, all(r.dominated != "false" for r in rows))
+    return Report(config, rows, all(r.dominated != "false" for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +630,7 @@ def run_efron_stein(config: ExperimentConfig) -> Report:
         for r in rows
         if r.rhs == 0.0 and r.f != "constant"
     ]
-    return Report(config.kind, config, rows, all(r.passed for r in rows), notes=notes)
+    return Report(config, rows, all(r.passed for r in rows), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +700,7 @@ def run_bounds_table(config: ExperimentConfig) -> Report:
             "bounds_table produced no rows; check the lambda domain and q_grid"
         )
     # Pure formula evaluation; vacuousness is reported per row.
-    return Report(config.kind, config, rows, True)
+    return Report(config, rows, True)
 
 
 # ---------------------------------------------------------------------------
@@ -916,12 +902,24 @@ def _finite_or_null(obj):
 
 def _json_text(report: Report) -> str:
     obj = {
-        "kind": report.kind,
+        "kind": report.config.kind,
         "config": config_to_dict(report.config),
         "rows": [dataclasses.asdict(r) for r in report.rows],
         **report.extras,
     }
     return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def parse_formats(formats: Sequence[str]) -> list[str]:
+    """The requested output formats, stripped, blanks dropped; an unknown
+    format or no format at all is a ConfigError."""
+    formats = [f.strip() for f in formats if f.strip()]
+    unknown = set(formats) - {"csv", "json", "svg"}
+    if unknown:
+        raise ConfigError(f"unknown emit formats: {sorted(unknown)}")
+    if not formats:
+        raise ConfigError("no emit format given; choose from csv, json, svg")
+    return formats
 
 
 def emit_report(
@@ -934,16 +932,16 @@ def emit_report(
     rate); requesting it elsewhere is a no-op.  Emission holds a lock on the
     output directory so concurrent runs cannot interleave files, and each
     file is renamed into place whole, so a crash leaves no truncated file.
+    An output directory that cannot be made, locked or written to is a
+    PreconditionError.
     """
     if not report.rows:
         raise PreconditionError("refusing to emit an empty report")
-    formats = [f.strip() for f in formats if f.strip()]
-    unknown = set(formats) - {"csv", "json", "svg"}
-    if unknown:
-        raise ConfigError(f"unknown emit formats: {sorted(unknown)}")
+    formats = parse_formats(formats)
+    kind = report.config.kind
     out = Path(out_dir) if out_dir is not None else Path(report.config.out_dir)
-    stem = f"{report.kind}_{report.config.base_seed}"
-    renderers = {"csv": _csv_text, "json": _json_text, "svg": _SVG_FIGURES.get(report.kind)}
+    stem = f"{kind}_{report.config.base_seed}"
+    renderers = {"csv": _csv_text, "json": _json_text, "svg": _SVG_FIGURES.get(kind)}
     # Render everything before touching the directory, so a failing
     # renderer writes nothing.
     texts = {
@@ -951,7 +949,10 @@ def emit_report(
         for ext, render in renderers.items()
         if ext in formats and render is not None
     }
-    with _run_lock(out):
-        for path, text in texts.items():
-            _replace_file(path, text)
+    try:
+        with _run_lock(out):
+            for path, text in texts.items():
+                _replace_file(path, text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write the outputs to {out}: {exc}") from exc
     return list(texts)

@@ -29,12 +29,10 @@ shape (m, n, d), and round every sample as its per-dataset twin does.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,25 +60,6 @@ class RidgeModel:
 
     def beta_array(self) -> np.ndarray:
         return np.asarray(self.beta, dtype=np.float64)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"lambda": self.lam, "n_fit": self.n_fit, "beta": list(self.beta)}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RidgeModel":
-        obj = json.loads(text)
-        return cls(
-            beta=tuple(float(t) for t in obj["beta"]),
-            lam=float(obj["lambda"]),
-            n_fit=int(obj["n_fit"]),
-        )
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json() + "\n")
-        return path
 
 
 @dataclass(frozen=True)
@@ -148,11 +127,6 @@ def cost(kind: CostKind, y_hat: float, y: float) -> float:
     raise ValueError(f"unknown cost kind {kind!r}")
 
 
-def _require_binary_labels(ys: np.ndarray) -> None:
-    if not np.all((ys == 0.0) | (ys == 1.0)):
-        raise ValueError("kNN requires labels in {0, 1}")
-
-
 def neighbor_order(data: Dataset, x) -> np.ndarray:
     """Training indices sorted by distance to x, ties broken by lowest index."""
     x = np.asarray(x, dtype=np.float64)
@@ -187,7 +161,8 @@ def knn_classify(data: Dataset, algorithm: KnnAlgorithm, x) -> float:
     k = algorithm.k
     if not 1 <= k <= data.n - 1:
         raise ValueError(f"k={k} out of range 1..{data.n - 1}")
-    _require_binary_labels(data.ys)
+    if not np.all((data.ys == 0.0) | (data.ys == 1.0)):
+        raise ValueError("kNN requires labels in {0, 1}")
     order = neighbor_order(data, x)
     vote = float(np.sum(data.ys[order[:k]]))
     return 1.0 if vote >= k / 2.0 else 0.0
@@ -300,34 +275,16 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def prediction_error_mc(
-    predictor: RidgeModel | Callable[[np.ndarray], float],
-    spec: DataSpec,
-    m: int,
-    kind: CostKind,
-    seed: SeedSpec,
+    model: RidgeModel, spec: DataSpec, m: int, seed: SeedSpec
 ) -> MonteCarloEstimate:
-    """Monte Carlo prediction error on m fresh draws from spec.
-
-    ``predictor`` is either a RidgeModel (vectorised path) or any callable
-    mapping a feature vector to a prediction (e.g. a kNN closure).
-    Deterministic given the seed.
-    """
+    """Monte Carlo squared prediction error of a ridge model on m fresh
+    draws from spec, with its standard error; deterministic given the seed."""
     if m < 2:
         raise ValueError("m must be >= 2")
     test = sample_dataset(spec, m, seed)
-    if isinstance(predictor, RidgeModel):
-        preds = test.xs @ predictor.beta_array()
-    else:
-        preds = np.asarray([predictor(test.xs[i]) for i in range(m)], dtype=np.float64)
-    if kind is CostKind.SQUARED:
-        costs = preds
-        costs -= test.ys
-        costs *= costs
-    else:
-        if not np.all((preds == 0.0) | (preds == 1.0)):
-            raise ValueError("zero_one cost requires binary predictions")
-        _require_binary_labels(test.ys)
-        costs = (preds != test.ys).astype(np.float64)
+    costs = test.xs @ model.beta_array()
+    costs -= test.ys
+    costs *= costs
     # np.mean and np.std(ddof=1) run these reductions, in this order.
     est = costs.sum() / m
     costs -= est

@@ -96,26 +96,17 @@ def ridge_corollary_violations(b_x: float, lam: float, eta: float, n: int) -> li
     return seen
 
 
-def check_ridge_corollary_domain(b_x: float, lam: float, eta: float, n: int) -> None:
-    violations = ridge_corollary_violations(b_x, lam, eta, n)
-    if violations:
-        raise ValueError("; ".join(violations))
-
-
 # ---------------------------------------------------------------------------
 # Empirical estimator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StabilityConfig:
-    q: float
     n: int
     reps: int
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self) -> None:
-        if self.q < 1.0:
-            raise ValueError("q must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.reps < 2:
@@ -126,7 +117,6 @@ class StabilityConfig:
 class StabilityEstimate:
     s_q_hat: float
     std_error: float
-    config: StabilityConfig
 
 
 def _ridge_cost_diffs_stacked(
@@ -204,18 +194,7 @@ def stability_profile(
         for q in qs:
             per_rep[q][start:start + m] = np.mean(diffs**q, axis=1)
 
-    out: dict[float, StabilityEstimate] = {}
-    for q in qs:
-        cfg_q = StabilityConfig(q, config.n, config.reps, config.seed)
-        out[q] = StabilityEstimate(*power_mean_root(per_rep[q], q), cfg_q)
-    return out
-
-
-def empirical_lq_stability(
-    algorithm, spec: DataSpec, config: StabilityConfig
-) -> StabilityEstimate:
-    """Monte Carlo estimate of the L^q stability at config.q."""
-    return stability_profile(algorithm, spec, config, (config.q,))[config.q]
+    return {q: StabilityEstimate(*power_mean_root(per_rep[q], q)) for q in qs}
 
 
 # ---------------------------------------------------------------------------

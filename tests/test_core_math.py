@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilab.core_math import harville_residual, operator_norm, solve_regularized
+from stabilab.core_math import solve_regularized
 
 
 class TestSolveRegularized:
@@ -89,75 +89,3 @@ class TestSolveRegularized:
         v1 = solve_regularized(m, lam, b1)
         v2 = solve_regularized(m, lam, b2)
         np.testing.assert_allclose(v_sum, v1 + v2, atol=1e-10, rtol=1e-10)
-
-
-class TestOperatorNorm:
-    def test_identity(self):
-        assert operator_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-8)
-
-    def test_symmetric_diagonal(self):
-        assert operator_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, rel=1e-8)
-
-    def test_nilpotent(self):
-        # singular values of [[0,2],[0,0]] are {2, 0}
-        assert operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(
-            2.0, rel=1e-8
-        )
-
-    def test_zero_matrix(self):
-        assert operator_norm(np.zeros((3, 3))) == 0.0
-
-    def test_start_vector_in_null_space(self):
-        # M (1,1) = 0, so the all-ones start collapses; the deterministic
-        # restart must still find sigma_max = 2.
-        m = np.array([[1.0, -1.0], [1.0, -1.0]])
-        assert operator_norm(m) == pytest.approx(2.0, rel=1e-8)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10_000), d=st.integers(1, 6))
-    def test_matches_svd(self, seed, d):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((d, d))
-        expected = float(np.linalg.svd(m, compute_uv=False)[0])
-        assert operator_norm(m) == pytest.approx(expected, rel=1e-7, abs=1e-12)
-
-
-class TestHarvilleResidual:
-    def test_identity_zero_perturbation(self):
-        assert harville_residual(np.eye(2), np.zeros((2, 2))) == 0.0
-
-    def test_scaled_identities(self):
-        assert harville_residual(2.0 * np.eye(2), np.eye(2)) <= 1e-10
-
-    def test_covariance_style_instance(self):
-        rng = np.random.default_rng(7)
-        xs = rng.standard_normal((20, 3))
-        lam = 0.5
-        a = xs.T @ xs / 20 + lam * np.eye(3)
-        x_j = xs[3]
-        b = -(np.outer(x_j, x_j) + lam * np.eye(3)) / 20
-        assert harville_residual(a, b) <= 1e-8
-
-    def test_singular_inputs_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            harville_residual(np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(ValueError, match="singular"):
-            harville_residual(np.eye(2), -np.eye(2))
-
-    def test_hundred_seeded_instances(self):
-        # Well-conditioned random pairs across d = 1..8.
-        count = 0
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            d = 1 + seed % 8
-            base = rng.standard_normal((2 * d, d))
-            a = base.T @ base / (2 * d) + 0.5 * np.eye(d)
-            x = rng.standard_normal(d)
-            b = -(np.outer(x, x) + 0.5 * np.eye(d)) / (2 * d)
-            assert harville_residual(a, b) <= 1e-8
-            count += 1
-        assert count == 100

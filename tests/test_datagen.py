@@ -11,8 +11,6 @@ from stabilab.datagen import (
     DataSpec,
     Dataset,
     SeedSpec,
-    dataset_from_csv,
-    dataset_to_csv,
     leave_one_out,
     replace_point,
     sample_dataset,
@@ -455,20 +453,3 @@ class TestVerifyAssumptions:
             noise_scale=0.3,
         )
         assert spec.subgaussian_v() == pytest.approx(0.3**2 + 0.25 * 4.0)
-
-
-class TestCsvRoundTrip:
-    def test_exact_round_trip(self, tmp_path):
-        data = sample_dataset(ball_spec(), 25, SeedSpec(18))
-        path = dataset_to_csv(data, tmp_path / "data.csv")
-        header = path.read_text().splitlines()[0]
-        assert header == "x1,x2,x3,y"
-        back = dataset_from_csv(path)
-        np.testing.assert_array_equal(back.xs, data.xs)
-        np.testing.assert_array_equal(back.ys, data.ys)
-
-    def test_malformed_header(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            dataset_from_csv(p)

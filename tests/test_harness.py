@@ -395,12 +395,12 @@ class TestEmission:
             assert [p.name for p in written] == [f"{stem}.csv", f"{stem}.json"]
             assert written[0].read_text().splitlines()[0] == header
             obj = json.loads(written[1].read_text())
-            assert obj["kind"] == report.kind
+            assert obj["kind"] == report.config.kind
 
     def test_non_finite_floats_are_json_null(self, tmp_path):
         cfg = make_config(kind="bounds_table", out_dir=str(tmp_path))
         row = BoundsRow("pac_bounded", 1.0, 1.0, 0.5, 20, 1.0, math.inf, True)
-        report = Report(cfg.kind, cfg, [row], True, {"note": [math.nan]})
+        report = Report(cfg, [row], True, {"note": [math.nan]})
         csv_path, json_path = emit_report(report, ["csv", "json"])
 
         def reject(token):
@@ -479,7 +479,7 @@ class TestEmission:
             real_replace(src, dst)
 
         monkeypatch.setattr(harness.os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(PreconditionError, match="disk full"):
             emit_report(report, ["csv", "json"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stability_sweep_77.csv"]
         assert (tmp_path / "stability_sweep_77.csv").read_text() == harness._csv_text(report)
@@ -488,6 +488,9 @@ class TestEmission:
         report = self.sweep_report(tmp_path)
         with pytest.raises(ConfigError, match="formats"):
             emit_report(report, ["pdf"])
+        with pytest.raises(ConfigError, match="no emit format"):
+            emit_report(report, [" ", ""])
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_report_rejected(self, tmp_path):
         report = self.sweep_report(tmp_path)
@@ -632,6 +635,12 @@ class TestCli:
             ("algorithm", "k", [1.9]),
             ("spec", "d", 1.5),
             ("spec", "d", True),
+            (None, "reps", "500"),
+            (None, "n_grid", ["50"]),
+            (None, "base_seed", "35"),
+            (None, "test_m", "300"),
+            ("algorithm", "k", ["1"]),
+            ("spec", "d", "2"),
         ],
     )
     def test_non_integral_integer_field_exit_two(self, tmp_path, capsys, where, key, value):
@@ -721,6 +730,34 @@ class TestCli:
         assert cli.main(["coverage", "--config", str(path)]) == 2
         assert "out_dir must be a string" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_output_path_that_is_a_file_exit_three(self, tmp_path, capsys):
+        # mkdir on an existing regular file raises FileExistsError, which
+        # escaped the CLI as a traceback with exit 1.
+        cfg = make_config(kind="bounds_table", n_grid=(50,), x_grid=(1.0,), reps=1)
+        path = self.write_config(tmp_path, cfg)
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("keep\n")
+        argv = ["bounds-table", "--config", str(path), "--out", str(blocker)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "precondition failure" in err and str(blocker) in err
+        assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "not_a_dir"]
+
+    @pytest.mark.parametrize("emit", ["csv,jsn", "", " , ", "pdf"])
+    def test_bad_emit_list_exit_two_before_the_run(self, tmp_path, capsys, monkeypatch, emit):
+        # The format list used to be checked after the experiment had run;
+        # an empty one ran it, wrote nothing and exited 0.
+        def not_called(config):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", not_called)
+        cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["coverage", "--config", str(path), "--emit", emit]) == 2
+        assert "emit format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path))

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -327,7 +326,7 @@ class TestPredictionErrorMc:
             noise_scale=0.0,
         )
         model = RidgeModel(beta=(0.5, -0.25), lam=1.0, n_fit=10)
-        est, se = prediction_error_mc(model, spec, 100, CostKind.SQUARED, SeedSpec(6))
+        est, se = prediction_error_mc(model, spec, 100, SeedSpec(6))
         assert est == pytest.approx(0.0, abs=1e-25)
 
     def test_constant_labels_constant_cost(self):
@@ -343,7 +342,7 @@ class TestPredictionErrorMc:
             b_y=2.0,
         )
         model = RidgeModel(beta=(0.0,), lam=1.0, n_fit=10)
-        est, se = prediction_error_mc(model, spec, 64, CostKind.SQUARED, SeedSpec(7))
+        est, se = prediction_error_mc(model, spec, 64, SeedSpec(7))
         assert est == 4.0
         assert se == 0.0
 
@@ -358,37 +357,18 @@ class TestPredictionErrorMc:
             b_y=1.0,
         )
         model = RidgeModel(beta=(0.1, 0.2), lam=0.5, n_fit=20)
-        first = prediction_error_mc(model, spec, 500, CostKind.SQUARED, SeedSpec(8))
-        second = prediction_error_mc(model, spec, 500, CostKind.SQUARED, SeedSpec(8))
+        first = prediction_error_mc(model, spec, 500, SeedSpec(8))
+        second = prediction_error_mc(model, spec, 500, SeedSpec(8))
         assert first == second
         # Bit for bit the np.mean / np.std(ddof=1) of the squared residuals.
         for x_family in ("uniform_cube", "uniform_ball"):
             spec_x = dataclasses.replace(spec, x_family=x_family)
             for m in (2, 3, 500, 20000):
-                got = prediction_error_mc(model, spec_x, m, CostKind.SQUARED, SeedSpec(m))
+                got = prediction_error_mc(model, spec_x, m, SeedSpec(m))
                 test = sample_dataset(spec_x, m, SeedSpec(m))
                 costs = (test.xs @ model.beta_array() - test.ys) ** 2
                 assert got.estimate == float(np.mean(costs))
                 assert got.std_error == float(np.std(costs, ddof=1) / math.sqrt(m))
-
-    def test_callable_predictor(self):
-        spec = DataSpec(
-            d=1,
-            x_family="uniform_ball",
-            b_x=1.0,
-            y_model="bernoulli_label",
-            beta_star=(0.0,),
-            noise_scale=0.5,
-            b_y=1.0,
-        )
-        est, se = prediction_error_mc(
-            lambda x: 1.0, spec, 400, CostKind.ZERO_ONE, SeedSpec(9)
-        )
-        # Misclassification rate of the constant-1 predictor is P(Y=0) = 0.5.
-        assert est == pytest.approx(0.5, abs=0.1)
-        costs = (sample_dataset(spec, 400, SeedSpec(9)).ys != 1.0).astype(np.float64)
-        assert est == float(np.mean(costs))
-        assert se == float(np.std(costs, ddof=1) / math.sqrt(400))
 
     def test_rejects_tiny_m(self):
         spec = DataSpec(
@@ -401,15 +381,4 @@ class TestPredictionErrorMc:
         )
         model = RidgeModel(beta=(0.0,), lam=1.0, n_fit=5)
         with pytest.raises(ValueError):
-            prediction_error_mc(model, spec, 1, CostKind.SQUARED, SeedSpec(10))
-
-
-class TestRidgeModelJson:
-    def test_round_trip(self, tmp_path):
-        model = RidgeModel(beta=(0.125, -2.5, 1e-17), lam=0.75, n_fit=33)
-        text = model.to_json()
-        obj = json.loads(text)
-        assert set(obj) == {"lambda", "n_fit", "beta"}
-        assert RidgeModel.from_json(text) == model
-        path = model.save(tmp_path / "model.json")
-        assert RidgeModel.from_json(path.read_text()) == model
+            prediction_error_mc(model, spec, 1, SeedSpec(10))

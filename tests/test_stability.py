@@ -24,11 +24,10 @@ from stabilab.learners import (
 from stabilab.stability import (
     RidgeStabilityInputs,
     StabilityConfig,
-    check_ridge_corollary_domain,
     check_ridge_stability_domain,
-    empirical_lq_stability,
     knn_gamma_1,
     power_mean_root,
+    ridge_corollary_violations,
     ridge_gamma_q,
     ridge_param_diff_check,
     ridge_stability_violations,
@@ -72,7 +71,7 @@ NOISY_RIDGE_SPEC_D3 = DataSpec(
 class TestValidityDomain:
     def test_valid_configuration_passes(self):
         check_ridge_stability_domain(1.0, 1.0, 0.5, 100)
-        check_ridge_corollary_domain(1.0, 1.0, 0.5, 100)
+        assert ridge_corollary_violations(1.0, 1.0, 0.5, 100) == []
 
     def test_violations_are_named(self):
         with pytest.raises(ValueError, match=r"n \* eta > 1"):
@@ -88,8 +87,7 @@ class TestValidityDomain:
         assert any("1 / (eta*(n-1))" in v for v in violations)
 
     def test_corollary_needs_three_points(self):
-        with pytest.raises(ValueError, match="n >= 3"):
-            check_ridge_corollary_domain(1.0, 1.0, 0.5, 2)
+        assert ridge_corollary_violations(1.0, 1.0, 0.5, 2) == ["n >= 3 required, got n = 2"]
 
 
 class TestEmpiricalStability:
@@ -103,8 +101,8 @@ class TestEmpiricalStability:
             noise_scale=0.0,
             b_y=1.0,
         )
-        cfg = StabilityConfig(q=2.0, n=10, reps=20, seed=SeedSpec(1))
-        est = empirical_lq_stability(RidgeAlgorithm(1.0), spec, cfg)
+        cfg = StabilityConfig(n=10, reps=20, seed=SeedSpec(1))
+        est = stability_profile(RidgeAlgorithm(1.0), spec, cfg, (2.0,))[2.0]
         assert est.s_q_hat == 0.0
         assert est.std_error == 0.0
 
@@ -114,8 +112,8 @@ class TestEmpiricalStability:
         # by refitting on explicit reduced datasets over the same draws.
         k, n, reps = 3, 20, 150
         algorithm = KnnAlgorithm(k)
-        cfg = StabilityConfig(q=1.0, n=n, reps=reps, seed=SeedSpec(21))
-        est = empirical_lq_stability(algorithm, BERNOULLI_SPEC, cfg)
+        cfg = StabilityConfig(n=n, reps=reps, seed=SeedSpec(21))
+        est = stability_profile(algorithm, BERNOULLI_SPEC, cfg, (1.0,))[1.0]
         total = 0.0
         for r in range(reps):
             seed_r = cfg.seed.child(r)
@@ -167,12 +165,12 @@ class TestEmpiricalStability:
             exact_pow += p1 * p2 * pt * inner / 2.0
         exact = exact_pow ** (1.0 / q)
 
-        cfg = StabilityConfig(q=q, n=2, reps=4000, seed=SeedSpec(22))
-        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, cfg)
+        cfg = StabilityConfig(n=2, reps=4000, seed=SeedSpec(22))
+        est = stability_profile(RidgeAlgorithm(lam), spec, cfg, (q,))[q]
         assert est.s_q_hat == pytest.approx(exact, abs=4 * est.std_error + 1e-12)
 
     def test_monotone_in_q_on_shared_draws(self):
-        cfg = StabilityConfig(q=1.0, n=20, reps=100, seed=SeedSpec(23))
+        cfg = StabilityConfig(n=20, reps=100, seed=SeedSpec(23))
         profile = stability_profile(
             RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC, cfg, (1.0, 2.0, 4.0, 8.0)
         )
@@ -183,21 +181,21 @@ class TestEmpiricalStability:
     def test_algorithm_preconditions(self):
         # The algorithm alone fixes the cost, so only its own preconditions
         # are checked: a known algorithm, and 0/1 labels and n >= k + 2 for kNN.
-        cfg = StabilityConfig(q=1.0, n=10, reps=10, seed=SeedSpec(25))
+        cfg = StabilityConfig(n=10, reps=10, seed=SeedSpec(25))
         with pytest.raises(ValueError, match="unknown algorithm"):
-            empirical_lq_stability(object(), NOISY_RIDGE_SPEC, cfg)
+            stability_profile(object(), NOISY_RIDGE_SPEC, cfg, (1.0,))
         with pytest.raises(ValueError, match="labels in"):
-            empirical_lq_stability(KnnAlgorithm(3), NOISY_RIDGE_SPEC, cfg)
+            stability_profile(KnnAlgorithm(3), NOISY_RIDGE_SPEC, cfg, (1.0,))
         with pytest.raises(ValueError, match="n >= k"):
-            empirical_lq_stability(KnnAlgorithm(9), BERNOULLI_SPEC, cfg)
+            stability_profile(KnnAlgorithm(9), BERNOULLI_SPEC, cfg, (1.0,))
         with pytest.raises(ValueError, match="q must be"):
             stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, cfg, (2.0, 0.5))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StabilityConfig(q=0.5, n=10, reps=10)
-        with pytest.raises(ValueError):
-            StabilityConfig(q=1.0, n=10, reps=1)
+        with pytest.raises(ValueError, match="n must be"):
+            StabilityConfig(n=1, reps=10)
+        with pytest.raises(ValueError, match="reps must be"):
+            StabilityConfig(n=10, reps=1)
 
 
 # The estimator one replication at a time, with the per-dataset expressions:
@@ -368,7 +366,7 @@ class TestStackedKernels:
         n, qs = 50, (1.0, 1.5, 2.0, 4.0)
         chunk = stability._CHUNK_BYTES // (8 * n * spec.d)
         assert chunk >= 2
-        cfg = StabilityConfig(q=1.0, n=n, reps=chunk + offset, seed=SeedSpec(26))
+        cfg = StabilityConfig(n=n, reps=chunk + offset, seed=SeedSpec(26))
         profile = stability_profile(algorithm, spec, cfg, qs)
         reference = _reference_profile(algorithm, spec, cfg, qs)
         for q in qs:
@@ -382,7 +380,7 @@ class TestStackedKernels:
                         y_model="linear_clipped", beta_star=(0.5, -0.3),
                         noise_scale=0.3, b_y=1.0)
         lam, n, q = 1e-14, 3, 2.0
-        cfg = StabilityConfig(q=q, n=n, reps=40, seed=SeedSpec(5))
+        cfg = StabilityConfig(n=n, reps=40, seed=SeedSpec(5))
         draws = [(sample_dataset(spec, n, cfg.seed.child(r).child(0)),
                   sample_dataset(spec, 1, cfg.seed.child(r).child(1))) for r in range(cfg.reps)]
         unstable = [_reference_downdate(data, lam)[-1].any() for data, _ in draws]
@@ -399,7 +397,7 @@ class TestStackedKernels:
             return original(data, lam)
 
         monkeypatch.setattr(stability, "_ridge_loo_betas", recording)
-        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, cfg)
+        est = stability_profile(RidgeAlgorithm(lam), spec, cfg, (q,))[q]
         expected = [data.xs for (data, _), u in zip(draws, unstable) if u]
         assert len(fallbacks) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(fallbacks, expected))
@@ -573,8 +571,8 @@ class TestDominanceSmoke:
             b_y=0.7,
         )
         n, lam, eta, q = 50, 1.0, 0.5, 2.0
-        cfg = StabilityConfig(q=q, n=n, reps=300, seed=SeedSpec(33))
-        est = empirical_lq_stability(RidgeAlgorithm(lam), spec, cfg)
+        cfg = StabilityConfig(n=n, reps=300, seed=SeedSpec(33))
+        est = stability_profile(RidgeAlgorithm(lam), spec, cfg, (q,))[q]
         gamma = ridge_gamma_q(
             RidgeStabilityInputs(1.0, lam, eta, n, y_norm(spec, 2 * q))
         )
@@ -582,6 +580,6 @@ class TestDominanceSmoke:
 
     def test_knn_dominated_at_one_configuration(self):
         k, n = 3, 50
-        cfg = StabilityConfig(q=1.0, n=n, reps=400, seed=SeedSpec(34))
-        est = empirical_lq_stability(KnnAlgorithm(k), BERNOULLI_SPEC, cfg)
+        cfg = StabilityConfig(n=n, reps=400, seed=SeedSpec(34))
+        est = stability_profile(KnnAlgorithm(k), BERNOULLI_SPEC, cfg, (1.0,))[1.0]
         assert est.s_q_hat <= knn_gamma_1(k, n) + 3.0 * est.std_error
