@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilab.core_math import solve_regularized
+from stabilab.core_math import (
+    PSD_RTOL,
+    SYMMETRY_RTOL,
+    require_psd,
+    require_symmetric,
+    solve_regularized,
+)
 
 
 class TestSolveRegularized:
@@ -89,3 +95,45 @@ class TestSolveRegularized:
         v1 = solve_regularized(m, lam, b1)
         v2 = solve_regularized(m, lam, b2)
         np.testing.assert_allclose(v_sum, v1 + v2, atol=1e-10, rtol=1e-10)
+
+
+class TestMatrixChecks:
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (0, 0), (4, 2, 3), (1, 2, 2, 2)])
+    def test_non_square_or_empty_shapes_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            require_symmetric(np.zeros(shape))
+
+    def test_non_finite_entries_are_rejected_in_a_stack(self):
+        stack = np.stack([np.eye(2)] * 3)
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            require_symmetric(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            require_psd(np.full((1, 1), np.nan))
+
+    def test_symmetry_tolerance_is_relative_with_a_floor_of_one(self):
+        # Entries below 1 in size get the absolute tolerance SYMMETRY_RTOL.
+        require_symmetric([[0.0, 0.5 * SYMMETRY_RTOL], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            require_symmetric([[0.0, 2.0 * SYMMETRY_RTOL], [0.0, 0.0]])
+        # Larger entries get SYMMETRY_RTOL times their size.
+        big = 1e6
+        require_symmetric([[1.0, big], [big * (1 + 0.5 * SYMMETRY_RTOL), 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            require_symmetric([[1.0, big], [big * (1 + 4.0 * SYMMETRY_RTOL), 1.0]])
+
+    def test_psd_tolerance_is_relative_to_the_largest_eigenvalue(self):
+        require_psd(np.diag([-0.5 * PSD_RTOL, 0.0]))
+        require_psd(np.diag([-0.5 * PSD_RTOL * 1e4, 1e4]))
+        with pytest.raises(ValueError, match="semidefinite"):
+            require_psd(np.diag([-2.0 * PSD_RTOL * 1e4, 1e4]))
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, -1e-6])])
+        with pytest.raises(ValueError, match="semidefinite"):
+            require_psd(stack)
+
+    def test_inputs_come_back_as_float64_with_the_same_values(self):
+        m = [[2, 1], [1, 2]]
+        for check in (require_symmetric, require_psd):
+            out = check(m)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, np.array(m, dtype=np.float64))

@@ -17,7 +17,7 @@ from stabilab.datagen import (
     sample_stack,
     verify_assumptions,
 )
-from stabilab.datagen import _pcg64_states
+from stabilab.datagen import _as_integer, _pcg64_states
 
 
 def ball_spec(**kwargs):
@@ -105,6 +105,23 @@ class TestSeedSpec:
             SeedSpec(1).grandchild_seeds(-1, 2, 0)
         with pytest.raises(ValueError):
             SeedSpec(1).grandchild_seeds(0, 2, -1)
+
+
+class TestAsInteger:
+    @pytest.mark.parametrize("value, expected", [
+        (7, 7), (-3, -3), (np.int32(5), 5), (np.uint64(2**64 - 1), 2**64 - 1),
+        (4.0, 4), (2.0**63, 2**63),
+    ])
+    def test_integers_and_integral_floats_become_python_ints(self, value, expected):
+        out = _as_integer(value, "reps")
+        assert type(out) is int and out == expected
+
+    @pytest.mark.parametrize("value", [
+        True, np.bool_(False), "3", b"3", 2.5, float("nan"), float("inf"), None, [1],
+    ])
+    def test_bools_strings_and_fractions_are_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            _as_integer(value, "reps")
 
 
 class TestDataSpecValidation:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from stabilab.harness import (
     config_to_dict,
     emit_report,
     load_config,
+    parse_formats,
     run_bounds_table,
     run_coverage,
     run_efron_stein,
@@ -490,6 +492,36 @@ class TestEmission:
             emit_report(report, ["pdf"])
         with pytest.raises(ConfigError, match="no emit format"):
             emit_report(report, [" ", ""])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parse_formats_strips_blanks_and_keeps_order(self):
+        assert parse_formats([" json", "", "csv ", "svg"]) == ["json", "csv", "svg"]
+        with pytest.raises(ConfigError, match=r"\['jsn', 'pdf'\]"):
+            parse_formats(["pdf", "csv", "jsn"])
+
+    def test_lock_or_temp_write_failure_is_a_precondition_error(self, tmp_path, monkeypatch):
+        report = self.sweep_report(tmp_path)
+        real_open = harness.os.open
+
+        def refusing_open(path, *args, **kwargs):
+            if Path(path).name == ".stabilab.lock":
+                raise PermissionError("read-only directory")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness.os, "open", refusing_open)
+        with pytest.raises(PreconditionError, match=re.escape(str(tmp_path)) + ".*read-only directory"):
+            emit_report(report, ["csv"])
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        # A temp file that cannot be written is removed with the lock.
+        def failing_write(self, text):
+            Path.write_bytes(self, text[:5].encode())
+            raise OSError("quota exceeded")
+
+        monkeypatch.setattr(harness.Path, "write_text", failing_write)
+        with pytest.raises(PreconditionError, match="quota exceeded"):
+            emit_report(report, ["csv"])
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_report_rejected(self, tmp_path):
