@@ -88,10 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (PreconditionError, ValueError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
 

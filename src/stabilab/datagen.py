@@ -73,6 +73,23 @@ def _as_integer(value, name: str) -> int:
     return int(value)
 
 
+def _as_float(value, name: str) -> float:
+    """float(value) of an int, a float or a numpy real; a bool, a string or
+    any other value is a ValueError, not converted."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, (bool, np.bool_)) or not real:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_tuple(values, convert, name: str) -> tuple:
+    """convert(v, name) of each entry of a list, tuple or array; any other
+    value is taken as a single entry."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        values = (values,)
+    return tuple(convert(v, name) for v in values)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """A reproducible random stream: (base_seed, stream_index)."""
@@ -195,14 +212,20 @@ class DataSpec:
     v: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta_star", tuple(float(t) for t in self.beta_star))
+        object.__setattr__(self, "d", _as_integer(self.d, "d"))
+        object.__setattr__(self, "b_x", _as_float(self.b_x, "b_x"))
+        object.__setattr__(self, "beta_star", _as_tuple(self.beta_star, _as_float, "beta_star"))
+        object.__setattr__(self, "noise_scale", _as_float(self.noise_scale, "noise_scale"))
+        for name in ("b_y", "v"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_float(getattr(self, name), name))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.x_family not in X_FAMILIES:
             raise ValueError(f"unknown x_family {self.x_family!r}")
         if self.y_model not in Y_MODELS:
             raise ValueError(f"unknown y_model {self.y_model!r}")
-        if not (np.isfinite(self.b_x) and self.b_x > 0):
+        if not (math.isfinite(self.b_x) and self.b_x > 0):
             raise ValueError("b_x must be a positive real")
         if len(self.beta_star) != self.d:
             raise ValueError("beta_star must have length d")

@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from .bounds import (
     pac_bound_subgaussian,
     ridge_moment_bound,
 )
-from .datagen import DataSpec, SeedSpec, _as_integer, sample_dataset
+from .datagen import DataSpec, SeedSpec, _as_float, _as_integer, _as_tuple, sample_dataset
 from .learners import KnnAlgorithm, RidgeAlgorithm, prediction_error_mc, ridge_fit, ridge_loo_fast
 from .stability import (
     RidgeStabilityInputs,
@@ -86,8 +87,10 @@ class AlgorithmConfig:
     k: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
+        object.__setattr__(self, "lam", _as_tuple(self.lam, _as_float, "lambda"))
+        object.__setattr__(self, "k", _as_tuple(self.k, _as_integer, "k"))
+        if self.eta is not None:
+            object.__setattr__(self, "eta", _as_float(self.eta, "eta"))
         if self.name == "ridge":
             if not self.lam or any(v <= 0 or not math.isfinite(v) for v in self.lam):
                 raise ConfigError("ridge requires one or more positive lambda values")
@@ -101,7 +104,7 @@ class AlgorithmConfig:
             if self.lam or self.eta is not None:
                 raise ConfigError("knn config must not set lambda or eta")
         else:
-            raise ConfigError(f"unknown algorithm {self.name!r}")
+            raise ConfigError(f"unknown algorithm name {self.name!r}")
 
     def single_lam(self) -> float:
         if len(self.lam) != 1:
@@ -123,11 +126,15 @@ class ExperimentConfig:
     out_dir: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
-        object.__setattr__(self, "q_grid", tuple(float(v) for v in self.q_grid))
-        object.__setattr__(self, "x_grid", tuple(float(v) for v in self.x_grid))
+        object.__setattr__(self, "n_grid", _as_tuple(self.n_grid, _as_integer, "n_grid"))
+        object.__setattr__(self, "q_grid", _as_tuple(self.q_grid, _as_float, "q_grid"))
+        object.__setattr__(self, "x_grid", _as_tuple(self.x_grid, _as_float, "x_grid"))
+        for name in ("reps", "test_m", "base_seed"):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), name))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if not self.n_grid or not self.q_grid or not self.x_grid:
             raise ConfigError("n_grid, q_grid and x_grid must all be nonempty")
         if any(n < 2 for n in self.n_grid):
@@ -144,145 +151,63 @@ class ExperimentConfig:
             raise ConfigError("coverage requires reps >= 50")
         if self.test_m < 2:
             raise ConfigError("test_m must be >= 2")
-        if not 0 <= int(self.base_seed) < 2**64:
+        if not 0 <= self.base_seed < 2**64:
             raise ConfigError("base_seed must be a 64-bit unsigned integer")
 
     def root_seed(self) -> SeedSpec:
         return SeedSpec(self.base_seed, 0)
 
 
-_SPEC_KEYS = {"d", "x_family", "b_x", "y_model", "beta_star", "noise_scale", "b_y", "v"}
-_ALG_KEYS = {"name", "lambda", "eta", "k"}
-_CONFIG_KEYS = {
-    "kind", "spec", "algorithm", "n_grid", "q_grid", "x_grid",
-    "reps", "test_m", "base_seed", "out_dir",
-}
+# The JSON key of a config field is its name, except for this one.
+_JSON_KEYS = {"lam": "lambda"}
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _from_dict(cls, obj, where: str):
+    """A cls from its JSON object: one key per field (``lam`` is written
+    ``lambda``), a field whose type is a dataclass as a nested object, and a
+    field with a default optional.  The values are checked by cls itself."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _as_tuple(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return (value,)
-
-
-def _as_float(value, name: str) -> float:
-    """float(value) of a JSON number; a bool or a string is an error, not
-    converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _as_optional_float(obj: dict, key: str) -> float | None:
-    return None if obj.get(key) is None else _as_float(obj[key], key)
-
-
-def spec_from_dict(obj: dict) -> DataSpec:
-    _check_keys(obj, _SPEC_KEYS, "spec")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, f in fields.items():
+        if key not in obj:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{where} is missing required key {key!r}")
+            continue
+        value, hint = obj[key], hints[f.name]
+        kwargs[f.name] = _from_dict(hint, value, key) if dataclasses.is_dataclass(hint) else value
     try:
-        return DataSpec(
-            d=_as_integer(obj["d"], "d"),
-            x_family=str(obj["x_family"]),
-            b_x=_as_float(obj["b_x"], "b_x"),
-            y_model=str(obj["y_model"]),
-            beta_star=tuple(_as_float(t, "beta_star") for t in obj["beta_star"]),
-            noise_scale=_as_float(obj.get("noise_scale", 0.0), "noise_scale"),
-            b_y=_as_optional_float(obj, "b_y"),
-            v=_as_optional_float(obj, "v"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"spec is missing required key {exc}") from exc
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"invalid spec: {exc}") from exc
-
-
-def spec_to_dict(spec: DataSpec) -> dict:
-    out = {
-        "d": spec.d,
-        "x_family": spec.x_family,
-        "b_x": spec.b_x,
-        "y_model": spec.y_model,
-        "beta_star": list(spec.beta_star),
-        "noise_scale": spec.noise_scale,
-    }
-    if spec.b_y is not None:
-        out["b_y"] = spec.b_y
-    if spec.v is not None:
-        out["v"] = spec.v
-    return out
-
-
-def algorithm_from_dict(obj: dict) -> AlgorithmConfig:
-    _check_keys(obj, _ALG_KEYS, "algorithm")
-    name = str(obj.get("name", ""))
-    return AlgorithmConfig(
-        name=name,
-        lam=tuple(_as_float(v, "lambda") for v in _as_tuple(obj.get("lambda", ()))),
-        eta=_as_optional_float(obj, "eta"),
-        k=tuple(_as_integer(v, "k") for v in _as_tuple(obj["k"])) if "k" in obj else (),
-    )
-
-
-def algorithm_to_dict(alg: AlgorithmConfig) -> dict:
-    out: dict = {"name": alg.name}
-    if alg.name == "ridge":
-        out["lambda"] = list(alg.lam)
-        out["eta"] = alg.eta
-    else:
-        out["k"] = list(alg.k)
-    return out
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(obj, _CONFIG_KEYS, "config")
-    try:
-        return ExperimentConfig(
-            kind=str(obj["kind"]),
-            spec=spec_from_dict(obj["spec"]),
-            algorithm=algorithm_from_dict(obj["algorithm"]),
-            n_grid=tuple(_as_integer(v, "n_grid") for v in _as_tuple(obj["n_grid"])),
-            q_grid=tuple(_as_float(v, "q_grid") for v in _as_tuple(obj["q_grid"])),
-            x_grid=tuple(_as_float(v, "x_grid") for v in _as_tuple(obj["x_grid"])),
-            reps=_as_integer(obj["reps"], "reps"),
-            test_m=_as_integer(obj["test_m"], "test_m"),
-            base_seed=_as_integer(obj["base_seed"], "base_seed"),
-            out_dir=_as_str(obj["out_dir"], "out_dir"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return _from_dict(ExperimentConfig, obj, "config")
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "spec": spec_to_dict(config.spec),
-        "algorithm": algorithm_to_dict(config.algorithm),
-        "n_grid": list(config.n_grid),
-        "q_grid": list(config.q_grid),
-        "x_grid": list(config.x_grid),
-        "reps": config.reps,
-        "test_m": config.test_m,
-        "base_seed": config.base_seed,
-        "out_dir": config.out_dir,
-    }
+def config_to_dict(config) -> dict:
+    """The JSON object of an ExperimentConfig, or of a config dataclass in
+    it, as config_from_dict reads it; a field that is None or an empty
+    tuple is left out."""
+    out = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if value is None or value == ():
+            continue
+        if dataclasses.is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[_JSON_KEYS.get(f.name, f.name)] = value
+    return out
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -573,12 +498,9 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
                         RidgeStabilityInputs(spec.b_x, param, alg.eta, n, norm)
                     )
                     slack = est.std_error + (2.0 * gamma * norm_se / norm if norm > 0 else 0.0)
-                elif q == 1.0:
-                    gamma, slack = knn_gamma_1(param, n), est.std_error
                 else:
-                    rows.append(SweepRow("knn", q, n, param, est.s_q_hat, est.std_error,
-                                         math.nan, "no_theory"))
-                    continue
+                    # 0-1 cost: S_q = S_1^(1/q) exactly (stability module doc).
+                    gamma, slack = knn_gamma_1(param, n) ** (1.0 / q), est.std_error
                 ok = est.s_q_hat <= gamma + 3.0 * slack
                 rows.append(SweepRow(alg.name, q, n, param, est.s_q_hat, est.std_error,
                                      gamma, "true" if ok else "false"))

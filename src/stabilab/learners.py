@@ -37,7 +37,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_math import solve_regularized
-from .datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
+from .datagen import (
+    DataSpec,
+    Dataset,
+    SeedSpec,
+    _as_float,
+    _as_integer,
+    leave_one_out,
+    sample_dataset,
+)
 
 # 1/(1-s_j) beyond this means the downdated system is numerically singular.
 DOWNDATE_CONDITION_LIMIT = 1e12
@@ -69,6 +77,7 @@ class RidgeAlgorithm:
     lam: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lam", _as_float(self.lam, "lam"))
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be a positive real")
 
@@ -80,6 +89,7 @@ class KnnAlgorithm:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _as_integer(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be >= 1")
 

@@ -18,7 +18,9 @@ Closed forms:
   lam > 1/(eta*(n-1)); the conjunction of both conditions is enforced,
   which is the stricter and therefore safe reading.
 
-* kNN, 0-1 cost (q = 1):  gamma_1 = (4/sqrt(2*pi)) * sqrt(k)/n.
+* kNN, 0-1 cost (q = 1):  gamma_1 = (4/sqrt(2*pi)) * sqrt(k)/n.  A 0-1
+  cost difference is 0 or 1, so |diff|^q = |diff| and S_q = S_1^(1/q):
+  gamma_1^(1/q) bounds S_q for every q >= 1.
 
 ``ridge_param_diff_check`` evaluates both sides of the deterministic
 coefficient-difference inequality that drives the ridge result, so the
@@ -33,7 +35,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset, sample_stack
+from .datagen import (
+    DataSpec,
+    Dataset,
+    SeedSpec,
+    _as_integer,
+    leave_one_out,
+    sample_dataset,
+    sample_stack,
+)
 from .learners import (
     KnnAlgorithm,
     RidgeAlgorithm,
@@ -107,6 +117,8 @@ class StabilityConfig:
     seed: SeedSpec = SeedSpec(0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_integer(self.n, "n"))
+        object.__setattr__(self, "reps", _as_integer(self.reps, "reps"))
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.reps < 2:
@@ -346,5 +358,5 @@ class SweepRow:
     s_q_hat: float
     std_error: float
     gamma_theory: float
-    dominated: str  # "true" | "false" | "skipped" | "no_theory"
+    dominated: str  # "true" | "false" | "skipped"
 

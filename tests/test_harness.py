@@ -29,7 +29,8 @@ from stabilab.harness import (
     run_stability_sweep,
 )
 from stabilab.datagen import DataSpec
-from stabilab.stability import knn_gamma_1
+from stabilab.learners import KnnAlgorithm, RidgeAlgorithm
+from stabilab.stability import StabilityConfig, knn_gamma_1
 
 ZERO_SPEC = DataSpec(
     d=2,
@@ -71,12 +72,48 @@ def make_config(**kwargs):
     return ExperimentConfig(**defaults)
 
 
+# Valid keyword arguments of each config type, every optional field set.
+FULL_SPEC = dict(d=2, x_family="uniform_ball", b_x=1.0, y_model="linear_clipped",
+                 beta_star=(0.4, 0.2), noise_scale=0.2, b_y=0.6, v=0.5)
+RIDGE = dict(name="ridge", lam=(1.0,), eta=0.5)
+KNN = dict(name="knn", k=(3,))
+EXPERIMENT = dict(kind="coverage", spec=DataSpec(**FULL_SPEC), algorithm=AlgorithmConfig(**RIDGE),
+                  n_grid=(20,), q_grid=(2.0,), x_grid=(1.0,), reps=50, test_m=300,
+                  base_seed=1234, out_dir="out")
+
+# A bool, a fraction and a string for integer fields; a bool and a string
+# for float fields; a bool and a number for string fields.  A tuple field
+# takes the bad value as its single entry, as a JSON scalar does.
+INT_BAD, FLOAT_BAD, STR_BAD = (True, 2.5, "3"), (True, "0.5"), (True, 2.5)
+FIELD_CASES = [
+    (DataSpec, FULL_SPEC, {"d": INT_BAD, "x_family": STR_BAD, "b_x": FLOAT_BAD,
+                           "y_model": STR_BAD, "beta_star": FLOAT_BAD,
+                           "noise_scale": FLOAT_BAD, "b_y": FLOAT_BAD, "v": FLOAT_BAD}),
+    (AlgorithmConfig, RIDGE, {"name": STR_BAD, "lam": FLOAT_BAD, "eta": FLOAT_BAD}),
+    (AlgorithmConfig, KNN, {"k": INT_BAD}),
+    (ExperimentConfig, EXPERIMENT, {"kind": STR_BAD, "n_grid": INT_BAD, "q_grid": FLOAT_BAD,
+                                    "x_grid": FLOAT_BAD, "reps": INT_BAD, "test_m": INT_BAD,
+                                    "base_seed": INT_BAD, "out_dir": STR_BAD}),
+    (StabilityConfig, dict(n=10, reps=10), {"n": INT_BAD, "reps": INT_BAD}),
+    (RidgeAlgorithm, dict(lam=1.0), {"lam": FLOAT_BAD}),
+    (KnnAlgorithm, dict(k=3), {"k": INT_BAD}),
+]
+FIELD_PARAMS = [
+    pytest.param(cls, base, field, bad, id=f"{cls.__name__}.{field}={bad!r}")
+    for cls, base, fields in FIELD_CASES
+    for field, bads in fields.items()
+    for bad in bads
+]
+
+
 class TestConfig:
-    def test_round_trip(self):
-        cfg = make_config()
+    @pytest.mark.parametrize("v", [None, 0.05])
+    def test_round_trip(self, v):
+        cfg = make_config(spec=dataclasses.replace(NOISY_SPEC, v=v))
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
-    def test_round_trip_knn(self):
+    @pytest.mark.parametrize("v", [None, 0.3])
+    def test_round_trip_knn(self, v):
         cfg = make_config(
             kind="stability_sweep",
             spec=DataSpec(
@@ -87,6 +124,7 @@ class TestConfig:
                 beta_star=(0.0, 0.0),
                 noise_scale=0.5,
                 b_y=1.0,
+                v=v,
             ),
             algorithm=AlgorithmConfig(name="knn", k=(1, 3)),
             q_grid=(1.0,),
@@ -96,7 +134,35 @@ class TestConfig:
     def test_scalar_lambda_accepted(self):
         obj = config_to_dict(make_config())
         obj["algorithm"]["lambda"] = 1.0
+        obj.update(n_grid=20, q_grid=2.0)
         assert config_from_dict(obj) == make_config()
+        obj["algorithm"] = {"name": "knn", "k": 3}
+        assert config_from_dict(obj).algorithm == AlgorithmConfig(name="knn", k=(3,))
+
+    @pytest.mark.parametrize("cls, base, field, bad", FIELD_PARAMS)
+    def test_bad_field_value_rejected_in_python_and_json(
+        self, tmp_path, capsys, cls, base, field, bad
+    ):
+        # One check per field: a config built in Python and one read from
+        # JSON must name the same instance of the bound, or be refused.
+        json_key = harness._JSON_KEYS.get(field, field) if cls is AlgorithmConfig else field
+        with pytest.raises(ValueError, match=json_key):
+            cls(**{**base, field: bad})
+        where = {DataSpec: "spec", AlgorithmConfig: "algorithm", ExperimentConfig: None}
+        if cls not in where:
+            return
+        algorithm = AlgorithmConfig(**base) if cls is AlgorithmConfig else EXPERIMENT["algorithm"]
+        obj = config_to_dict(
+            ExperimentConfig(**{**EXPERIMENT, "algorithm": algorithm, "out_dir": str(tmp_path)})
+        )
+        (obj if where[cls] is None else obj[where[cls]])[json_key] = bad
+        with pytest.raises(ConfigError, match=json_key):
+            config_from_dict(obj)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["coverage", "--config", str(path)]) == 2
+        assert json_key in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_unknown_keys_rejected(self):
         obj = config_to_dict(make_config())
@@ -287,7 +353,7 @@ class TestStabilitySweep:
         q1 = [r for r in report.rows if r.q == 1.0][0]
         assert q1.gamma_theory == knn_gamma_1(3, 30)
         q2 = [r for r in report.rows if r.q == 2.0][0]
-        assert math.isnan(q2.gamma_theory) and q2.dominated == "no_theory"
+        assert q2.gamma_theory == knn_gamma_1(3, 30) ** 0.5 and q2.dominated == "true"
 
     def test_invalid_lambda_rows_skipped_not_aborted(self):
         cfg = make_config(
@@ -597,6 +663,19 @@ class TestCli:
         bad = tmp_path / "broken.json"
         bad.write_text("{")
         assert cli.main(["coverage", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("where", ["config", "spec", "algorithm"])
+    def test_non_object_section_exit_two(self, tmp_path, capsys, where):
+        # A string used to be read key by key: "ridge" as keys r, i, d, g, e.
+        obj = config_to_dict(make_config(spec=ZERO_SPEC, out_dir=str(tmp_path)))
+        if where == "config":
+            obj = [obj]
+        else:
+            obj[where] = "ridge"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["coverage", "--config", str(path)]) == 2
+        assert f"{where} must be a JSON object" in capsys.readouterr().err
 
     def test_bounded_label_on_gaussian_model_exit_two(self, tmp_path):
         # Gaussian labels are unbounded, so a b_y would wrongly select the

@@ -178,6 +178,16 @@ class TestEmpiricalStability:
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi * (1 + 1e-12)
 
+    @pytest.mark.parametrize("k, n", [(3, 30), (1, 50), (5, 200)])
+    def test_knn_lq_is_the_qth_root_of_l1(self, k, n):
+        # A 0-1 cost difference is 0 or 1, so |diff|^q = |diff| and
+        # S_q = S_1^(1/q) exactly; the sweep checks q > 1 against that.
+        cfg = StabilityConfig(n=n, reps=40, seed=SeedSpec(26))
+        profile = stability_profile(KnnAlgorithm(k), BERNOULLI_SPEC, cfg, (1.0, 2.0, 4.0))
+        assert profile[1.0].s_q_hat > 0.0
+        for q in (2.0, 4.0):
+            assert profile[q].s_q_hat == profile[1.0].s_q_hat ** (1.0 / q)
+
     def test_algorithm_preconditions(self):
         # The algorithm alone fixes the cost, so only its own preconditions
         # are checked: a known algorithm, and 0/1 labels and n >= k + 2 for kNN.
