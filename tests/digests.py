@@ -5,8 +5,9 @@
     PYTHONPATH=src python3 tests/digests.py --check --only c4_ridge_sweep,d_stability_sweep
 
 Emits CSV/JSON/SVG for the five criterion-10 determinism configs of
-``tests/test_acceptance.py`` and for the seed-0 experiment configs of
-``perfbench/workloads.py`` (26 files), each into a temporary directory, and
+``tests/test_acceptance.py``, for the two ``MC_NORM_CONFIGS`` below and for
+the seed-0 experiment configs of ``perfbench/workloads.py`` (30 files),
+each into a temporary directory, and
 compares the sha256 of every file with ``tests/digests.json``.  Each config's
 ``out_dir`` is set to ``"out"`` before the run, so the JSON files do not
 depend on where they were written.  Floating-point results may differ in
@@ -14,7 +15,8 @@ the last bit between numpy/BLAS builds, so the digests are host-specific:
 the environment they were recorded under is stored with them, and a check
 under another environment says so.  ``--only`` checks the files of the
 named configs alone.  Not collected by pytest; ``tests/test_digests.py``
-runs the check of the five determinism configs in the test suite.
+runs the check of the determinism and ``MC_NORM_CONFIGS`` configs in the
+test suite.
 """
 
 from __future__ import annotations
@@ -41,6 +43,28 @@ from stabilab.harness import config_from_dict, emit_report, run_experiment  # no
 FORMATS = ["csv", "json", "svg"]
 
 
+def mc_norm_configs() -> dict:
+    """{label: ExperimentConfig} of a ridge sweep and a bounds table on
+    NOISY_SPEC, whose ||Y||_q has no closed form: the only configs that
+    reach the Monte Carlo norm estimate."""
+    from test_acceptance import NOISY_SPEC
+
+    from stabilab.harness import AlgorithmConfig, ExperimentConfig
+
+    ridge = AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5)
+    common = dict(spec=NOISY_SPEC, algorithm=ridge, x_grid=(1.0, 3.0), test_m=2, out_dir="out")
+    return {
+        "m_stability_sweep": ExperimentConfig(
+            kind="stability_sweep", n_grid=(20,), q_grid=(1.0, 2.0), reps=30, base_seed=36,
+            **common,
+        ),
+        "m_bounds_table": ExperimentConfig(
+            kind="bounds_table", n_grid=(50,), q_grid=(2.0, 4.0), reps=1, base_seed=37,
+            **common,
+        ),
+    }
+
+
 def reference_configs() -> dict:
     """{label: ExperimentConfig}, every out_dir set to "out"."""
     from test_acceptance import DETERMINISM_CONFIGS
@@ -50,6 +74,7 @@ def reference_configs() -> dict:
         f"d_{config.kind}": dataclasses.replace(config, out_dir="out")
         for config in DETERMINISM_CONFIGS
     }
+    configs.update(mc_norm_configs())
     for experiments in WORKLOADS.values():
         for name, _, config in experiments:
             configs[name] = config_from_dict({**config, "out_dir": "out"})

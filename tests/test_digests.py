@@ -1,7 +1,8 @@
 """Byte-identity gate in the test suite: the five criterion-10 determinism
-configs must emit exactly the files whose sha256 ``tests/digests.json``
-records.  The benchmark configs' digests are checked by ``tests/digests.py
---check`` alone, because they take far longer to run."""
+configs and the two Monte Carlo ||Y||_q configs (``digests.mc_norm_configs``)
+must emit exactly the files whose sha256 ``tests/digests.json`` records.
+The benchmark configs' digests are checked by ``tests/digests.py --check``
+alone, because they take far longer to run."""
 
 import json
 
@@ -18,6 +19,8 @@ def test_determinism_configs_match_recorded_digests():
             f"digests were recorded under {recorded}, this host is {env}; "
             "last-bit differences are possible"
         )
-    labels = sorted(label for label in digests.reference_configs() if label.startswith("d_"))
-    assert len(labels) == 5
+    labels = sorted(
+        label for label in digests.reference_configs() if label.startswith(("d_", "m_"))
+    )
+    assert len(labels) == 7
     assert digests.main(["--check", "--only", ",".join(labels)]) == 0
