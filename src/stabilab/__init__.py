@@ -44,12 +44,9 @@ from .harness import (
     run_stability_sweep,
 )
 from .learners import (
-    CostKind,
     KnnAlgorithm,
     MonteCarloEstimate,
     RidgeAlgorithm,
-    RidgeModel,
-    cost,
     knn_classify,
     loo_estimate,
     predict,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -44,16 +44,12 @@ KAPPA = 1.271
 
 @dataclass(frozen=True)
 class GammaSet:
-    """The three constants aggregating (b_x, lam, eta, kappa) that appear in
-    the ridge moment and PAC bounds."""
+    """The three constants aggregating b_x, lam, eta and KAPPA that appear
+    in the ridge moment and PAC bounds."""
 
     gamma1: float
     gamma2: float
     gamma3: float
-    b_x: float
-    lam: float
-    eta: float
-    kappa: float = KAPPA
 
     @property
     def total(self) -> float:
@@ -74,7 +70,7 @@ def gamma_set(b_x: float, lam: float, eta: float) -> GammaSet:
     gamma1 = 8.0 * sk * b2 / lam
     gamma2 = 2.0 * sk * b2 / lam * ((8.0 + math.sqrt(2.0)) * contraction + 4.0 * b2 / lam)
     gamma3 = 2.0 * b2 / lam * contraction
-    return GammaSet(gamma1, gamma2, gamma3, b_x, lam, eta)
+    return GammaSet(gamma1, gamma2, gamma3)
 
 
 def moment_bound_generic(
@@ -236,7 +232,6 @@ def pac_bound_subgaussian(
 STAT_REGISTRY: dict[str, Callable[[Dataset, float], float]] = {
     "constant": lambda data, lam: 0.0,
     "mean": lambda data, lam: float(data.ys.sum() / data.n),
-    "max": lambda data, lam: float(np.max(data.ys)),
     "ridge_loo": lambda data, lam: ridge_loo_fast(data, lam),
 }
 
@@ -244,21 +239,6 @@ STAT_REGISTRY: dict[str, Callable[[Dataset, float], float]] = {
 # Degenerate (constant) statistics measure both sides at machine noise;
 # differences below this absolute floor count as equality.
 _FP_NOISE_FLOOR = 1e-12
-
-
-class EfronSteinResult(NamedTuple):
-    lhs: float
-    rhs: float
-    lhs_std_error: float
-    rhs_std_error: float
-
-    @property
-    def margin(self) -> float:
-        return 3.0 * (self.lhs_std_error + self.rhs_std_error)
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + self.margin + _FP_NOISE_FLOOR
 
 
 def efron_stein_moment_check(
@@ -269,14 +249,16 @@ def efron_stein_moment_check(
     reps: int,
     seed: SeedSpec,
     ridge_lam: float = 1.0,
-) -> EfronSteinResult:
+) -> EfronSteinRow:
     """Monte Carlo check of the generalised Efron-Stein moment inequality.
 
     For the statistic Z = f(Z_1, ..., Z_n) of the dataset, estimates
     lhs = ||Z - EZ||_q and rhs = sqrt(2*KAPPA*q) * sqrt(||sum_j (Z-Z'_j)^2
     ||_{q/2}), where Z'_j replaces point j with an independent copy.  The
     same draws feed the lhs and the inner norm to cut comparison noise;
-    EZ is estimated on an independent stream of doubled size.
+    EZ is estimated on an independent stream of doubled size.  The row
+    passes when lhs is at most rhs plus three standard errors of each side
+    (and the noise floor).
     """
     if f not in STAT_REGISTRY:
         raise ValueError(f"unknown statistic tag {f!r}; known: {sorted(STAT_REGISTRY)}")
@@ -308,12 +290,25 @@ def efron_stein_moment_check(
 
     lhs, lhs_se = power_mean_root(centered_pow, q)
     rhs, rhs_se = power_mean_root(sumsq_pow, q, scale=math.sqrt(2.0 * KAPPA * q))
-    return EfronSteinResult(lhs, rhs, lhs_se, rhs_se)
+    passed = lhs <= rhs + 3.0 * (lhs_se + rhs_se) + _FP_NOISE_FLOOR
+    return EfronSteinRow(f, n, q, lhs, rhs, lhs_se, rhs_se, passed)
 
 
 # ---------------------------------------------------------------------------
-# Bounds table rows
+# Report rows
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EfronSteinRow:
+    f: str
+    n: int
+    q: float
+    lhs: float
+    rhs: float
+    lhs_std_error: float
+    rhs_std_error: float
+    passed: bool
+
 
 @dataclass(frozen=True)
 class BoundsRow:

@@ -4,9 +4,9 @@
         --config <path.json> [--out <dir>] [--seed <u64>] [--reps <int>]
         [--emit csv,json,svg]
 
-Exit codes: 0 success, 2 config error, 3 precondition failure, 4 an
-inequality was empirically violated beyond the Monte Carlo slack (a test
-failure signal, not a crash).
+Exit codes: 0 success, 2 config error, 3 precondition failure (a numerical
+overflow or a failed solve included), 4 an inequality was empirically
+violated beyond the Monte Carlo slack (a test failure signal, not a crash).
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (PreconditionError, ValueError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # An overflow, or a regularised solve that missed its tolerance:
+        # the config's values are beyond float64 range or conditioning.
+        print(f"precondition failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     n_rows = len(report.rows)

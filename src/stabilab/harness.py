@@ -30,6 +30,7 @@ import numpy as np
 
 from .bounds import (
     BoundsRow,
+    EfronSteinRow,
     gamma_set,
     efron_stein_moment_check,
     pac_bound_bounded,
@@ -273,8 +274,8 @@ def _deviation_samples(
         seed_r = n_seed.child(r)
         data = sample_dataset(spec, n, seed_r.child(0))
         loo = ridge_loo_fast(data, lam)
-        model = ridge_fit(data, lam)
-        est, se = prediction_error_mc(model, spec, config.test_m, seed_r.child(1))
+        beta = ridge_fit(data, lam)
+        est, se = prediction_error_mc(beta, spec, config.test_m, seed_r.child(1))
         devs[r] = abs(loo - est)
         max_se = max(max_se, se)
     return devs, max_se
@@ -413,14 +414,14 @@ def run_rate(config: ExperimentConfig) -> Report:
     log_n = np.log(np.asarray(config.n_grid, dtype=np.float64))
     slope = float(np.polyfit(log_n, np.log(medians), 1)[0])
 
+    # One draw per resample covers every sample size: its rows are the
+    # indices that one draw per sample size, in grid order, would give.
     rng = root.child(_BOOTSTRAP_ROLE).generator()
     boot_slopes = np.empty(_BOOTSTRAP_RESAMPLES)
-    reps = config.reps
+    stacked = np.stack(all_devs)
     for b in range(_BOOTSTRAP_RESAMPLES):
-        med_b = np.empty(len(all_devs))
-        for i, devs in enumerate(all_devs):
-            idx = rng.integers(0, reps, size=reps)
-            med_b[i] = np.median(devs[idx])
+        idx = rng.integers(0, config.reps, size=stacked.shape)
+        med_b = np.median(np.take_along_axis(stacked, idx, axis=1), axis=1)
         med_b = np.maximum(med_b, 1e-300)  # guard against degenerate resamples
         boot_slopes[b] = np.polyfit(log_n, np.log(med_b), 1)[0]
     ci_low, ci_high = np.percentile(boot_slopes, [2.5, 97.5])
@@ -438,24 +439,20 @@ def run_rate(config: ExperimentConfig) -> Report:
 # Stability sweep
 # ---------------------------------------------------------------------------
 
-def _y_norm_or_mc(spec: DataSpec, order: float, seed: SeedSpec) -> tuple[float, float]:
-    """(norm, std_error) of ||Y||_order: analytic with zero error where a
-    closed form exists, else a fixed-size Monte Carlo estimate from ``seed``."""
-    try:
-        return y_norm(spec, order), 0.0
-    except ValueError:
-        return y_norm_mc_std_error(spec, order, _YNORM_MC_DRAWS, seed)
-
-
-def _ridge_norm_cache(
-    config: ExperimentConfig, root: SeedSpec
+def _y_norms(
+    spec: DataSpec, orders: Sequence[float], root: SeedSpec
 ) -> dict[float, tuple[float, float]]:
-    """(norm, std_error) of ||Y||_{2q} per q; a Monte Carlo error widens the
-    dominance margin."""
-    return {
-        q: _y_norm_or_mc(config.spec, 2.0 * q, root.child(_YNORM_ROLE).child(qi))
-        for qi, q in enumerate(config.q_grid)
-    }
+    """(norm, std_error) of ||Y||_order per order: the closed form with zero
+    error where one exists, else a fixed-size Monte Carlo estimate on
+    ``root.child(_YNORM_ROLE).child(i)`` for the i-th order."""
+    norms = {}
+    for i, order in enumerate(orders):
+        try:
+            norms[order] = y_norm(spec, order), 0.0
+        except ValueError:
+            seed = root.child(_YNORM_ROLE).child(i)
+            norms[order] = y_norm_mc_std_error(spec, order, _YNORM_MC_DRAWS, seed)
+    return norms
 
 
 def run_stability_sweep(config: ExperimentConfig) -> Report:
@@ -469,7 +466,8 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
 
     if alg.name == "ridge":
         params = list(alg.lam)
-        norms = _ridge_norm_cache(config, root)
+        # ||Y||_{2q} per q; a Monte Carlo error widens the dominance margin.
+        norms = _y_norms(spec, [2.0 * q for q in config.q_grid], root)
     else:
         params = list(alg.k)
 
@@ -493,7 +491,7 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
             for q in config.q_grid:
                 est = profile[q]
                 if alg.name == "ridge":
-                    norm, norm_se = norms[q]
+                    norm, norm_se = norms[2.0 * q]
                     gamma = ridge_gamma_q(
                         RidgeStabilityInputs(spec.b_x, param, alg.eta, n, norm)
                     )
@@ -511,18 +509,6 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
 # Efron-Stein
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EfronSteinRow:
-    f: str
-    n: int
-    q: float
-    lhs: float
-    rhs: float
-    lhs_std_error: float
-    rhs_std_error: float
-    passed: bool
-
-
 def run_efron_stein(config: ExperimentConfig) -> Report:
     if config.kind != "efron_stein":
         raise ConfigError(f"expected kind 'efron_stein', got {config.kind!r}")
@@ -537,12 +523,8 @@ def run_efron_stein(config: ExperimentConfig) -> Report:
         for ni, n in enumerate(config.n_grid):
             for qi, q in enumerate(config.q_grid):
                 seed = root.child(fi).child(ni).child(qi)
-                res = efron_stein_moment_check(
+                rows.append(efron_stein_moment_check(
                     f, config.spec, n, q, config.reps, seed, ridge_lam=ridge_lam
-                )
-                rows.append(EfronSteinRow(
-                    f, n, q, res.lhs, res.rhs, res.lhs_std_error, res.rhs_std_error,
-                    res.passed,
                 ))
     # rhs == 0 exactly: no swap moved the statistic on any draw, so the row
     # checks nothing.  The "constant" statistic is that case by design.
@@ -578,24 +560,21 @@ def run_bounds_table(config: ExperimentConfig) -> Report:
     spec = config.spec
     gammas = gamma_set(spec.b_x, lam, eta)
     envelope = _deviation_envelope(spec, lam)
-    root = config.root_seed()
-
-    norm_cache: dict[float, float] = {}
-
-    def norm(q: float) -> float:
-        if q not in norm_cache:
-            seed = root.child(_YNORM_ROLE).child(len(norm_cache))
-            norm_cache[q] = _y_norm_or_mc(spec, q, seed)[0]
-        return norm_cache[q]
+    domain_ok = {n: not ridge_corollary_violations(spec.b_x, lam, eta, n) for n in config.n_grid}
+    # ||Y||_q and ||Y||_{2q} of the moment rows, in order of first use; none
+    # when no n is in the domain, as then no moment row is made.
+    orders = [o for q in config.q_grid if q >= 2.0 for o in (q, 2.0 * q)]
+    if not any(domain_ok.values()):
+        orders = []
+    norms = _y_norms(spec, list(dict.fromkeys(orders)), config.root_seed())
 
     rows: list[BoundsRow] = []
     v = spec.subgaussian_v()
     for n in config.n_grid:
-        domain_ok = not ridge_corollary_violations(spec.b_x, lam, eta, n)
         for q in config.q_grid:
-            if q < 2.0 or not domain_ok:
+            if q < 2.0 or not domain_ok[n]:
                 continue
-            nq, n2q = norm(q), norm(2.0 * q)
+            nq, n2q = norms[q][0], norms[2.0 * q][0]
             for name, centered in (
                 ("ridge_moment_centered", True),
                 ("ridge_moment_uncentered", False),

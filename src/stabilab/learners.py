@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -49,25 +48,6 @@ from .datagen import (
 
 # 1/(1-s_j) beyond this means the downdated system is numerically singular.
 DOWNDATE_CONDITION_LIMIT = 1e12
-
-
-class CostKind(Enum):
-    """Closed enum of supported cost functions."""
-
-    SQUARED = "squared"
-    ZERO_ONE = "zero_one"
-
-
-@dataclass(frozen=True)
-class RidgeModel:
-    """Fitted ridge coefficients with the regularisation and sample size used."""
-
-    beta: tuple[float, ...]
-    lam: float
-    n_fit: int
-
-    def beta_array(self) -> np.ndarray:
-        return np.asarray(self.beta, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -102,18 +82,17 @@ def ridge_fit_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
     return solve_regularized(xt @ xs / n, lam, (xt @ ys[..., None])[..., 0] / n)
 
 
-def ridge_fit(data: Dataset, lam: float) -> RidgeModel:
-    """Closed-form ridge fit; symmetric in the training points."""
+def ridge_fit(data: Dataset, lam: float) -> np.ndarray:
+    """Closed-form ridge coefficients, shape (d,); symmetric in the
+    training points."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lam must be a positive real")
-    beta = ridge_fit_stacked(data.xs[None], data.ys[None], lam)[0]
-    return RidgeModel(beta=tuple(float(b) for b in beta), lam=lam, n_fit=data.n)
+    return ridge_fit_stacked(data.xs[None], data.ys[None], lam)[0]
 
 
-def predict(model: RidgeModel, x) -> float:
+def predict(beta: np.ndarray, x) -> float:
     """Inner product of the fitted coefficients with x."""
     x = np.asarray(x, dtype=np.float64)
-    beta = model.beta_array()
     if x.shape != beta.shape:
         raise ValueError(f"dimension mismatch: beta {beta.shape}, x {x.shape}")
     return float(beta @ x)
@@ -124,17 +103,6 @@ def ridge_objective(data: Dataset, lam: float, beta) -> float:
     beta = np.asarray(beta, dtype=np.float64)
     residuals = data.ys - data.xs @ beta
     return float(np.mean(residuals**2) + lam * float(beta @ beta))
-
-
-def cost(kind: CostKind, y_hat: float, y: float) -> float:
-    """Pointwise cost: squared error or 0-1 disagreement."""
-    if kind is CostKind.SQUARED:
-        return float((y_hat - y) ** 2)
-    if kind is CostKind.ZERO_ONE:
-        if y_hat not in (0.0, 1.0) or y not in (0.0, 1.0):
-            raise ValueError("zero_one cost requires arguments in {0, 1}")
-        return float(y_hat != y)
-    raise ValueError(f"unknown cost kind {kind!r}")
 
 
 def neighbor_order(data: Dataset, x) -> np.ndarray:
@@ -224,27 +192,29 @@ def _ridge_loo_betas(data: Dataset, lam: float) -> np.ndarray:
     """All n leave-one-out coefficient vectors, betas[j] = refit without point j.
 
     Exact: downdates where stable, naive refits elsewhere.  C-ordered, so
-    a row's dot product rounds as that of a fitted model's coefficients.
+    a row's dot product rounds as that of the coefficients ridge_fit returns.
     """
     betas, unstable = ridge_loo_betas_stacked(data.xs[None], data.ys[None], lam)
     betas = np.ascontiguousarray(betas[0])
     for j in np.flatnonzero(unstable[0]):
-        betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam).beta_array()
+        betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam)
     return betas
 
 
-def loo_estimate(algorithm, data: Dataset, kind: CostKind) -> float:
+def loo_estimate(algorithm, data: Dataset) -> float:
     """Leave-one-out risk: average cost at each point of the model refit
-    on the sample without it.  Naive implementation (n full refits)."""
+    on the sample without it, squared error for ridge and 0-1 loss for
+    kNN.  Naive implementation (n full refits)."""
     n = data.n
     if isinstance(algorithm, RidgeAlgorithm):
         if n < 2:
             raise ValueError("ridge leave-one-out needs n >= 2")
         total = 0.0
         for j in range(1, n + 1):
-            model = ridge_fit(leave_one_out(data, j), algorithm.lam)
-            y_hat = predict(model, data.xs[j - 1])
-            total += cost(kind, y_hat, float(data.ys[j - 1]))
+            beta = ridge_fit(leave_one_out(data, j), algorithm.lam)
+            y_hat = predict(beta, data.xs[j - 1])
+            y = float(data.ys[j - 1])
+            total += float((y_hat - y) ** 2)
         return total / n
     if isinstance(algorithm, KnnAlgorithm):
         if n < algorithm.k + 2:
@@ -252,7 +222,8 @@ def loo_estimate(algorithm, data: Dataset, kind: CostKind) -> float:
         total = 0.0
         for j in range(1, n + 1):
             y_hat = knn_classify(leave_one_out(data, j), algorithm, data.xs[j - 1])
-            total += cost(kind, y_hat, float(data.ys[j - 1]))
+            y = float(data.ys[j - 1])
+            total += float(y_hat != y)
         return total / n
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -260,7 +231,7 @@ def loo_estimate(algorithm, data: Dataset, kind: CostKind) -> float:
 def ridge_loo_fast(data: Dataset, lam: float) -> float:
     """Rank-one-downdate leave-one-out risk for ridge with squared cost.
 
-    Exactly equals loo_estimate(RidgeAlgorithm(lam), data, SQUARED); the
+    Exactly equals loo_estimate(RidgeAlgorithm(lam), data); the
     shortcut residual (y_j - x_j'g)/(1 - s_j) is used where stable and the
     naive refit of ``_ridge_loo_betas`` elsewhere.
     """
@@ -285,14 +256,15 @@ class MonteCarloEstimate(NamedTuple):
 
 
 def prediction_error_mc(
-    model: RidgeModel, spec: DataSpec, m: int, seed: SeedSpec
+    beta: np.ndarray, spec: DataSpec, m: int, seed: SeedSpec
 ) -> MonteCarloEstimate:
-    """Monte Carlo squared prediction error of a ridge model on m fresh
-    draws from spec, with its standard error; deterministic given the seed."""
+    """Monte Carlo squared prediction error of the ridge coefficients beta
+    on m fresh draws from spec, with its standard error; deterministic
+    given the seed."""
     if m < 2:
         raise ValueError("m must be >= 2")
     test = sample_dataset(spec, m, seed)
-    costs = test.xs @ model.beta_array()
+    costs = test.xs @ beta
     costs -= test.ys
     costs *= costs
     # np.mean and np.std(ddof=1) run these reductions, in this order.

@@ -137,7 +137,7 @@ def _ridge_cost_diffs_stacked(
     """|squared cost of the full fit - that of each LoO refit| at the test
     point of every sample of a stack, shape (m, n)."""
     # The stacked matmul rounds as predict()'s beta @ x (einsum does not),
-    # and cost() squares a Python float with libm's pow, which
+    # and loo_estimate squares a Python float with libm's pow, which
     # np.float_power calls too; x * x differs on ~0.1% of values.
     full = ridge_fit_stacked(xs, ys, lam)
     c_full = np.float_power((full[:, None, :] @ x[..., None])[:, 0, 0] - y, 2.0)
@@ -281,8 +281,8 @@ def ridge_param_diff_check(
     if not 1 <= j <= n:
         raise ValueError(f"index j={j} out of range 1..{n}")
 
-    beta_full = ridge_fit(data, lam).beta_array()
-    beta_loo = ridge_fit(leave_one_out(data, j), lam).beta_array()
+    beta_full = ridge_fit(data, lam)
+    beta_loo = ridge_fit(leave_one_out(data, j), lam)
     lhs = float(np.linalg.norm(beta_full - beta_loo))
 
     abs_y = np.abs(data.ys)

@@ -33,7 +33,6 @@ from stabilab.harness import (
     run_stability_sweep,
 )
 from stabilab.learners import (
-    CostKind,
     RidgeAlgorithm,
     loo_estimate,
     ridge_fit,
@@ -105,7 +104,7 @@ def test_criterion_1_ridge_gradient():
     for seed in range(50):
         data, rng = _random_instance(seed, max_n=256)
         lam = float(rng.uniform(0.05, 2.0))
-        beta = ridge_fit(data, lam).beta_array()
+        beta = ridge_fit(data, lam)
         obj = ridge_objective(data, lam, beta)
         h = 1e-6
         grad = np.empty_like(beta)
@@ -129,7 +128,7 @@ def test_criterion_2_loo_oracle_equivalence():
         data, rng = _random_instance(seed)
         lam = float(rng.uniform(0.05, 3.0))
         fast = ridge_loo_fast(data, lam)
-        naive = loo_estimate(RidgeAlgorithm(lam), data, CostKind.SQUARED)
+        naive = loo_estimate(RidgeAlgorithm(lam), data)
         worst = max(worst, abs(fast - naive) / max(naive, 1e-300))
     assert worst <= 1e-9
 
@@ -140,7 +139,7 @@ def test_criterion_2_loo_oracle_equivalence():
     hand_oracle = ((0.0 - 2.0 / 2.0) ** 2 + (2.0 - 0.0 / 2.0) ** 2) / 2.0
     assert hand_oracle == 2.5
     assert ridge_loo_fast(hand, 1.0) == pytest.approx(hand_oracle, rel=1e-12)
-    assert loo_estimate(RidgeAlgorithm(1.0), hand, CostKind.SQUARED) == pytest.approx(
+    assert loo_estimate(RidgeAlgorithm(1.0), hand) == pytest.approx(
         hand_oracle, rel=1e-12
     )
     elapsed = time.monotonic() - start

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabilab import cli, harness
@@ -307,6 +308,24 @@ class TestRate:
         assert fit["slope"] < 0.0
         assert fit["slope_ci_low"] <= fit["slope"] <= fit["slope_ci_high"]
         assert len(report.rows) == 4
+
+    def test_bootstrap_matches_one_draw_per_sample_size(self, monkeypatch):
+        # A resample draws all sample sizes' indices at once; the interval
+        # must be that of one draw per size, in grid order (odd reps too).
+        reps, n_grid = 101, (8, 16, 32, 64)
+        rng = np.random.default_rng(5)
+        devs = {n: rng.random(reps) for n in n_grid}
+        monkeypatch.setattr(harness, "_deviation_samples", lambda config, n, seed: (devs[n], 0.0))
+        cfg = make_config(kind="rate", n_grid=n_grid, reps=reps, base_seed=3)
+        fit = run_rate(cfg).extras
+        gen = cfg.root_seed().child(harness._BOOTSTRAP_ROLE).generator()
+        log_n = np.log(np.asarray(n_grid, dtype=np.float64))
+        slopes = []
+        for _ in range(harness._BOOTSTRAP_RESAMPLES):
+            med = [np.median(devs[n][gen.integers(0, reps, size=reps)]) for n in n_grid]
+            slopes.append(np.polyfit(log_n, np.log(np.maximum(med, 1e-300)), 1)[0])
+        low, high = np.percentile(slopes, [2.5, 97.5])
+        assert (fit["slope_ci_low"], fit["slope_ci_high"]) == (float(low), float(high))
 
     def test_grid_preconditions(self):
         with pytest.raises(PreconditionError, match="4 sample"):
@@ -855,6 +874,38 @@ class TestCli:
         assert "precondition failure" in err and str(blocker) in err
         assert blocker.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "not_a_dir"]
+
+    def test_overflowing_label_bound_exit_three(self, tmp_path, capsys):
+        # b_y = 1e308 passes DataSpec, then b_y**2 in pac_bound_bounded
+        # raises OverflowError, which escaped the CLI as a traceback with
+        # exit 1.
+        obj = config_to_dict(make_config(
+            kind="bounds_table", n_grid=(50,), x_grid=(1.0,), reps=1,
+            out_dir=str(tmp_path / "out"),
+        ))
+        obj["spec"]["b_y"] = 1e308
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["bounds-table", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("precondition failure: OverflowError")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_regularised_solve_exit_three(self, tmp_path, capsys, monkeypatch):
+        # With a zero residual tolerance the first ridge fit's solve fails
+        # its check and raises ArithmeticError.
+        from stabilab import core_math
+
+        monkeypatch.setattr(core_math, "SOLVE_RESIDUAL_RTOL", 0.0)
+        cfg = make_config(out_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["coverage", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("precondition failure: ArithmeticError: regularised solve residual")
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("emit", ["csv,jsn", "", " , ", "pdf"])
     def test_bad_emit_list_exit_two_before_the_run(self, tmp_path, capsys, monkeypatch, emit):

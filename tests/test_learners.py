@@ -6,11 +6,8 @@ import pytest
 
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
-    CostKind,
     KnnAlgorithm,
     RidgeAlgorithm,
-    RidgeModel,
-    cost,
     knn_classify,
     loo_estimate,
     predict,
@@ -34,14 +31,15 @@ class TestRidgeFit:
     def test_constant_design_forced_coefficient(self):
         # d=1, all x=1, all y=2, lam=1: (1 + 1) beta = 2 so beta = 1.
         data = Dataset(np.ones((5, 1)), np.full(5, 2.0))
-        model = ridge_fit(data, 1.0)
-        assert model.beta[0] == pytest.approx(1.0, rel=1e-12)
+        beta = ridge_fit(data, 1.0)
+        assert beta.shape == (1,) and beta.dtype == np.float64
+        assert beta[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_heavy_shrinkage_limit(self):
         data = random_instance(0)
-        model = ridge_fit(data, 1e9)
+        beta = ridge_fit(data, 1e9)
         scale = float(np.max(np.abs(data.ys)))
-        assert np.linalg.norm(model.beta) <= 1e-6 * scale
+        assert np.linalg.norm(beta) <= 1e-6 * scale
 
     def test_hand_solved_two_dim_instance(self):
         # X = ((1,0),(0,1),(1,1)), Y = (1,2,3), lam = 0.5.
@@ -51,16 +49,15 @@ class TestRidgeFit:
         data = Dataset(
             np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 3.0])
         )
-        model = ridge_fit(data, 0.5)
-        np.testing.assert_allclose(model.beta, [0.8, 1.2], rtol=1e-10)
+        np.testing.assert_allclose(ridge_fit(data, 0.5), [0.8, 1.2], rtol=1e-10)
 
     def test_permutation_invariance(self):
         data = random_instance(1)
         rng = np.random.default_rng(99)
         perm = rng.permutation(data.n)
         shuffled = Dataset(data.xs[perm], data.ys[perm])
-        b1 = ridge_fit(data, 0.3).beta_array()
-        b2 = ridge_fit(shuffled, 0.3).beta_array()
+        b1 = ridge_fit(data, 0.3)
+        b2 = ridge_fit(shuffled, 0.3)
         np.testing.assert_allclose(b1, b2, rtol=1e-12, atol=1e-12)
 
     def test_rejects_bad_lambda(self):
@@ -76,7 +73,7 @@ class TestRidgeFit:
         for seed in range(50):
             data = random_instance(seed, max_n=256)
             lam = float(np.random.default_rng(seed + 1000).uniform(0.05, 2.0))
-            beta = ridge_fit(data, lam).beta_array()
+            beta = ridge_fit(data, lam)
             obj = ridge_objective(data, lam, beta)
             h = 1e-6
             grad = np.empty_like(beta)
@@ -103,43 +100,28 @@ class TestRidgeFit:
         for seed in range(30):
             data = sample_dataset(spec, 40, SeedSpec(seed))
             lam = 0.25
-            beta = ridge_fit(data, lam).beta_array()
+            beta = ridge_fit(data, lam)
             bound = spec.b_x / (data.n * lam) * float(np.sum(np.abs(data.ys)))
             assert np.linalg.norm(beta) <= bound * (1 + 1e-10)
 
 
-class TestPredictAndCost:
+class TestPredict:
     def test_zero_coefficients(self):
-        model = RidgeModel(beta=(0.0, 0.0), lam=1.0, n_fit=3)
-        assert predict(model, np.array([5.0, -2.0])) == 0.0
+        assert predict(np.zeros(2), np.array([5.0, -2.0])) == 0.0
 
     def test_simple_inner_product(self):
-        model = RidgeModel(beta=(1.0, 1.0), lam=1.0, n_fit=3)
-        assert predict(model, np.array([2.0, 3.0])) == 5.0
+        assert predict(np.array([1.0, 1.0]), np.array([2.0, 3.0])) == 5.0
 
     def test_matches_manual_dot(self):
         rng = np.random.default_rng(3)
         beta = rng.standard_normal(4)
         x = rng.standard_normal(4)
-        model = RidgeModel(beta=tuple(beta), lam=0.5, n_fit=10)
         manual = sum(b * xi for b, xi in zip(beta, x))
-        assert predict(model, x) == pytest.approx(manual, rel=1e-12)
+        assert predict(beta, x) == pytest.approx(manual, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        model = RidgeModel(beta=(1.0,), lam=1.0, n_fit=2)
         with pytest.raises(ValueError):
-            predict(model, np.array([1.0, 2.0]))
-
-    def test_cost_values(self):
-        assert cost(CostKind.SQUARED, 3.0, 1.0) == 4.0
-        assert cost(CostKind.ZERO_ONE, 1.0, 1.0) == 0.0
-        assert cost(CostKind.ZERO_ONE, 0.0, 1.0) == 1.0
-
-    def test_zero_one_requires_binary(self):
-        with pytest.raises(ValueError):
-            cost(CostKind.ZERO_ONE, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            cost(CostKind.ZERO_ONE, 1.0, 2.0)
+            predict(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestKnnClassify:
@@ -191,7 +173,7 @@ class TestKnnClassify:
 class TestLooEstimate:
     def test_ridge_zero_labels(self):
         data = Dataset(np.random.default_rng(4).uniform(-1, 1, (6, 2)), np.zeros(6))
-        assert loo_estimate(RidgeAlgorithm(1.0), data, CostKind.SQUARED) == 0.0
+        assert loo_estimate(RidgeAlgorithm(1.0), data) == 0.0
 
     def test_two_point_hand_case(self):
         # d=1, X=(1,1), Y=(0,2), lam=1.  A one-point fit solves
@@ -202,7 +184,7 @@ class TestLooEstimate:
         b_without_2 = 0.0 / 2.0
         expected = ((0.0 - b_without_1 * 1.0) ** 2 + (2.0 - b_without_2 * 1.0) ** 2) / 2
         assert expected == 2.5
-        assert loo_estimate(RidgeAlgorithm(1.0), data, CostKind.SQUARED) == pytest.approx(
+        assert loo_estimate(RidgeAlgorithm(1.0), data) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -210,34 +192,52 @@ class TestLooEstimate:
         xs = np.array([[0.0], [0.1], [10.0], [10.1]])
         ys = np.array([0.0, 0.0, 1.0, 1.0])
         data = Dataset(xs, ys)
-        assert loo_estimate(KnnAlgorithm(1), data, CostKind.ZERO_ONE) == 0.0
+        assert loo_estimate(KnnAlgorithm(1), data) == 0.0
 
     def test_invariant_under_permutation(self):
         rng = np.random.default_rng(17)
         data = Dataset(rng.uniform(-1, 1, (12, 2)), rng.standard_normal(12))
-        base = loo_estimate(RidgeAlgorithm(0.4), data, CostKind.SQUARED)
+        base = loo_estimate(RidgeAlgorithm(0.4), data)
         labels = (rng.random(12) < 0.5) * 1.0
         knn_data = Dataset(data.xs, labels)
-        knn_base = loo_estimate(KnnAlgorithm(3), knn_data, CostKind.ZERO_ONE)
+        knn_base = loo_estimate(KnnAlgorithm(3), knn_data)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(12)
             shuffled = Dataset(data.xs[perm], data.ys[perm])
-            assert loo_estimate(
-                RidgeAlgorithm(0.4), shuffled, CostKind.SQUARED
-            ) == pytest.approx(base, rel=1e-12)
+            assert loo_estimate(RidgeAlgorithm(0.4), shuffled) == pytest.approx(base, rel=1e-12)
             knn_shuffled = Dataset(knn_data.xs[perm], knn_data.ys[perm])
-            assert (
-                loo_estimate(KnnAlgorithm(3), knn_shuffled, CostKind.ZERO_ONE)
-                == knn_base
-            )
+            assert loo_estimate(KnnAlgorithm(3), knn_shuffled) == knn_base
 
     def test_preconditions(self):
         single = Dataset(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
-            loo_estimate(RidgeAlgorithm(1.0), single, CostKind.SQUARED)
+            loo_estimate(RidgeAlgorithm(1.0), single)
         small = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            loo_estimate(KnnAlgorithm(1), small, CostKind.ZERO_ONE)
+            loo_estimate(KnnAlgorithm(1), small)
+
+    def test_cost_is_squared_for_ridge_and_zero_one_for_knn(self):
+        # d=1, X=(1,1,1), Y=(0,0,3), lam=1: a two-point fit solves
+        # (2 + 2) b = sum y, so the held-out predictions are 3/4, 3/4 and
+        # 0, and the squared errors (3/4)^2, (3/4)^2 and 3^2 average to 27/8.
+        ones = np.ones((3, 1))
+        ridge_data = Dataset(ones, np.array([0.0, 0.0, 3.0]))
+        assert loo_estimate(RidgeAlgorithm(1.0), ridge_data) == pytest.approx(27 / 8, rel=1e-12)
+        # 1-NN over 0, 1, 3, 10 with labels 0, 1, 1, 1: the held-out points
+        # take the labels of 1, 0, 1 and 3, so points 0 and 1 are wrong.
+        knn_data = Dataset(np.array([[0.0], [1.0], [3.0], [10.0]]), np.array([0.0, 1.0, 1.0, 1.0]))
+        assert loo_estimate(KnnAlgorithm(1), knn_data) == 0.5
+
+    def test_knn_requires_binary_labels(self):
+        # A label outside {0, 1} is rejected wherever it sits, the held-out
+        # point included: it is a training label of every other refit.
+        xs = np.array([[0.0], [1.0], [2.0], [3.0]])
+        for bad in (0.5, 2.0):
+            for j in range(4):
+                ys = np.array([0.0, 1.0, 0.0, 1.0])
+                ys[j] = bad
+                with pytest.raises(ValueError, match="labels in"):
+                    loo_estimate(KnnAlgorithm(1), Dataset(xs, ys))
 
 
 class TestRidgeLooFast:
@@ -255,7 +255,7 @@ class TestRidgeLooFast:
             data = random_instance(seed)
             lam = float(np.random.default_rng(seed + 500).uniform(0.05, 3.0))
             fast = ridge_loo_fast(data, lam)
-            naive = loo_estimate(RidgeAlgorithm(lam), data, CostKind.SQUARED)
+            naive = loo_estimate(RidgeAlgorithm(lam), data)
             worst = max(worst, abs(fast - naive) / max(naive, 1e-300))
         assert worst <= 1e-9
 
@@ -307,11 +307,11 @@ class TestRidgeLooFast:
         *_, unstable = _reference_downdate(data, lam)
         assert unstable.any()
         fast = ridge_loo_fast(data, lam)
-        naive = loo_estimate(RidgeAlgorithm(lam), data, CostKind.SQUARED)
+        naive = loo_estimate(RidgeAlgorithm(lam), data)
         assert fast == pytest.approx(naive, rel=1e-9)
         betas = _ridge_loo_betas(data, lam)
         for j in range(data.n):
-            refit = ridge_fit(leave_one_out(data, j + 1), lam).beta_array()
+            refit = ridge_fit(leave_one_out(data, j + 1), lam)
             np.testing.assert_allclose(betas[j], refit, rtol=1e-9)
 
 
@@ -325,8 +325,7 @@ class TestPredictionErrorMc:
             beta_star=(0.5, -0.25),
             noise_scale=0.0,
         )
-        model = RidgeModel(beta=(0.5, -0.25), lam=1.0, n_fit=10)
-        est, se = prediction_error_mc(model, spec, 100, SeedSpec(6))
+        est, se = prediction_error_mc(np.array([0.5, -0.25]), spec, 100, SeedSpec(6))
         assert est == pytest.approx(0.0, abs=1e-25)
 
     def test_constant_labels_constant_cost(self):
@@ -341,8 +340,7 @@ class TestPredictionErrorMc:
             noise_scale=0.0,
             b_y=2.0,
         )
-        model = RidgeModel(beta=(0.0,), lam=1.0, n_fit=10)
-        est, se = prediction_error_mc(model, spec, 64, SeedSpec(7))
+        est, se = prediction_error_mc(np.zeros(1), spec, 64, SeedSpec(7))
         assert est == 4.0
         assert se == 0.0
 
@@ -356,17 +354,17 @@ class TestPredictionErrorMc:
             noise_scale=0.2,
             b_y=1.0,
         )
-        model = RidgeModel(beta=(0.1, 0.2), lam=0.5, n_fit=20)
-        first = prediction_error_mc(model, spec, 500, SeedSpec(8))
-        second = prediction_error_mc(model, spec, 500, SeedSpec(8))
+        beta = np.array([0.1, 0.2])
+        first = prediction_error_mc(beta, spec, 500, SeedSpec(8))
+        second = prediction_error_mc(beta, spec, 500, SeedSpec(8))
         assert first == second
         # Bit for bit the np.mean / np.std(ddof=1) of the squared residuals.
         for x_family in ("uniform_cube", "uniform_ball"):
             spec_x = dataclasses.replace(spec, x_family=x_family)
             for m in (2, 3, 500, 20000):
-                got = prediction_error_mc(model, spec_x, m, SeedSpec(m))
+                got = prediction_error_mc(beta, spec_x, m, SeedSpec(m))
                 test = sample_dataset(spec_x, m, SeedSpec(m))
-                costs = (test.xs @ model.beta_array() - test.ys) ** 2
+                costs = (test.xs @ beta - test.ys) ** 2
                 assert got.estimate == float(np.mean(costs))
                 assert got.std_error == float(np.std(costs, ddof=1) / math.sqrt(m))
 
@@ -379,6 +377,5 @@ class TestPredictionErrorMc:
             beta_star=(0.0,),
             noise_scale=1.0,
         )
-        model = RidgeModel(beta=(0.0,), lam=1.0, n_fit=5)
         with pytest.raises(ValueError):
-            prediction_error_mc(model, spec, 1, SeedSpec(10))
+            prediction_error_mc(np.zeros(1), spec, 1, SeedSpec(10))

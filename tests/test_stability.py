@@ -240,8 +240,8 @@ def _reference_loo_fast(data, lam):
     ys = data.ys
     sq = ((ys - h) / np.where(unstable, 1.0, one_minus_s)) ** 2
     for j in np.flatnonzero(unstable):
-        model = ridge_fit(leave_one_out(data, int(j) + 1), lam)
-        sq[j] = (ys[j] - predict(model, data.xs[j])) ** 2
+        beta = ridge_fit(leave_one_out(data, int(j) + 1), lam)
+        sq[j] = (ys[j] - predict(beta, data.xs[j])) ** 2
     return float(sq.sum() / data.n)
 
 
@@ -318,7 +318,7 @@ class TestStackedKernels:
         for r in range(m):
             data = Dataset(xs[r], ys[r])
             assert np.array_equal(full[r], _reference_beta(xs[r], ys[r], lam))
-            assert np.array_equal(ridge_fit(data, lam).beta_array(), full[r])
+            assert np.array_equal(ridge_fit(data, lam), full[r])
             assert np.array_equal(unstable[r], _reference_downdate(data, lam)[-1])
             assert np.array_equal(betas[r], _reference_loo_betas(data, lam))
             assert ridge_loo_fast(data, lam) == _reference_loo_fast(data, lam)
@@ -417,8 +417,8 @@ class TestStackedKernels:
         powered = []
         for data, test in draws:
             x, y = test.xs[0], float(test.ys[0])
-            c_full = (ridge_fit(data, lam).beta_array() @ x - y) ** 2
-            c_loo = [(ridge_fit(leave_one_out(data, j), lam).beta_array() @ x - y) ** 2
+            c_full = (ridge_fit(data, lam) @ x - y) ** 2
+            c_loo = [(ridge_fit(leave_one_out(data, j), lam) @ x - y) ** 2
                      for j in range(1, n + 1)]
             powered.append(np.mean(np.abs(c_full - np.asarray(c_loo)) ** q))
         assert est.s_q_hat == pytest.approx(power_mean_root(np.asarray(powered), q)[0],
