@@ -31,7 +31,15 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import DataSpec, Dataset, SeedSpec, replace_point, sample_dataset
+from .datagen import (
+    DataSpec,
+    Dataset,
+    SeedSpec,
+    _chunk_reps,
+    _unchecked_dataset,
+    replace_point,
+    sample_stack,
+)
 from .learners import ridge_loo_fast
 from .stability import power_mean_root
 
@@ -268,25 +276,39 @@ def efron_stein_moment_check(
         raise ValueError("reps must be >= 2")
     stat = STAT_REGISTRY[f]
 
+    # Every dataset is drawn from its own seed stream, exactly as it would
+    # be alone: the EZ samples from seed.child(0).child(r), and the data
+    # and fresh points from seed.child(1).child(r).child(0) and .child(1).
+    # A chunk is drawn with sample_stack, which checks the whole stack for
+    # finite values, so its rows are wrapped without a second check.  The
+    # swaps still run one replace_point and one statistic call each.
+    chunk = _chunk_reps(n, spec.d)
     mean_seed = seed.child(0)
     ez_vals = np.empty(2 * reps)
-    for r in range(2 * reps):
-        ez_vals[r] = stat(sample_dataset(spec, n, mean_seed.child(r)), ridge_lam)
+    for start in range(0, 2 * reps, chunk):
+        stop = min(start + chunk, 2 * reps)
+        # No name holds the stack, so it is freed before the next is drawn.
+        ez_vals[start:stop] = [
+            stat(_unchecked_dataset(x, y), ridge_lam)
+            for x, y in zip(*sample_stack(spec, n, mean_seed.child_seeds(start, stop)))
+        ]
     ez = float(np.mean(ez_vals))
 
     main_seed = seed.child(1)
     centered_pow = np.empty(reps)
     sumsq_pow = np.empty(reps)
-    for r in range(reps):
-        seed_r = main_seed.child(r)
-        data = sample_dataset(spec, n, seed_r.child(0))
-        fresh = sample_dataset(spec, n, seed_r.child(1))
-        z = stat(data, ridge_lam)
-        sumsq = 0.0
-        for j, z_new in enumerate(zip(fresh.xs, fresh.ys.tolist()), start=1):
-            sumsq += (z - stat(replace_point(data, j, z_new), ridge_lam)) ** 2
-        centered_pow[r] = abs(z - ez) ** q
-        sumsq_pow[r] = sumsq ** (q / 2.0)
+    for start in range(0, reps, chunk):
+        stop = min(start + chunk, reps)
+        xs, ys = sample_stack(spec, n, main_seed.grandchild_seeds(start, stop, 0))
+        fresh_xs, fresh_ys = sample_stack(spec, n, main_seed.grandchild_seeds(start, stop, 1))
+        for i in range(stop - start):
+            data = _unchecked_dataset(xs[i], ys[i])
+            z = stat(data, ridge_lam)
+            sumsq = 0.0
+            for j, z_new in enumerate(zip(fresh_xs[i], fresh_ys[i].tolist()), start=1):
+                sumsq += (z - stat(replace_point(data, j, z_new), ridge_lam)) ** 2
+            centered_pow[start + i] = abs(z - ez) ** q
+            sumsq_pow[start + i] = sumsq ** (q / 2.0)
 
     lhs, lhs_se = power_mean_root(centered_pow, q)
     rhs, rhs_se = power_mean_root(sumsq_pow, q, scale=math.sqrt(2.0 * KAPPA * q))

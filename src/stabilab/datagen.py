@@ -110,13 +110,19 @@ class SeedSpec:
         """Sub-stream rooted at this stream's derived seed."""
         return SeedSpec(self.derived_seed(), stream_index)
 
+    def child_seeds(self, start: int, stop: int) -> np.ndarray:
+        """child(r).derived_seed() for r in range(start, stop), as a uint64
+        array, without building the SeedSpecs."""
+        if not 0 <= start <= stop:
+            raise ValueError("child_seeds needs 0 <= start <= stop")
+        return _mix64(self.derived_seed(), np.arange(start, stop, dtype=np.uint64))
+
     def grandchild_seeds(self, start: int, stop: int, stream_index: int) -> np.ndarray:
         """child(r).child(stream_index).derived_seed() for r in range(start,
         stop), as a uint64 array, without building the SeedSpecs."""
         if not 0 <= start <= stop or stream_index < 0:
             raise ValueError("grandchild_seeds needs 0 <= start <= stop and stream_index >= 0")
-        children = _mix64(self.derived_seed(), np.arange(start, stop, dtype=np.uint64))
-        return _mix64(children, stream_index)
+        return _mix64(self.child_seeds(start, stop), stream_index)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.derived_seed()))
@@ -394,6 +400,17 @@ def sample_dataset(spec: DataSpec, n: int, seed: SeedSpec) -> Dataset:
     return Dataset(xs, _labels(spec, signal, draws))
 
 
+# Bytes of one chunk's stacked training features: enough replications to
+# amortise the per-chunk numpy calls, few enough that the stacks and the
+# kernels' temporaries stay small.
+_CHUNK_BYTES = 1 << 16
+
+
+def _chunk_reps(n: int, d: int) -> int:
+    """Replications per sample_stack chunk of n-point samples in d dimensions."""
+    return max(1, _CHUNK_BYTES // (8 * n * d))
+
+
 def sample_stack(spec: DataSpec, n: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One n-point sample per derived seed, stacked: xs (m, n, d) and ys (m, n).
 
@@ -446,6 +463,15 @@ def sample_stack(spec: DataSpec, n: int, seeds: np.ndarray) -> tuple[np.ndarray,
     return xs, ys
 
 
+def _unchecked_dataset(xs: np.ndarray, ys: np.ndarray) -> Dataset:
+    """A Dataset of float64 arrays xs (n, d) and ys (n,) whose shapes and
+    finite values are already known, without Dataset.__post_init__'s pass
+    over every entry."""
+    data = object.__new__(Dataset)
+    data.xs, data.ys = xs, ys
+    return data
+
+
 def leave_one_out(data: Dataset, j: int) -> Dataset:
     """Remove the j-th point (1-based), preserving the order of the rest."""
     if data.n < 2:
@@ -465,18 +491,17 @@ def replace_point(data: Dataset, j: int, z_new: tuple[np.ndarray, float]) -> Dat
     y_new = float(y_new)
     if x_new.shape != (data.d,):
         raise ValueError(f"replacement x must have shape ({data.d},)")
-    if not (np.isfinite(x_new).all() and math.isfinite(y_new)):
+    # A list of d Python floats checks faster than an np.isfinite pass at
+    # the small d of a swap, and rejects the same values.
+    if not (all(map(math.isfinite, x_new.tolist())) and math.isfinite(y_new)):
         raise ValueError("replacement point contains non-finite entries")
     xs = data.xs.copy()
     ys = data.ys.copy()
     xs[j - 1] = x_new
     ys[j - 1] = y_new
     # The other rows were validated when data was built (no code writes into
-    # a Dataset's arrays) and the new point just now, so skip
-    # Dataset.__post_init__'s pass over all n rows.
-    swapped = object.__new__(Dataset)
-    swapped.xs, swapped.ys = xs, ys
-    return swapped
+    # a Dataset's arrays) and the new point just now.
+    return _unchecked_dataset(xs, ys)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,24 @@ from .bounds import (
     pac_bound_subgaussian,
     ridge_moment_bound,
 )
-from .datagen import DataSpec, SeedSpec, _as_float, _as_integer, _as_tuple, sample_dataset
-from .learners import KnnAlgorithm, RidgeAlgorithm, prediction_error_mc, ridge_fit, ridge_loo_fast
+from .datagen import (
+    DataSpec,
+    Dataset,
+    SeedSpec,
+    _as_float,
+    _as_integer,
+    _as_tuple,
+    _chunk_reps,
+    sample_stack,
+)
+from .learners import (
+    KnnAlgorithm,
+    RidgeAlgorithm,
+    _ridge_loo_sq_residuals_stacked,
+    prediction_error_mc,
+    ridge_fit_stacked,
+    ridge_loo_fast,
+)
 from .stability import (
     RidgeStabilityInputs,
     StabilityConfig,
@@ -270,14 +286,23 @@ def _deviation_samples(
     spec = config.spec
     devs = np.empty(config.reps)
     max_se = -math.inf
-    for r in range(config.reps):
-        seed_r = n_seed.child(r)
-        data = sample_dataset(spec, n, seed_r.child(0))
-        loo = ridge_loo_fast(data, lam)
-        beta = ridge_fit(data, lam)
-        est, se = prediction_error_mc(beta, spec, config.test_m, seed_r.child(1))
-        devs[r] = abs(loo - est)
-        max_se = max(max_se, se)
+    # Replication r trains on n_seed.child(r).child(0) and tests on
+    # .child(1), exactly as it would alone; a chunk of training samples is
+    # drawn, fitted and left out at once.  A sample with an unstable
+    # downdate takes ridge_loo_fast and its naive refits.
+    chunk = _chunk_reps(n, spec.d)
+    for start in range(0, config.reps, chunk):
+        stop = min(start + chunk, config.reps)
+        xs, ys = sample_stack(spec, n, n_seed.grandchild_seeds(start, stop, 0))
+        betas = ridge_fit_stacked(xs, ys, lam)
+        sq, unstable = _ridge_loo_sq_residuals_stacked(xs, ys, lam)
+        loos = (sq.sum(axis=1) / n).tolist()
+        for i in np.flatnonzero(unstable.any(axis=1)):
+            loos[i] = ridge_loo_fast(Dataset(xs[i], ys[i]), lam)
+        for i, r in enumerate(range(start, stop)):
+            est, se = prediction_error_mc(betas[i], spec, config.test_m, n_seed.child(r).child(1))
+            devs[r] = abs(loos[i] - est)
+            max_se = max(max_se, se)
     return devs, max_se
 
 

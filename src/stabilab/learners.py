@@ -16,7 +16,9 @@ boundary case (label sum exactly k/2) as 1.
 Every ridge leave-one-out shortcut runs one rank-one downdate
 (``_loo_downdate_stacked``): with A = X'X + (n-1)*lam*I, g = A^-1 X'y and
 s_j = x_j' A^-1 x_j, the held-out residual is (y_j - x_j'g) / (1 - s_j).
-``ridge_loo_fast`` applies it to a stack of one sample, and
+``_ridge_loo_sq_residuals_stacked`` turns it into the squared held-out
+residuals of a stack, whose row sums are the leave-one-out risks, and
+``ridge_loo_fast`` runs it on a stack of one;
 ``ridge_loo_betas_stacked`` turns it into the leave-one-out coefficients
 of a stack.  A conditioning guard marks every index where the downdate is
 unstable; ``_ridge_loo_betas`` refits those naively, and ``ridge_loo_fast``
@@ -228,6 +230,16 @@ def loo_estimate(algorithm, data: Dataset) -> float:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def _ridge_loo_sq_residuals_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
+    """Squared shortcut residuals ((y_j - x_j'g) / (1 - s_j))^2, shape (m, n),
+    of each sample of a stack xs (m, n, d), ys (m, n), and the (m, n) mask
+    of the unstable downdates, whose entries are not exact.  Where no entry
+    is unstable, a row's sum over n is the sample's leave-one-out risk."""
+    g, _, _, one_minus_s, unstable = _loo_downdate_stacked(xs, ys, lam)
+    denom = np.where(unstable, 1.0, one_minus_s) if unstable.any() else one_minus_s
+    return ((ys - (xs @ g)[..., 0]) / denom) ** 2, unstable
+
+
 def ridge_loo_fast(data: Dataset, lam: float) -> float:
     """Rank-one-downdate leave-one-out risk for ridge with squared cost.
 
@@ -238,12 +250,9 @@ def ridge_loo_fast(data: Dataset, lam: float) -> float:
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lam must be a positive real")
     xs, ys = data.xs, data.ys
-    g, _, _, one_minus_s, unstable = _loo_downdate_stacked(xs[None], ys[None], lam)
-    one_minus_s, unstable = one_minus_s[0], unstable[0]
-    any_unstable = unstable.any()
-    denom = np.where(unstable, 1.0, one_minus_s) if any_unstable else one_minus_s
-    sq = ((ys - xs @ g[0, :, 0]) / denom) ** 2
-    if any_unstable:
+    sq, unstable = _ridge_loo_sq_residuals_stacked(xs[None], ys[None], lam)
+    sq, unstable = sq[0], unstable[0]
+    if unstable.any():
         betas = _ridge_loo_betas(data, lam)
         for j in np.flatnonzero(unstable):
             sq[j] = (ys[j] - float(betas[j] @ xs[j])) ** 2

@@ -40,6 +40,7 @@ from .datagen import (
     Dataset,
     SeedSpec,
     _as_integer,
+    _chunk_reps,
     leave_one_out,
     sample_dataset,
     sample_stack,
@@ -53,12 +54,6 @@ from .learners import (
     ridge_fit_stacked,
     ridge_loo_betas_stacked,
 )
-
-# Bytes of one chunk's stacked training features in stability_profile:
-# enough replications to amortise the per-chunk numpy calls, few enough
-# that the stacks and the kernels' temporaries stay small.
-_CHUNK_BYTES = 1 << 16
-
 
 # ---------------------------------------------------------------------------
 # Validity domain of the ridge stability results
@@ -191,8 +186,8 @@ def stability_profile(
     # would be alone: the training sample from seed.child(r).child(0) and
     # the test point from seed.child(r).child(1).  A chunk of draws is
     # stacked and the kernels run once per chunk.
-    n, d = config.n, spec.d
-    chunk = max(1, _CHUNK_BYTES // (8 * n * d))
+    n = config.n
+    chunk = _chunk_reps(n, spec.d)
     per_rep = {q: np.empty(config.reps) for q in qs}
     for start in range(0, config.reps, chunk):
         m = min(chunk, config.reps - start)

@@ -5,18 +5,18 @@
     PYTHONPATH=src python3 tests/digests.py --check --only c4_ridge_sweep,d_stability_sweep
 
 Emits CSV/JSON/SVG for the five criterion-10 determinism configs of
-``tests/test_acceptance.py``, for the two ``MC_NORM_CONFIGS`` below and for
-the seed-0 experiment configs of ``perfbench/workloads.py`` (30 files),
-each into a temporary directory, and
-compares the sha256 of every file with ``tests/digests.json``.  Each config's
+``tests/test_acceptance.py``, for the two ``mc_norm_configs()`` configs
+below and for the seed-0 experiment configs of ``perfbench/workloads.py``
+(30 files), each into a temporary directory, and compares the sha256 of
+every file with ``tests/digests.json``.  Each config's
 ``out_dir`` is set to ``"out"`` before the run, so the JSON files do not
 depend on where they were written.  Floating-point results may differ in
 the last bit between numpy/BLAS builds, so the digests are host-specific:
 the environment they were recorded under is stored with them, and a check
 under another environment says so.  ``--only`` checks the files of the
 named configs alone.  Not collected by pytest; ``tests/test_digests.py``
-runs the check of the determinism and ``MC_NORM_CONFIGS`` configs in the
-test suite.
+runs the check of the determinism and ``mc_norm_configs()`` configs in the
+test suite, and acceptance criteria 4-8 that of their benchmark configs.
 """
 
 from __future__ import annotations

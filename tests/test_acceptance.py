@@ -4,11 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import hashlib
+import json
 import math
 import time
 
 import numpy as np
 import pytest
+
+import digests
 
 from stabilab.bounds import (
     KAPPA,
@@ -88,6 +92,31 @@ RADEMACHER_Y_SPEC = DataSpec(
 def _report(name: str, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] {name}: PASS{suffix}")
+
+
+def _assert_matches_benchmark(config, report, label, tmp_path) -> None:
+    """The config is the benchmark workload's config ``label``, and its
+    report emits exactly the files whose sha256 tests/digests.json records
+    for that label (checked only under the recording environment, as in
+    tests/test_digests.py)."""
+    assert config == digests.reference_configs()[label]
+    recorded = json.loads(digests.DIGESTS.read_text())
+    env = digests.environment()
+    if recorded["environment"] != env:
+        pytest.skip(
+            f"digests were recorded under {recorded['environment']}, this host is "
+            f"{env}; last-bit differences are possible"
+        )
+    written = emit_report(report, digests.FORMATS, out_dir=tmp_path / label)
+    emitted = {
+        f"{label}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in written
+    }
+    expected = {
+        name: digest for name, digest in recorded["files"].items()
+        if name.startswith(f"{label}/")
+    }
+    assert emitted == expected
 
 
 def _random_instance(seed: int, max_d: int = 8, max_n: int = 64):
@@ -175,7 +204,7 @@ def test_criterion_3_parameter_difference_inequality():
     )
 
 
-def test_criterion_4_ridge_stability_dominance():
+def test_criterion_4_ridge_stability_dominance(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(
         kind="stability_sweep",
@@ -192,12 +221,13 @@ def test_criterion_4_ridge_stability_dominance():
     report = run_stability_sweep(config)
     assert len(report.rows) == 18
     assert all(r.dominated == "true" for r in report.rows)
+    _assert_matches_benchmark(config, report, "c4_ridge_sweep", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     _report("criterion 4 ridge dominance", f"18 rows dominated in {elapsed:.2f}s")
 
 
-def test_criterion_5_knn_stability_dominance():
+def test_criterion_5_knn_stability_dominance(tmp_path):
     start = time.monotonic()
     assert knn_gamma_1(4, 100) == pytest.approx(0.0319154, rel=1e-5)
     config = ExperimentConfig(
@@ -215,12 +245,13 @@ def test_criterion_5_knn_stability_dominance():
     report = run_stability_sweep(config)
     assert len(report.rows) == 9
     assert all(r.dominated == "true" for r in report.rows)
+    _assert_matches_benchmark(config, report, "c5_knn_sweep", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 180.0
     _report("criterion 5 kNN dominance", f"9 rows dominated in {elapsed:.2f}s")
 
 
-def test_criterion_6_generalized_efron_stein():
+def test_criterion_6_generalized_efron_stein(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(
         kind="efron_stein",
@@ -259,12 +290,13 @@ def test_criterion_6_generalized_efron_stein():
             )
             assert res.lhs > 0.0
             assert res.passed
+    _assert_matches_benchmark(config, report, "c6_efron_stein", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _report("criterion 6 generalized Efron-Stein", f"{elapsed:.2f}s")
 
 
-def test_criterion_7_pac_coverage_bounded():
+def test_criterion_7_pac_coverage_bounded(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(
         kind="coverage",
@@ -285,6 +317,7 @@ def test_criterion_7_pac_coverage_bounded():
         # Pinned seeded outcome: the bound is conservative, nothing exceeds.
         assert row.exceedance_rate == 0.0
         assert math.isfinite(row.max_dev_ratio)
+    _assert_matches_benchmark(config, report, "c7_coverage", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(
@@ -293,7 +326,7 @@ def test_criterion_7_pac_coverage_bounded():
     )
 
 
-def test_criterion_8_rate_slope():
+def test_criterion_8_rate_slope(tmp_path):
     start = time.monotonic()
     config = ExperimentConfig(
         kind="rate",
@@ -309,6 +342,7 @@ def test_criterion_8_rate_slope():
     )
     report = run_rate(config)
     assert -0.65 <= report.extras["slope"] <= -0.35
+    _assert_matches_benchmark(config, report, "c8_rate", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
     _report(

@@ -20,8 +20,9 @@ from stabilab.bounds import (
     tail_prob_bound,
     tail_threshold,
 )
-from stabilab.datagen import DataSpec, SeedSpec
-from stabilab.stability import RidgeStabilityInputs, ridge_gamma_q
+from stabilab import bounds, datagen
+from stabilab.datagen import DataSpec, SeedSpec, replace_point, sample_dataset
+from stabilab.stability import RidgeStabilityInputs, power_mean_root, ridge_gamma_q
 
 REFERENCE_GAMMAS = gamma_set(1.0, 1.0, 0.5)
 
@@ -33,6 +34,26 @@ RADEMACHER_Y_SPEC = DataSpec(
     beta_star=(1.0,),
     noise_scale=0.0,
     b_y=1.0,
+)
+
+
+NOISY_SPEC = DataSpec(
+    d=2,
+    x_family="uniform_ball",
+    b_x=1.0,
+    y_model="linear_clipped",
+    beta_star=(0.4, 0.2),
+    noise_scale=0.2,
+    b_y=0.6,
+)
+
+GAUSSIAN_CUBE_SPEC = DataSpec(
+    d=3,
+    x_family="uniform_cube",
+    b_x=1.0,
+    y_model="linear_gaussian",
+    beta_star=(0.3, -0.2, 0.1),
+    noise_scale=0.5,
 )
 
 
@@ -320,3 +341,74 @@ class TestEfronStein:
     def test_q_below_two(self):
         with pytest.raises(ValueError, match="q"):
             efron_stein_moment_check("mean", RADEMACHER_Y_SPEC, 10, 1.0, 10, SeedSpec(46))
+
+
+def _reference_efron_stein(f, spec, n, q, reps, seed, ridge_lam=1.0):
+    """efron_stein_moment_check one dataset at a time: each drawn alone
+    with sample_dataset from its own stream."""
+    stat = bounds.STAT_REGISTRY[f]
+    mean_seed = seed.child(0)
+    ez_vals = np.empty(2 * reps)
+    for r in range(2 * reps):
+        ez_vals[r] = stat(sample_dataset(spec, n, mean_seed.child(r)), ridge_lam)
+    ez = float(np.mean(ez_vals))
+
+    main_seed = seed.child(1)
+    centered_pow = np.empty(reps)
+    sumsq_pow = np.empty(reps)
+    for r in range(reps):
+        seed_r = main_seed.child(r)
+        data = sample_dataset(spec, n, seed_r.child(0))
+        fresh = sample_dataset(spec, n, seed_r.child(1))
+        z = stat(data, ridge_lam)
+        sumsq = 0.0
+        for j, z_new in enumerate(zip(fresh.xs, fresh.ys.tolist()), start=1):
+            sumsq += (z - stat(replace_point(data, j, z_new), ridge_lam)) ** 2
+        centered_pow[r] = abs(z - ez) ** q
+        sumsq_pow[r] = sumsq ** (q / 2.0)
+
+    lhs, lhs_se = power_mean_root(centered_pow, q)
+    rhs, rhs_se = power_mean_root(sumsq_pow, q, scale=math.sqrt(2.0 * KAPPA * q))
+    passed = lhs <= rhs + 3.0 * (lhs_se + rhs_se) + bounds._FP_NOISE_FLOOR
+    return bounds.EfronSteinRow(f, n, q, lhs, rhs, lhs_se, rhs_se, passed)
+
+
+class TestEfronSteinStackedDraws:
+    @pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "default_chunk"])
+    @pytest.mark.parametrize("f", ["constant", "mean", "ridge_loo"])
+    @pytest.mark.parametrize(
+        "spec", [RADEMACHER_Y_SPEC, NOISY_SPEC, GAUSSIAN_CUBE_SPEC],
+        ids=["rademacher_d1", "noisy_ball_d2", "gaussian_cube_d3"],
+    )
+    def test_rows_match_the_per_dataset_loop_bitwise(self, monkeypatch, spec, f, chunk):
+        n, reps, q = 8, 7, 4.0
+        if chunk is not None:
+            monkeypatch.setattr(datagen, "_CHUNK_BYTES", 8 * n * spec.d * chunk)
+        # Neither 7 nor 14 replications is a multiple of the chunk, so the EZ
+        # and the main loop both end on a partial chunk.
+        assert reps % datagen._chunk_reps(n, spec.d) != 0
+        assert (2 * reps) % datagen._chunk_reps(n, spec.d) != 0
+        seed = SeedSpec(47)
+        row = efron_stein_moment_check(f, spec, n, q, reps, seed, ridge_lam=0.5)
+        reference = _reference_efron_stein(f, spec, n, q, reps, seed, ridge_lam=0.5)
+        assert dataclasses.astuple(row) == dataclasses.astuple(reference)
+        if f != "constant":
+            assert row.lhs > 0.0
+
+    def test_one_swap_and_one_statistic_call_per_swapped_point(self, monkeypatch):
+        n, reps = 6, 5
+        calls = {"swaps": 0, "stats": 0}
+        replace, loo = bounds.replace_point, bounds.ridge_loo_fast
+
+        def counting_replace(*args):
+            calls["swaps"] += 1
+            return replace(*args)
+
+        def counting_loo(*args):
+            calls["stats"] += 1
+            return loo(*args)
+
+        monkeypatch.setattr(bounds, "replace_point", counting_replace)
+        monkeypatch.setattr(bounds, "ridge_loo_fast", counting_loo)
+        efron_stein_moment_check("ridge_loo", NOISY_SPEC, n, 2.0, reps, SeedSpec(48))
+        assert calls == {"swaps": reps * n, "stats": 2 * reps + reps + reps * n}

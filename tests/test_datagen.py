@@ -106,6 +106,33 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(1).grandchild_seeds(0, 2, -1)
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        base_seed=st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+        start=st.sampled_from([0, 1, 2**32]) | st.integers(0, 2**40),
+        m=st.integers(0, 5),
+    )
+    def test_child_seeds_match_the_scalar_path_bitwise(self, base_seed, start, m):
+        spec = SeedSpec(base_seed)
+        seeds = spec.child_seeds(start, start + m)
+        assert seeds.dtype == np.uint64 and seeds.shape == (m,)
+        rs = range(start, start + m)
+        assert seeds.tolist() == [spec.child(r).derived_seed() for r in rs]
+
+    @pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (3, 5)])
+    def test_child_seeds_on_empty_and_offset_ranges(self, start, stop):
+        spec = SeedSpec(19, 4)
+        seeds = spec.child_seeds(start, stop)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [spec.child(r).derived_seed() for r in range(start, stop)]
+
+    @pytest.mark.parametrize("start, stop", [(3, 2), (-1, 2), (-2, -1)])
+    def test_child_seeds_reject_bad_ranges_as_grandchild_seeds_does(self, start, stop):
+        with pytest.raises(ValueError, match="0 <= start <= stop"):
+            SeedSpec(1).child_seeds(start, stop)
+        with pytest.raises(ValueError, match="0 <= start <= stop"):
+            SeedSpec(1).grandchild_seeds(start, stop, 0)
+
 
 class TestAsInteger:
     @pytest.mark.parametrize("value, expected", [
@@ -424,6 +451,26 @@ class TestSampleSurgery:
             replace_point(data, 1, (np.array([0.0, np.nan, 0.0]), 0.0))
         with pytest.raises(ValueError):
             replace_point(data, 1, (np.zeros(3), np.inf))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_replace_point_rejects_every_non_finite_entry(self, d, bad):
+        data = sample_dataset(ball_spec(d=d, beta_star=(0.1,) * d), 3, SeedSpec(15))
+        non_finite = "replacement point contains non-finite entries"
+        for c in range(d):
+            x_new = np.zeros(d)
+            x_new[c] = bad
+            with pytest.raises(ValueError, match=non_finite):
+                replace_point(data, 2, (x_new, 0.0))
+        with pytest.raises(ValueError, match=non_finite):
+            replace_point(data, 2, (np.zeros(d), bad))
+        with pytest.raises(ValueError, match=rf"replacement x must have shape \({d},\)"):
+            replace_point(data, 2, (np.zeros(d + 1), 0.0))
+        with pytest.raises(ValueError, match=rf"replacement x must have shape \({d},\)"):
+            replace_point(data, 2, (np.zeros((1, d)), 0.0))
+        for j in (0, 4):
+            with pytest.raises(ValueError, match=f"index j={j} out of range 1..3"):
+                replace_point(data, j, (np.zeros(d), 0.0))
 
 
 class TestVerifyAssumptions:

@@ -1,8 +1,10 @@
 """Byte-identity gate in the test suite: the five criterion-10 determinism
 configs and the two Monte Carlo ||Y||_q configs (``digests.mc_norm_configs``)
 must emit exactly the files whose sha256 ``tests/digests.json`` records.
-The benchmark configs' digests are checked by ``tests/digests.py --check``
-alone, because they take far longer to run."""
+The benchmark configs take far longer to run: acceptance criteria 4-8
+(``tests/test_acceptance.py``) check the ``c4_*``...``c8_*`` digests on
+the reports they already compute, and ``tests/digests.py --check`` checks
+them all."""
 
 import json
 

@@ -29,8 +29,15 @@ from stabilab.harness import (
     run_rate,
     run_stability_sweep,
 )
-from stabilab.datagen import DataSpec
-from stabilab.learners import KnnAlgorithm, RidgeAlgorithm
+from stabilab import datagen, learners
+from stabilab.datagen import DataSpec, SeedSpec, sample_dataset
+from stabilab.learners import (
+    KnnAlgorithm,
+    RidgeAlgorithm,
+    prediction_error_mc,
+    ridge_fit,
+    ridge_loo_fast,
+)
 from stabilab.stability import StabilityConfig, knn_gamma_1
 
 ZERO_SPEC = DataSpec(
@@ -277,6 +284,75 @@ class TestCoverage:
         )
         report = run_coverage(make_config(spec=spec, x_grid=(1.0, 2.0), test_m=400))
         assert report.all_pass
+
+
+def _reference_deviation_samples(config, n, n_seed):
+    """harness._deviation_samples one replication at a time, each training
+    set drawn alone with sample_dataset."""
+    lam = config.algorithm.single_lam()
+    devs = np.empty(config.reps)
+    max_se = -math.inf
+    for r in range(config.reps):
+        seed_r = n_seed.child(r)
+        data = sample_dataset(config.spec, n, seed_r.child(0))
+        loo = ridge_loo_fast(data, lam)
+        beta = ridge_fit(data, lam)
+        est, se = prediction_error_mc(beta, config.spec, config.test_m, seed_r.child(1))
+        devs[r] = abs(loo - est)
+        max_se = max(max_se, se)
+    return devs, max_se
+
+
+class TestDeviationSamples:
+    @pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "default_chunk"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NOISY_SPEC,
+            DataSpec(d=3, x_family="uniform_cube", b_x=1.0, y_model="linear_gaussian",
+                     beta_star=(0.3, -0.2, 0.1), noise_scale=0.5),
+            DataSpec(d=2, x_family="rademacher_coords", b_x=1.0, y_model="bernoulli_label",
+                     beta_star=(0.2, 0.1), noise_scale=0.5, b_y=1.0),
+        ],
+        ids=["noisy_ball_d2", "gaussian_cube_d3", "rademacher_bernoulli_d2"],
+    )
+    def test_matches_the_per_replication_loop_bitwise(self, monkeypatch, spec, chunk):
+        n, reps = 10, 7
+        if chunk is not None:
+            monkeypatch.setattr(datagen, "_CHUNK_BYTES", 8 * n * spec.d * chunk)
+        assert reps % datagen._chunk_reps(n, spec.d) != 0  # ends on a partial chunk
+        config = make_config(kind="rate", spec=spec, reps=reps, test_m=50)
+        seed = SeedSpec(61).child(2)
+        devs, max_se = harness._deviation_samples(config, n, seed)
+        ref_devs, ref_max_se = _reference_deviation_samples(config, n, seed)
+        assert devs.tobytes() == ref_devs.tobytes()
+        assert max_se == ref_max_se
+
+    def test_unstable_downdates_take_the_naive_refit(self, monkeypatch):
+        # At this limit about half the replications (n = 10, lam = 1) have
+        # a downdate marked unstable, and only those are refitted naively.
+        n, reps = 10, 7
+        monkeypatch.setattr(datagen, "_CHUNK_BYTES", 8 * n * NOISY_SPEC.d * 3)
+        monkeypatch.setattr(learners, "DOWNDATE_CONDITION_LIMIT", 0.085)
+        refitted = []
+        original = learners._ridge_loo_betas
+
+        def recording(data, lam):
+            refitted.append(data.xs.copy())
+            return original(data, lam)
+
+        monkeypatch.setattr(learners, "_ridge_loo_betas", recording)
+        config = make_config(kind="rate", reps=reps, test_m=50)
+        seed = SeedSpec(62)
+        devs, max_se = harness._deviation_samples(config, n, seed)
+        stacked = refitted[:]
+        assert 0 < len(stacked) < reps
+        ref_devs, ref_max_se = _reference_deviation_samples(config, n, seed)
+        assert devs.tobytes() == ref_devs.tobytes()
+        assert max_se == ref_max_se
+        oracle = refitted[len(stacked):]
+        assert len(oracle) == len(stacked)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, oracle))
 
 
 class TestRate:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilab import stability
+from stabilab import datagen, stability
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
     DOWNDATE_CONDITION_LIMIT,
@@ -374,7 +374,7 @@ class TestStackedKernels:
         self, algorithm, spec, offset
     ):
         n, qs = 50, (1.0, 1.5, 2.0, 4.0)
-        chunk = stability._CHUNK_BYTES // (8 * n * spec.d)
+        chunk = datagen._CHUNK_BYTES // (8 * n * spec.d)
         assert chunk >= 2
         cfg = StabilityConfig(n=n, reps=chunk + offset, seed=SeedSpec(26))
         profile = stability_profile(algorithm, spec, cfg, qs)
