@@ -45,7 +45,6 @@ from .harness import (
 )
 from .learners import (
     KnnAlgorithm,
-    MonteCarloEstimate,
     RidgeAlgorithm,
     knn_classify,
     loo_estimate,
@@ -55,9 +54,6 @@ from .learners import (
     ridge_loo_fast,
 )
 from .stability import (
-    RidgeStabilityInputs,
-    StabilityConfig,
-    StabilityEstimate,
     SweepRow,
     knn_gamma_1,
     ridge_gamma_q,

@@ -1,12 +1,12 @@
 """Command-line entry point.
 
     stabilab <coverage|rate|stability|efron-stein|bounds-table>
-        --config <path.json> [--out <dir>] [--seed <u64>] [--reps <int>]
-        [--emit csv,json,svg]
+        --config <path.json> [--out <dir>] [--seed <u64>] [--emit csv,json,svg]
 
-Exit codes: 0 success, 2 config error, 3 precondition failure (a numerical
-overflow or a failed solve included), 4 an inequality was empirically
-violated beyond the Monte Carlo slack (a test failure signal, not a crash).
+Exit codes: 0 success, 2 config error (an unreadable or non-UTF-8 file
+included), 3 precondition failure (a numerical overflow, a failed solve or
+a refused allocation included), 4 an inequality was empirically violated
+beyond the Monte Carlo slack (a test failure signal, not a crash).
 """
 
 from __future__ import annotations
@@ -45,17 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
-        p.add_argument("--reps", type=int, default=None, help="override reps")
         p.add_argument(
             "--emit",
             default="csv,json",
             help="comma-separated output formats (csv,json,svg)",
         )
     return parser
-
-
-def _exit_code(report) -> int:
-    return 0 if report.all_pass else 4
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,21 +63,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"config kind {config.kind!r} does not match command "
                 f"{args.command!r} (expected {expected_kind!r})"
             )
-        overrides = {}
-        if args.seed is not None:
-            overrides["base_seed"] = args.seed
-        if args.reps is not None:
-            overrides["reps"] = args.reps
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        overrides = {"base_seed": args.seed, "out_dir": args.out}
+        config = dataclasses.replace(
+            config, **{k: v for k, v in overrides.items() if v is not None}
+        )
         formats = parse_formats(args.emit.split(","))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report = run_experiment(config)
         written = emit_report(report, formats)
     except ConfigError as exc:
@@ -91,9 +76,10 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ValueError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
-        # An overflow, or a regularised solve that missed its tolerance:
-        # the config's values are beyond float64 range or conditioning.
+    except (ArithmeticError, MemoryError) as exc:
+        # An overflow, a regularised solve that missed its tolerance, or an
+        # allocation numpy refused: the config's values are beyond float64
+        # range or conditioning, or its sizes beyond this machine's memory.
         print(f"precondition failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
@@ -111,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"note: {note}", file=sys.stderr)
     if not report.all_pass:
         print("invariant violation: an inequality failed beyond MC slack", file=sys.stderr)
-    return _exit_code(report)
+    return 0 if report.all_pass else 4
 
 
 if __name__ == "__main__":

@@ -56,8 +56,6 @@ from .learners import (
     ridge_loo_fast,
 )
 from .stability import (
-    RidgeStabilityInputs,
-    StabilityConfig,
     SweepRow,
     knn_gamma_1,
     ridge_corollary_violations,
@@ -230,7 +228,7 @@ def config_to_dict(config) -> dict:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -511,21 +509,20 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
                     for q in config.q_grid
                 ]
                 continue
-            base_cfg = StabilityConfig(n=n, reps=config.reps, seed=root.child(ni).child(pi))
-            profile = stability_profile(algorithm, spec, base_cfg, config.q_grid)
+            profile = stability_profile(
+                algorithm, spec, n, config.reps, root.child(ni).child(pi), config.q_grid
+            )
             for q in config.q_grid:
-                est = profile[q]
+                s_q_hat, std_error = profile[q]
                 if alg.name == "ridge":
                     norm, norm_se = norms[2.0 * q]
-                    gamma = ridge_gamma_q(
-                        RidgeStabilityInputs(spec.b_x, param, alg.eta, n, norm)
-                    )
-                    slack = est.std_error + (2.0 * gamma * norm_se / norm if norm > 0 else 0.0)
+                    gamma = ridge_gamma_q(spec.b_x, param, alg.eta, n, norm)
+                    slack = std_error + (2.0 * gamma * norm_se / norm if norm > 0 else 0.0)
                 else:
                     # 0-1 cost: S_q = S_1^(1/q) exactly (stability module doc).
-                    gamma, slack = knn_gamma_1(param, n) ** (1.0 / q), est.std_error
-                ok = est.s_q_hat <= gamma + 3.0 * slack
-                rows.append(SweepRow(alg.name, q, n, param, est.s_q_hat, est.std_error,
+                    gamma, slack = knn_gamma_1(param, n) ** (1.0 / q), std_error
+                ok = s_q_hat <= gamma + 3.0 * slack
+                rows.append(SweepRow(alg.name, q, n, param, s_q_hat, std_error,
                                      gamma, "true" if ok else "false"))
     return Report(config, rows, all(r.dominated != "false" for r in rows))
 

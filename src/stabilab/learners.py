@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -259,17 +258,12 @@ def ridge_loo_fast(data: Dataset, lam: float) -> float:
     return float(sq.sum() / data.n)
 
 
-class MonteCarloEstimate(NamedTuple):
-    estimate: float
-    std_error: float
-
-
 def prediction_error_mc(
     beta: np.ndarray, spec: DataSpec, m: int, seed: SeedSpec
-) -> MonteCarloEstimate:
-    """Monte Carlo squared prediction error of the ridge coefficients beta
-    on m fresh draws from spec, with its standard error; deterministic
-    given the seed."""
+) -> tuple[float, float]:
+    """``(estimate, std_error)``: the Monte Carlo squared prediction error
+    of the ridge coefficients beta on m fresh draws from spec, with its
+    standard error; deterministic given the seed."""
     if m < 2:
         raise ValueError("m must be >= 2")
     test = sample_dataset(spec, m, seed)
@@ -281,4 +275,4 @@ def prediction_error_mc(
     costs -= est
     costs *= costs
     se = math.sqrt(costs.sum() / (m - 1)) / math.sqrt(m)
-    return MonteCarloEstimate(float(est), se)
+    return float(est), se

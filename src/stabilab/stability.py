@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -82,49 +82,20 @@ def ridge_stability_violations(b_x: float, lam: float, eta: float, n: int) -> li
     return out
 
 
-def check_ridge_stability_domain(b_x: float, lam: float, eta: float, n: int) -> None:
-    violations = ridge_stability_violations(b_x, lam, eta, n)
-    if violations:
-        raise ValueError("; ".join(violations))
-
-
 def ridge_corollary_violations(b_x: float, lam: float, eta: float, n: int) -> list[str]:
     """Domain for the moment/PAC results: stability at both n and n-1."""
     if n < 3:
         return [f"n >= 3 required, got n = {n}"]
-    seen: list[str] = []
-    for m in (n, n - 1):
-        for v in ridge_stability_violations(b_x, lam, eta, m):
-            tagged = f"at sample size {m}: {v}"
-            if tagged not in seen:
-                seen.append(tagged)
-    return seen
+    return [
+        f"at sample size {m}: {v}"
+        for m in (n, n - 1)
+        for v in ridge_stability_violations(b_x, lam, eta, m)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Empirical estimator
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StabilityConfig:
-    n: int
-    reps: int
-    seed: SeedSpec = SeedSpec(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_integer(self.n, "n"))
-        object.__setattr__(self, "reps", _as_integer(self.reps, "reps"))
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.reps < 2:
-            raise ValueError("reps must be >= 2")
-
-
-@dataclass(frozen=True)
-class StabilityEstimate:
-    s_q_hat: float
-    std_error: float
-
 
 def _ridge_cost_diffs_stacked(
     xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float
@@ -163,19 +134,27 @@ def power_mean_root(
 def stability_profile(
     algorithm,
     spec: DataSpec,
-    config: StabilityConfig,
+    n: int,
+    reps: int,
+    seed: SeedSpec,
     qs: Iterable[float],
-) -> dict[float, StabilityEstimate]:
-    """Empirical stability at several q values sharing the same draws.
+) -> dict[float, tuple[float, float]]:
+    """Empirical stability ``{q: (s_q_hat, std_error)}`` at several q values
+    sharing the same ``reps`` draws of n training points.
 
     Sharing draws makes the power-mean monotonicity in q hold exactly on
     the empirical measure.
     """
+    n, reps = _as_integer(n, "n"), _as_integer(reps, "reps")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     qs = tuple(float(q) for q in qs)
     if any(q < 1.0 for q in qs):
         raise ValueError("all q must be >= 1")
     if isinstance(algorithm, KnnAlgorithm):
-        if config.n < algorithm.k + 2:
+        if n < algorithm.k + 2:
             raise ValueError("kNN stability needs n >= k + 2")
         if spec.y_model != "bernoulli_label":
             raise ValueError("kNN stability needs labels in {0, 1} (y_model 'bernoulli_label')")
@@ -186,13 +165,12 @@ def stability_profile(
     # would be alone: the training sample from seed.child(r).child(0) and
     # the test point from seed.child(r).child(1).  A chunk of draws is
     # stacked and the kernels run once per chunk.
-    n = config.n
     chunk = _chunk_reps(n, spec.d)
-    per_rep = {q: np.empty(config.reps) for q in qs}
-    for start in range(0, config.reps, chunk):
-        m = min(chunk, config.reps - start)
-        xs, ys = sample_stack(spec, n, config.seed.grandchild_seeds(start, start + m, 0))
-        x, y = sample_stack(spec, 1, config.seed.grandchild_seeds(start, start + m, 1))
+    per_rep = {q: np.empty(reps) for q in qs}
+    for start in range(0, reps, chunk):
+        m = min(chunk, reps - start)
+        xs, ys = sample_stack(spec, n, seed.grandchild_seeds(start, start + m, 0))
+        x, y = sample_stack(spec, 1, seed.grandchild_seeds(start, start + m, 1))
         x, y = x[:, 0], y[:, 0]
         if isinstance(algorithm, RidgeAlgorithm):
             diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, algorithm.lam)
@@ -201,42 +179,33 @@ def stability_profile(
         for q in qs:
             per_rep[q][start:start + m] = np.mean(diffs**q, axis=1)
 
-    return {q: StabilityEstimate(*power_mean_root(per_rep[q], q)) for q in qs}
+    return {q: power_mean_root(per_rep[q], q) for q in qs}
 
 
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RidgeStabilityInputs:
-    b_x: float
-    lam: float
-    eta: float
-    n: int
-    y_norm_2q: float
-
-    def __post_init__(self) -> None:
-        if not (self.b_x > 0 and math.isfinite(self.b_x)):
-            raise ValueError("b_x must be a positive real")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ValueError("lam must be a positive real")
-        if math.isnan(self.y_norm_2q) or self.y_norm_2q < 0:
-            raise ValueError("y_norm_2q must be nonnegative (may be +inf)")
-        check_ridge_stability_domain(self.b_x, self.lam, self.eta, self.n)
-
-
-def ridge_gamma_q(inputs: RidgeStabilityInputs) -> float:
-    """Closed-form L^q stability coefficient for ridge with squared cost."""
-    if math.isinf(inputs.y_norm_2q):
+def ridge_gamma_q(b_x: float, lam: float, eta: float, n: int, y_norm_2q: float) -> float:
+    """Closed-form L^q stability coefficient for ridge with squared cost;
+    ``y_norm_2q`` is ||Y||_{2q}.  Raises ``ValueError`` off the domain."""
+    if not (b_x > 0 and math.isfinite(b_x)):
+        raise ValueError("b_x must be a positive real")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError("lam must be a positive real")
+    if math.isnan(y_norm_2q) or y_norm_2q < 0:
+        raise ValueError("y_norm_2q must be nonnegative (may be +inf)")
+    violations = ridge_stability_violations(b_x, lam, eta, n)
+    if violations:
+        raise ValueError("; ".join(violations))
+    if math.isinf(y_norm_2q):
         return math.inf
-    b2 = inputs.b_x**2
-    lam = inputs.lam
+    b2 = b_x**2
     return (
         2.0
-        * inputs.y_norm_2q**2
-        * (b2 / (inputs.n * lam))
-        * (1.0 + (b2 + lam) / (lam * (1.0 - inputs.eta)))
+        * y_norm_2q**2
+        * (b2 / (n * lam))
+        * (1.0 + (b2 + lam) / (lam * (1.0 - eta)))
         * (1.0 + b2 / lam)
     )
 
@@ -248,15 +217,10 @@ def knn_gamma_1(k: int, n: int) -> float:
     return 4.0 / math.sqrt(2.0 * math.pi) * math.sqrt(k) / n
 
 
-class ParamDiffCheck(NamedTuple):
-    lhs: float
-    rhs: float
-
-
 def ridge_param_diff_check(
     data: Dataset, j: int, lam: float, eta: float, b_x: float
-) -> ParamDiffCheck:
-    """Both sides of the coefficient-difference inequality on a concrete sample.
+) -> tuple[float, float]:
+    """``(lhs, rhs)``: both sides of the coefficient-difference inequality on a concrete sample.
 
     lhs is the Euclidean distance between the full fit and the fit with
     point j removed; rhs is the closed-form bound evaluated on the data.
@@ -286,7 +250,7 @@ def ridge_param_diff_check(
     rhs = (b_x / (n * lam)) * (
         y_j + (b_x**2 + lam) / (lam * (1.0 - eta)) * rest_mean
     )
-    return ParamDiffCheck(lhs, rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from stabilab.bounds import (
 )
 from stabilab import bounds, datagen
 from stabilab.datagen import DataSpec, SeedSpec, replace_point, sample_dataset
-from stabilab.stability import RidgeStabilityInputs, power_mean_root, ridge_gamma_q
+from stabilab.stability import power_mean_root, ridge_gamma_q
 
 REFERENCE_GAMMAS = gamma_set(1.0, 1.0, 0.5)
 
@@ -158,7 +158,7 @@ class TestRidgeMomentBound:
         # eta = 0.5).
         g = REFERENCE_GAMMAS
         n, norm = 100, 0.8
-        gamma = ridge_gamma_q(RidgeStabilityInputs(1.0, 1.0, 0.5, n, norm))
+        gamma = ridge_gamma_q(1.0, 1.0, 0.5, n, norm)
         assert gamma == pytest.approx(g.gamma3 * norm**2 / n, rel=1e-12)
 
     def test_reference_value(self):

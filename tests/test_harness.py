@@ -38,7 +38,7 @@ from stabilab.learners import (
     ridge_fit,
     ridge_loo_fast,
 )
-from stabilab.stability import StabilityConfig, knn_gamma_1
+from stabilab.stability import knn_gamma_1, stability_profile
 
 ZERO_SPEC = DataSpec(
     d=2,
@@ -102,7 +102,8 @@ FIELD_CASES = [
     (ExperimentConfig, EXPERIMENT, {"kind": STR_BAD, "n_grid": INT_BAD, "q_grid": FLOAT_BAD,
                                     "x_grid": FLOAT_BAD, "reps": INT_BAD, "test_m": INT_BAD,
                                     "base_seed": INT_BAD, "out_dir": STR_BAD}),
-    (StabilityConfig, dict(n=10, reps=10), {"n": INT_BAD, "reps": INT_BAD}),
+    (stability_profile, dict(algorithm=RidgeAlgorithm(1.0), spec=NOISY_SPEC, n=10, reps=10,
+                             seed=SeedSpec(0), qs=(2.0,)), {"n": INT_BAD, "reps": INT_BAD}),
     (RidgeAlgorithm, dict(lam=1.0), {"lam": FLOAT_BAD}),
     (KnnAlgorithm, dict(k=3), {"k": INT_BAD}),
 ]
@@ -1021,8 +1022,48 @@ class TestCli:
         assert code == 0
         assert (out / "coverage_9.csv").exists()
 
-    def test_violation_maps_to_exit_four(self):
-        class FakeReport:
-            all_pass = False
+    def test_violation_maps_to_exit_four(self, tmp_path, capsys, monkeypatch):
+        # A failed inequality still writes its outputs, then exits 4.
+        run = cli.run_experiment
+        monkeypatch.setattr(
+            cli, "run_experiment", lambda config: dataclasses.replace(run(config), all_pass=False)
+        )
+        cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["coverage", "--config", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "invariant violation: an inequality failed beyond MC slack"
+        ]
+        assert "coverage: 3 rows, all_pass=False" in captured.out
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "coverage_1234.csv", "coverage_1234.json"
+        ]
 
-        assert cli._exit_code(FakeReport()) == 4
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        # A UTF-16 byte-order mark: read_text raised UnicodeDecodeError,
+        # which escaped the CLI as a traceback with exit 1.
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe\x00{}")
+        assert cli.main(["coverage", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("config error: cannot read config file")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_refused_allocation_exit_three(self, tmp_path, capsys, monkeypatch):
+        # numpy raises MemoryError for an array it cannot allocate, e.g. a
+        # test_m of 10^12; the runner is replaced so nothing is allocated.
+        def refuse(config):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["coverage", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "precondition failure: MemoryError: Unable to allocate 14.6 TiB for an array"
+        ]
+        assert list(tmp_path.iterdir()) == [path]

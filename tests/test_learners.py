@@ -365,8 +365,8 @@ class TestPredictionErrorMc:
                 got = prediction_error_mc(beta, spec_x, m, SeedSpec(m))
                 test = sample_dataset(spec_x, m, SeedSpec(m))
                 costs = (test.xs @ beta - test.ys) ** 2
-                assert got.estimate == float(np.mean(costs))
-                assert got.std_error == float(np.std(costs, ddof=1) / math.sqrt(m))
+                assert got == (float(np.mean(costs)),
+                               float(np.std(costs, ddof=1) / math.sqrt(m)))
 
     def test_rejects_tiny_m(self):
         spec = DataSpec(

@@ -22,9 +22,6 @@ from stabilab.learners import (
     ridge_loo_fast,
 )
 from stabilab.stability import (
-    RidgeStabilityInputs,
-    StabilityConfig,
-    check_ridge_stability_domain,
     knn_gamma_1,
     power_mean_root,
     ridge_corollary_violations,
@@ -70,16 +67,17 @@ NOISY_RIDGE_SPEC_D3 = DataSpec(
 
 class TestValidityDomain:
     def test_valid_configuration_passes(self):
-        check_ridge_stability_domain(1.0, 1.0, 0.5, 100)
+        assert ridge_stability_violations(1.0, 1.0, 0.5, 100) == []
+        assert ridge_gamma_q(1.0, 1.0, 0.5, 100, 1.0) > 0.0
         assert ridge_corollary_violations(1.0, 1.0, 0.5, 100) == []
 
     def test_violations_are_named(self):
         with pytest.raises(ValueError, match=r"n \* eta > 1"):
-            check_ridge_stability_domain(1.0, 1.0, 0.01, 50)
+            ridge_gamma_q(1.0, 1.0, 0.01, 50, 1.0)
         with pytest.raises(ValueError, match=r"b_x\^2 / \(n\*eta - 1\)"):
-            check_ridge_stability_domain(2.0, 0.05, 0.5, 50)
+            ridge_gamma_q(2.0, 0.05, 0.5, 50, 1.0)
         with pytest.raises(ValueError, match="eta in"):
-            check_ridge_stability_domain(1.0, 1.0, 1.5, 50)
+            ridge_gamma_q(1.0, 1.0, 1.5, 50, 1.0)
 
     def test_reciprocal_condition_is_also_enforced(self):
         # n*eta - 1 is large here, but 1/(eta*(n-1)) still exceeds lam.
@@ -88,6 +86,15 @@ class TestValidityDomain:
 
     def test_corollary_needs_three_points(self):
         assert ridge_corollary_violations(1.0, 1.0, 0.5, 2) == ["n >= 3 required, got n = 2"]
+
+    def test_corollary_tags_each_sample_size_in_order(self):
+        # n * eta - 1 = 1.5 and 1.0: both floors of lam fail at n and n - 1.
+        assert ridge_corollary_violations(1.0, 0.3, 0.5, 5) == [
+            "at sample size 5: lam > b_x^2 / (n*eta - 1) required, got lam = 0.3 <= 0.6666666666666666",
+            "at sample size 5: lam > 1 / (eta*(n-1)) required, got lam = 0.3 <= 0.5",
+            "at sample size 4: lam > b_x^2 / (n*eta - 1) required, got lam = 0.3 <= 1.0",
+            "at sample size 4: lam > 1 / (eta*(n-1)) required, got lam = 0.3 <= 0.6666666666666666",
+        ]
 
 
 class TestEmpiricalStability:
@@ -101,10 +108,8 @@ class TestEmpiricalStability:
             noise_scale=0.0,
             b_y=1.0,
         )
-        cfg = StabilityConfig(n=10, reps=20, seed=SeedSpec(1))
-        est = stability_profile(RidgeAlgorithm(1.0), spec, cfg, (2.0,))[2.0]
-        assert est.s_q_hat == 0.0
-        assert est.std_error == 0.0
+        est = stability_profile(RidgeAlgorithm(1.0), spec, 10, 20, SeedSpec(1), (2.0,))[2.0]
+        assert est == (0.0, 0.0)
 
     def test_knn_q1_equals_disagreement_frequency(self):
         # The L^1 statistic for the 0-1 cost is exactly the probability that
@@ -112,11 +117,11 @@ class TestEmpiricalStability:
         # by refitting on explicit reduced datasets over the same draws.
         k, n, reps = 3, 20, 150
         algorithm = KnnAlgorithm(k)
-        cfg = StabilityConfig(n=n, reps=reps, seed=SeedSpec(21))
-        est = stability_profile(algorithm, BERNOULLI_SPEC, cfg, (1.0,))[1.0]
+        seed = SeedSpec(21)
+        s_1_hat, _ = stability_profile(algorithm, BERNOULLI_SPEC, n, reps, seed, (1.0,))[1.0]
         total = 0.0
         for r in range(reps):
-            seed_r = cfg.seed.child(r)
+            seed_r = seed.child(r)
             data = sample_dataset(BERNOULLI_SPEC, n, seed_r.child(0))
             test = sample_dataset(BERNOULLI_SPEC, 1, seed_r.child(1))
             x = test.xs[0]
@@ -126,7 +131,7 @@ class TestEmpiricalStability:
                 if knn_classify(leave_one_out(data, j), algorithm, x) != full:
                     disagreements += 1
             total += disagreements / n
-        assert est.s_q_hat == pytest.approx(total / reps, abs=1e-12)
+        assert s_1_hat == pytest.approx(total / reps, abs=1e-12)
 
     def test_two_point_discrete_instance_matches_enumeration(self):
         # d=1 sign feature with Bernoulli labels: (X, Y) takes 4 values with
@@ -165,16 +170,15 @@ class TestEmpiricalStability:
             exact_pow += p1 * p2 * pt * inner / 2.0
         exact = exact_pow ** (1.0 / q)
 
-        cfg = StabilityConfig(n=2, reps=4000, seed=SeedSpec(22))
-        est = stability_profile(RidgeAlgorithm(lam), spec, cfg, (q,))[q]
-        assert est.s_q_hat == pytest.approx(exact, abs=4 * est.std_error + 1e-12)
+        s_q_hat, std_error = stability_profile(
+            RidgeAlgorithm(lam), spec, 2, 4000, SeedSpec(22), (q,))[q]
+        assert s_q_hat == pytest.approx(exact, abs=4 * std_error + 1e-12)
 
     def test_monotone_in_q_on_shared_draws(self):
-        cfg = StabilityConfig(n=20, reps=100, seed=SeedSpec(23))
         profile = stability_profile(
-            RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC, cfg, (1.0, 2.0, 4.0, 8.0)
+            RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC, 20, 100, SeedSpec(23), (1.0, 2.0, 4.0, 8.0)
         )
-        values = [profile[q].s_q_hat for q in (1.0, 2.0, 4.0, 8.0)]
+        values = [profile[q][0] for q in (1.0, 2.0, 4.0, 8.0)]
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi * (1 + 1e-12)
 
@@ -182,30 +186,30 @@ class TestEmpiricalStability:
     def test_knn_lq_is_the_qth_root_of_l1(self, k, n):
         # A 0-1 cost difference is 0 or 1, so |diff|^q = |diff| and
         # S_q = S_1^(1/q) exactly; the sweep checks q > 1 against that.
-        cfg = StabilityConfig(n=n, reps=40, seed=SeedSpec(26))
-        profile = stability_profile(KnnAlgorithm(k), BERNOULLI_SPEC, cfg, (1.0, 2.0, 4.0))
-        assert profile[1.0].s_q_hat > 0.0
+        profile = stability_profile(
+            KnnAlgorithm(k), BERNOULLI_SPEC, n, 40, SeedSpec(26), (1.0, 2.0, 4.0))
+        assert profile[1.0][0] > 0.0
         for q in (2.0, 4.0):
-            assert profile[q].s_q_hat == profile[1.0].s_q_hat ** (1.0 / q)
+            assert profile[q][0] == profile[1.0][0] ** (1.0 / q)
 
     def test_algorithm_preconditions(self):
         # The algorithm alone fixes the cost, so only its own preconditions
         # are checked: a known algorithm, and 0/1 labels and n >= k + 2 for kNN.
-        cfg = StabilityConfig(n=10, reps=10, seed=SeedSpec(25))
+        draws = (10, 10, SeedSpec(25))
         with pytest.raises(ValueError, match="unknown algorithm"):
-            stability_profile(object(), NOISY_RIDGE_SPEC, cfg, (1.0,))
+            stability_profile(object(), NOISY_RIDGE_SPEC, *draws, (1.0,))
         with pytest.raises(ValueError, match="labels in"):
-            stability_profile(KnnAlgorithm(3), NOISY_RIDGE_SPEC, cfg, (1.0,))
+            stability_profile(KnnAlgorithm(3), NOISY_RIDGE_SPEC, *draws, (1.0,))
         with pytest.raises(ValueError, match="n >= k"):
-            stability_profile(KnnAlgorithm(9), BERNOULLI_SPEC, cfg, (1.0,))
+            stability_profile(KnnAlgorithm(9), BERNOULLI_SPEC, *draws, (1.0,))
         with pytest.raises(ValueError, match="q must be"):
-            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, cfg, (2.0, 0.5))
+            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, *draws, (2.0, 0.5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n must be"):
-            StabilityConfig(n=1, reps=10)
+            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, 1, 10, SeedSpec(0), (1.0,))
         with pytest.raises(ValueError, match="reps must be"):
-            StabilityConfig(n=10, reps=1)
+            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, 10, 1, SeedSpec(0), (1.0,))
 
 
 # The estimator one replication at a time, with the per-dataset expressions:
@@ -276,12 +280,12 @@ def _reference_knn_diffs(data, k, x):
     return diffs
 
 
-def _reference_profile(algorithm, spec, config, qs):
+def _reference_profile(algorithm, spec, n, reps, seed, qs):
     """{q: (s_q_hat, std_error)}, one replication at a time."""
-    per_rep = {q: np.empty(config.reps) for q in qs}
-    for r in range(config.reps):
-        seed_r = config.seed.child(r)
-        data = sample_dataset(spec, config.n, seed_r.child(0))
+    per_rep = {q: np.empty(reps) for q in qs}
+    for r in range(reps):
+        seed_r = seed.child(r)
+        data = sample_dataset(spec, n, seed_r.child(0))
         test = sample_dataset(spec, 1, seed_r.child(1))
         x, y = test.xs[0], float(test.ys[0])
         if isinstance(algorithm, RidgeAlgorithm):
@@ -376,11 +380,11 @@ class TestStackedKernels:
         n, qs = 50, (1.0, 1.5, 2.0, 4.0)
         chunk = datagen._CHUNK_BYTES // (8 * n * spec.d)
         assert chunk >= 2
-        cfg = StabilityConfig(n=n, reps=chunk + offset, seed=SeedSpec(26))
-        profile = stability_profile(algorithm, spec, cfg, qs)
-        reference = _reference_profile(algorithm, spec, cfg, qs)
+        draws = (n, chunk + offset, SeedSpec(26))
+        profile = stability_profile(algorithm, spec, *draws, qs)
+        reference = _reference_profile(algorithm, spec, *draws, qs)
         for q in qs:
-            assert (profile[q].s_q_hat, profile[q].std_error) == reference[q], q
+            assert profile[q] == reference[q], q
 
     def test_near_singular_downdates_match_naive_refits(self, monkeypatch):
         # Two sign directions, three points, lam ~ 0: a point alone on its
@@ -390,11 +394,11 @@ class TestStackedKernels:
                         y_model="linear_clipped", beta_star=(0.5, -0.3),
                         noise_scale=0.3, b_y=1.0)
         lam, n, q = 1e-14, 3, 2.0
-        cfg = StabilityConfig(n=n, reps=40, seed=SeedSpec(5))
-        draws = [(sample_dataset(spec, n, cfg.seed.child(r).child(0)),
-                  sample_dataset(spec, 1, cfg.seed.child(r).child(1))) for r in range(cfg.reps)]
+        reps, seed = 40, SeedSpec(5)
+        draws = [(sample_dataset(spec, n, seed.child(r).child(0)),
+                  sample_dataset(spec, 1, seed.child(r).child(1))) for r in range(reps)]
         unstable = [_reference_downdate(data, lam)[-1].any() for data, _ in draws]
-        assert 0 < sum(unstable) < cfg.reps
+        assert 0 < sum(unstable) < reps
         # ridge_loo_fast takes the unstable indices from _ridge_loo_betas.
         assert all(ridge_loo_fast(data, lam) == _reference_loo_fast(data, lam)
                    for data, _ in draws)
@@ -407,12 +411,11 @@ class TestStackedKernels:
             return original(data, lam)
 
         monkeypatch.setattr(stability, "_ridge_loo_betas", recording)
-        est = stability_profile(RidgeAlgorithm(lam), spec, cfg, (q,))[q]
+        est = stability_profile(RidgeAlgorithm(lam), spec, n, reps, seed, (q,))[q]
         expected = [data.xs for (data, _), u in zip(draws, unstable) if u]
         assert len(fallbacks) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(fallbacks, expected))
-        assert (est.s_q_hat, est.std_error) == _reference_profile(
-            RidgeAlgorithm(lam), spec, cfg, (q,))[q]
+        assert est == _reference_profile(RidgeAlgorithm(lam), spec, n, reps, seed, (q,))[q]
 
         powered = []
         for data, test in draws:
@@ -421,37 +424,49 @@ class TestStackedKernels:
             c_loo = [(ridge_fit(leave_one_out(data, j), lam) @ x - y) ** 2
                      for j in range(1, n + 1)]
             powered.append(np.mean(np.abs(c_full - np.asarray(c_loo)) ** q))
-        assert est.s_q_hat == pytest.approx(power_mean_root(np.asarray(powered), q)[0],
-                                            rel=1e-9)
+        assert est[0] == pytest.approx(power_mean_root(np.asarray(powered), q)[0], rel=1e-9)
 
 
 class TestRidgeGamma:
     def test_reference_value(self):
-        inputs = RidgeStabilityInputs(b_x=1.0, lam=1.0, eta=0.5, n=100, y_norm_2q=1.0)
         # 2 * 1 * (1/100) * (1 + 2/0.5) * (1 + 1) = 0.2
-        assert ridge_gamma_q(inputs) == pytest.approx(0.2, rel=1e-12)
+        gamma = ridge_gamma_q(b_x=1.0, lam=1.0, eta=0.5, n=100, y_norm_2q=1.0)
+        assert gamma == pytest.approx(0.2, rel=1e-12)
 
     def test_zero_norm_gives_zero(self):
-        inputs = RidgeStabilityInputs(b_x=1.0, lam=1.0, eta=0.5, n=100, y_norm_2q=0.0)
-        assert ridge_gamma_q(inputs) == 0.0
+        assert ridge_gamma_q(b_x=1.0, lam=1.0, eta=0.5, n=100, y_norm_2q=0.0) == 0.0
 
     def test_doubling_n_halves(self):
-        a = ridge_gamma_q(RidgeStabilityInputs(1.0, 1.0, 0.5, 100, 1.0))
-        b = ridge_gamma_q(RidgeStabilityInputs(1.0, 1.0, 0.5, 200, 1.0))
+        a = ridge_gamma_q(1.0, 1.0, 0.5, 100, 1.0)
+        b = ridge_gamma_q(1.0, 1.0, 0.5, 200, 1.0)
         assert b == pytest.approx(a / 2.0, rel=1e-12)
         assert b == pytest.approx(0.1, rel=1e-12)
 
     def test_infinite_norm_gives_infinity(self):
-        inputs = RidgeStabilityInputs(1.0, 1.0, 0.5, 100, math.inf)
-        assert ridge_gamma_q(inputs) == math.inf
+        assert ridge_gamma_q(1.0, 1.0, 0.5, 100, math.inf) == math.inf
 
-    def test_invalid_domain_raises_at_construction(self):
+    def test_invalid_domain_raises(self):
         with pytest.raises(ValueError, match=r"n \* eta"):
-            RidgeStabilityInputs(b_x=1.0, lam=1.0, eta=0.005, n=100, y_norm_2q=1.0)
+            ridge_gamma_q(b_x=1.0, lam=1.0, eta=0.005, n=100, y_norm_2q=1.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, 1.0, 0.5, 100, 1.0), "b_x must be"),
+            ((math.inf, 1.0, 0.5, 100, 1.0), "b_x must be"),
+            ((1.0, -1.0, 0.5, 100, 1.0), "lam must be"),
+            ((1.0, math.nan, 0.5, 100, 1.0), "lam must be"),
+            ((1.0, 1.0, 0.5, 100, -0.1), "y_norm_2q must be"),
+            ((1.0, 1.0, 0.5, 100, math.nan), "y_norm_2q must be"),
+        ],
+    )
+    def test_bad_inputs_raise(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ridge_gamma_q(*args)
 
     def test_strictly_decreasing_in_lambda(self):
         values = [
-            ridge_gamma_q(RidgeStabilityInputs(1.0, lam, 0.5, 100, 1.0))
+            ridge_gamma_q(1.0, lam, 0.5, 100, 1.0)
             for lam in (0.2, 0.5, 1.0, 2.0, 5.0)
         ]
         for hi, lo in zip(values, values[1:]):
@@ -473,7 +488,7 @@ class TestKnnGamma:
             knn_gamma_1(10, 10)
 
 
-class TestParamDiffCheck:
+class TestCoefficientDifferenceBound:
     def test_zero_labels(self):
         data = Dataset(np.random.default_rng(0).uniform(-0.5, 0.5, (10, 2)), np.zeros(10))
         lhs, rhs = ridge_param_diff_check(data, 3, lam=1.0, eta=0.5, b_x=1.0)
@@ -581,15 +596,13 @@ class TestDominanceSmoke:
             b_y=0.7,
         )
         n, lam, eta, q = 50, 1.0, 0.5, 2.0
-        cfg = StabilityConfig(n=n, reps=300, seed=SeedSpec(33))
-        est = stability_profile(RidgeAlgorithm(lam), spec, cfg, (q,))[q]
-        gamma = ridge_gamma_q(
-            RidgeStabilityInputs(1.0, lam, eta, n, y_norm(spec, 2 * q))
-        )
-        assert est.s_q_hat <= gamma + 3.0 * est.std_error
+        s_q_hat, std_error = stability_profile(
+            RidgeAlgorithm(lam), spec, n, 300, SeedSpec(33), (q,))[q]
+        gamma = ridge_gamma_q(1.0, lam, eta, n, y_norm(spec, 2 * q))
+        assert s_q_hat <= gamma + 3.0 * std_error
 
     def test_knn_dominated_at_one_configuration(self):
         k, n = 3, 50
-        cfg = StabilityConfig(n=n, reps=400, seed=SeedSpec(34))
-        est = stability_profile(KnnAlgorithm(k), BERNOULLI_SPEC, cfg, (1.0,))[1.0]
-        assert est.s_q_hat <= knn_gamma_1(k, n) + 3.0 * est.std_error
+        s_1_hat, std_error = stability_profile(
+            KnnAlgorithm(k), BERNOULLI_SPEC, n, 400, SeedSpec(34), (1.0,))[1.0]
+        assert s_1_hat <= knn_gamma_1(k, n) + 3.0 * std_error
