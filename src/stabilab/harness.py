@@ -17,6 +17,7 @@ per-replication child streams, and reductions happen in fixed index order.
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import json
 import math
 import os
@@ -148,8 +149,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_integer(getattr(self, name), name))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir must be a string naming a directory, got {self.out_dir!r}")
         if not self.n_grid or not self.q_grid or not self.x_grid:
             raise ConfigError("n_grid, q_grid and x_grid must all be nonempty")
         if any(n < 2 for n in self.n_grid):
@@ -164,6 +165,8 @@ class ExperimentConfig:
             raise ConfigError("reps must be >= 1")
         if self.kind == "coverage" and self.reps < 50:
             raise ConfigError("coverage requires reps >= 50")
+        if self.kind in ("stability_sweep", "efron_stein") and self.reps < 2:
+            raise ConfigError(f"{self.kind} requires reps >= 2")
         if self.test_m < 2:
             raise ConfigError("test_m must be >= 2")
         if not 0 <= self.base_seed < 2**64:
@@ -647,60 +650,32 @@ def run_experiment(config: ExperimentConfig) -> Report:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _pid_running(pid: int) -> bool:
-    """Whether a process with this pid exists (signal 0 sends nothing)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # it exists, owned by another user
-        pass
-    return True
-
-
-def _lock_holder(lock: Path) -> str:
-    """Who holds a lock file, for the conflict message."""
-    try:
-        text = lock.read_text().strip()
-    except OSError:
-        text = ""
-    if not text.isdigit() or int(text) < 1:
-        return "holder pid unknown"
-    pid = int(text)
-    if _pid_running(pid):
-        return f"held by pid {pid}, which is still running"
-    return f"held by pid {pid}, which is not running; remove the lock file if no run is writing"
-
-
 @contextmanager
 def _run_lock(out_dir: Path):
     """Single-writer lock on the output directory for the emission phase.
 
-    The lock file holds the writer's pid, so a conflict names the holder and
-    says whether it is still running.  A stale lock is never taken over.
+    An exclusive ``flock`` on the directory itself: it writes no file, and
+    the kernel releases it when its holder exits, however it exits, so a
+    killed run never leaves the directory locked.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".stabilab.lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError as exc:
-        raise PreconditionError(
-            f"output directory is locked by another run: {lock} ({_lock_holder(lock)})"
-        ) from exc
+    fd = os.open(out_dir, os.O_RDONLY)
     try:
         try:
-            os.write(fd, f"{os.getpid()}\n".encode())
-        finally:
-            os.close(fd)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as exc:
+            raise PreconditionError(
+                f"output directory is locked by another run: {out_dir}"
+            ) from exc
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _replace_file(path: Path, text: str) -> None:
     """Write text to a temp file beside path, then rename it over path, so
     path is either its old self or complete, never truncated."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
@@ -852,11 +827,12 @@ def emit_report(
 
     Non-finite floats are written as ``nan``/``inf`` in CSV and as null in
     JSON.  SVG is produced for the kinds with a defined figure (coverage and
-    rate); requesting it elsewhere is a no-op.  Emission holds a lock on the
-    output directory so concurrent runs cannot interleave files, and each
-    file is renamed into place whole, so a crash leaves no truncated file.
-    An output directory that cannot be made, locked or written to is a
-    PreconditionError.
+    rate); requesting it elsewhere is a no-op.  Emission holds an exclusive
+    ``flock`` on the output directory, so concurrent runs cannot interleave
+    files; the lock writes no file and ends with the run that holds it.
+    Each file is renamed into place whole, so a crash leaves no truncated
+    file.  An output directory that cannot be made, locked or written to,
+    or that another run holds, is a PreconditionError.
     """
     if not report.rows:
         raise PreconditionError("refusing to emit an empty report")

@@ -1,10 +1,14 @@
 import dataclasses
+import errno
+import fcntl
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +65,18 @@ NOISY_SPEC = DataSpec(
 )
 
 RIDGE_ALG = AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5)
+
+
+@contextmanager
+def held_flock(directory):
+    """An exclusive flock on directory through a descriptor of its own; it
+    conflicts with the run lock as another process's lock would."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
 
 
 def make_config(**kwargs):
@@ -615,9 +631,19 @@ class TestEmission:
 
     def test_lock_conflict(self, tmp_path):
         report = self.sweep_report(tmp_path)
-        (tmp_path / ".stabilab.lock").write_text("")
-        with pytest.raises(PreconditionError, match="locked"):
+        with held_flock(tmp_path), pytest.raises(PreconditionError, match="locked"):
             emit_report(report, ["csv"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_leftover_temp_file_is_replaced(self, tmp_path):
+        # A run killed between writing and renaming leaves its temp file;
+        # the next emission of that file writes over it and renames it.
+        report = self.sweep_report(tmp_path)
+        (tmp_path / ".stability_sweep_77.csv.tmp").write_text("trunc")
+        emit_report(report, ["csv", "json"])
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["stability_sweep_77.csv", "stability_sweep_77.json"]
+        assert (tmp_path / "stability_sweep_77.csv").read_text() == harness._csv_text(report)
 
     def test_failed_emission_leaves_no_partial_file_temp_or_lock(self, tmp_path, monkeypatch):
         report = self.sweep_report(tmp_path)
@@ -663,15 +689,12 @@ class TestEmission:
 
     def test_lock_or_temp_write_failure_is_a_precondition_error(self, tmp_path, monkeypatch):
         report = self.sweep_report(tmp_path)
-        real_open = harness.os.open
 
-        def refusing_open(path, *args, **kwargs):
-            if Path(path).name == ".stabilab.lock":
-                raise PermissionError("read-only directory")
-            return real_open(path, *args, **kwargs)
+        def refusing_flock(fd, operation):
+            raise OSError(errno.ENOLCK, "No locks available")
 
-        monkeypatch.setattr(harness.os, "open", refusing_open)
-        with pytest.raises(PreconditionError, match=re.escape(str(tmp_path)) + ".*read-only directory"):
+        monkeypatch.setattr(harness.fcntl, "flock", refusing_flock)
+        with pytest.raises(PreconditionError, match=re.escape(str(tmp_path)) + ".*No locks"):
             emit_report(report, ["csv"])
         assert list(tmp_path.iterdir()) == []
         monkeypatch.undo()
@@ -693,6 +716,12 @@ class TestEmission:
             emit_report(report, ["csv"])
 
 
+def child_env():
+    """This environment, with the tested package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 class TestCli:
     def write_config(self, tmp_path, cfg):
         path = tmp_path / "config.json"
@@ -702,10 +731,8 @@ class TestCli:
     def test_import_leaves_numpy_random_unimported(self):
         # numpy imports numpy.random lazily; importing it at start-up would
         # add its cost to every CLI run.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = "import sys, stabilab.cli; print('numpy.random' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                              text=True, timeout=60, check=True)
         assert out.stdout.strip() == "False"
 
@@ -718,21 +745,32 @@ class TestCli:
         assert "coverage: 3 rows" in out
         assert (tmp_path / "out" / "coverage_1234.csv").exists()
 
-    def test_lock_names_its_pid_exit_three(self, tmp_path, capsys):
-        cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
-        path = self.write_config(tmp_path, cfg)
-        lock = tmp_path / "out" / ".stabilab.lock"
-        lock.parent.mkdir()
-        # This process is running; no Linux pid reaches 2**31 - 1.
-        for pid, state in ((os.getpid(), "still running"), (2**31 - 1, "not running")):
-            lock.write_text(f"{pid}\n")
+    def test_held_lock_exit_three(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = self.write_config(tmp_path, make_config(spec=ZERO_SPEC, out_dir=str(out)))
+        with held_flock(out):
             assert cli.main(["coverage", "--config", str(path)]) == 3
-            err = capsys.readouterr().err
-            assert "locked" in err
-            assert f"pid {pid}, which is {state}" in err
-            # The lock is never taken over and nothing was written.
-            assert lock.read_text() == f"{pid}\n"
-            assert not (tmp_path / "out" / "coverage_1234.csv").exists()
+        assert "locked" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_killed_lock_holder_leaves_directory_usable(self, tmp_path, capsys):
+        # The lock dies with its holder, however it exits: a run killed
+        # while emitting must not lock the directory for every later run.
+        out = tmp_path / "out"
+        path = self.write_config(tmp_path, make_config(spec=ZERO_SPEC, out_dir=str(out)))
+        code = (
+            "import os, signal, sys\n"
+            "from pathlib import Path\n"
+            "from stabilab.harness import _run_lock\n"
+            "with _run_lock(Path(sys.argv[1])):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code, str(out)], env=child_env(), timeout=60)
+        assert child.returncode == -signal.SIGKILL
+        assert cli.main(["coverage", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == ["coverage_1234.csv", "coverage_1234.json"]
 
     def test_degenerate_efron_stein_rows_print_a_note(self, tmp_path, capsys):
         # Criterion 6's spec: d = 1 signs, y = x, no noise, so X'X = X'y = n
@@ -936,6 +974,36 @@ class TestCli:
         path.write_text(json.dumps(obj))
         assert cli.main(["coverage", "--config", str(path)]) == 2
         assert "out_dir must be a string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_empty_out_dir_exit_two(self, tmp_path, capsys, monkeypatch):
+        # An empty path wrote the outputs into the current directory.
+        monkeypatch.chdir(tmp_path)
+        cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
+        obj = config_to_dict(cfg)
+        obj["out_dir"] = ""
+        from_file = tmp_path / "empty.json"
+        from_file.write_text(json.dumps(obj))
+        path = self.write_config(tmp_path, cfg)
+        for argv in (["--config", str(from_file)], ["--config", str(path), "--out", ""]):
+            assert cli.main(["coverage", *argv]) == 2
+            assert "out_dir must be a string naming a directory, got ''" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "empty.json"]
+
+    @pytest.mark.parametrize(
+        "command, spec", [("stability", ZERO_SPEC), ("efron-stein", NOISY_SPEC)]
+    )
+    def test_single_rep_sweep_or_efron_stein_exit_two(self, tmp_path, capsys, command, spec):
+        # One replication has no spread to estimate; the runner refused it
+        # only after the config had been accepted, with exit 3.
+        kind = cli._COMMAND_KINDS[command]
+        cfg = make_config(kind=kind, spec=spec, reps=2, out_dir=str(tmp_path / "out"))
+        obj = config_to_dict(cfg)
+        obj["reps"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "reps" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     def test_output_path_that_is_a_file_exit_three(self, tmp_path, capsys):

@@ -62,10 +62,9 @@ class TestRidgeFit:
 
     def test_rejects_bad_lambda(self):
         data = random_instance(2)
-        with pytest.raises(ValueError):
-            ridge_fit(data, 0.0)
-        with pytest.raises(ValueError):
-            ridge_fit(data, -1.0)
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lam must be a positive real"):
+                ridge_fit(data, lam)
 
     def test_gradient_vanishes_on_fifty_seeded_instances(self):
         # Central finite differences of the (1/n)-normalised objective; the
