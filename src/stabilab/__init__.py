@@ -4,8 +4,6 @@ from .bounds import (
     KAPPA,
     BoundsRow,
     GammaSet,
-    TailSpec,
-    bounded_tail_spec,
     efron_stein_moment_check,
     gamma_set,
     moment_bound_generic,
@@ -13,9 +11,6 @@ from .bounds import (
     pac_bound_subgaussian,
     ridge_moment_bound,
     ridge_variance_term_bound,
-    subgaussian_tail_spec,
-    tail_prob_bound,
-    tail_threshold,
 )
 from .core_math import solve_regularized
 from .datagen import (
@@ -25,7 +20,6 @@ from .datagen import (
     leave_one_out,
     replace_point,
     sample_dataset,
-    verify_assumptions,
 )
 from .harness import (
     AlgorithmConfig,

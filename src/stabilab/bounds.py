@@ -1,8 +1,9 @@
-"""Closed-form generalisation bounds and the moment-to-tail conversion.
+"""Closed-form generalisation bounds and the Monte Carlo Efron-Stein check.
 
-Everything here is a pure formula evaluator; no clamping is applied even
-when a bound exceeds the trivial cost range (vacuousness is reported by
-the harness, not hidden here).
+The bound evaluators are pure formulas; no clamping is applied even when a
+bound exceeds the trivial cost range (vacuousness is reported by the
+harness, not hidden here).  ``efron_stein_moment_check`` is the one Monte
+Carlo routine: it estimates both sides of the inequality below.
 
 The single numerical constant KAPPA = 1.271 is the ceiling of the
 universal constant in the generalised Efron-Stein moment inequality
@@ -12,15 +13,17 @@ universal constant in the generalised Efron-Stein moment inequality
 and is shared by every evaluator in this module.  Using the ceiling is
 conservative and keeps all inequalities valid.
 
-The moment-to-tail device: if E|X|^q <= C (sum_i lam_i q^{alpha_i})^q for
-all q >= q0, then for every x > 0
+The two PAC bounds follow from the ridge moment bound.  With G the
+``GammaSet.total``, ||Y||_q <= ||Y||_{2q} and G3/n <= G3 sqrt(q/n), it
+gives for q >= 2
 
-    P[ |X| > sum_i lam_i (e*x/min_j alpha_j)^{alpha_i} ]
-        <= C * exp(q0 * min_j alpha_j) * exp(-x).
+    E|LoO - R|^q <= (sum_i lam_i q^{alpha_i})^q,
 
-The two PAC bounds for ridge are exactly this device applied to the
-moment corollary, with the one- and two-term specs built by
-``bounded_tail_spec`` and ``subgaussian_tail_spec``.
+one term (b_y^2 G / sqrt(n), 1/2) for labels bounded by b_y, and two,
+(2 G (EY)^2 / sqrt(n), 1/2) and (16 e^2 G v / sqrt(n), 3/2), for
+sub-Gaussian labels, from ||Y||_{2q}^2 <= 2 (EY)^2 + 16 e^2 v q.  Markov's
+inequality at q = 2x, threshold sum_i lam_i (2 e x)^{alpha_i}, then fails
+with probability at most e^{-x} for x >= 1, and e e^{-x} >= 1 below it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ KAPPA = 1.271
 
 
 # ---------------------------------------------------------------------------
-# Gamma constants and moment bounds
+# Gamma constants, moment bounds and PAC bounds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -130,76 +133,6 @@ def ridge_moment_bound(
     return main + gammas.gamma3 / n * y_norm_2q**2
 
 
-# ---------------------------------------------------------------------------
-# Moment-to-tail conversion
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailSpec:
-    """Parameters of a polynomial-in-q moment envelope: prefactor c, starting
-    order q0, and terms (lam_i, alpha_i)."""
-
-    c: float
-    q0: float
-    terms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", tuple((float(a), float(b)) for a, b in self.terms)
-        )
-        if not self.terms:
-            raise ValueError("terms must be nonempty")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError("c must be a positive real")
-        if self.q0 < 1.0:
-            raise ValueError("q0 must be >= 1")
-        for lam_i, alpha_i in self.terms:
-            if not (lam_i > 0 and math.isfinite(lam_i)):
-                raise ValueError("every lam_i must be a positive real")
-            if not (alpha_i > 0 and math.isfinite(alpha_i)):
-                raise ValueError("every alpha_i must be a positive real")
-
-    @property
-    def min_alpha(self) -> float:
-        return min(alpha for _, alpha in self.terms)
-
-
-def tail_threshold(spec: TailSpec, x: float) -> float:
-    """Deviation level sum_i lam_i (e*x/min_alpha)^{alpha_i} at tail level x."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    base = math.e * x / spec.min_alpha
-    return sum(lam_i * base**alpha_i for lam_i, alpha_i in spec.terms)
-
-
-def tail_prob_bound(spec: TailSpec, x: float) -> float:
-    """Failure probability c * exp(q0 * min_alpha) * exp(-x)."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    return spec.c * math.exp(spec.q0 * spec.min_alpha) * math.exp(-x)
-
-
-def bounded_tail_spec(gammas: GammaSet, b_y: float, n: int) -> TailSpec:
-    """One-term spec whose threshold reproduces the bounded-label PAC bound."""
-    return TailSpec(
-        c=1.0, q0=2.0, terms=((b_y**2 * gammas.total / math.sqrt(n), 0.5),)
-    )
-
-
-def subgaussian_tail_spec(
-    gammas: GammaSet, mean_y: float, v: float, n: int
-) -> TailSpec:
-    """Two-term spec whose threshold reproduces the sub-Gaussian PAC bound.
-
-    The term coefficients are the polynomial-in-q moment coefficients
-    2*G*(EY)^2/sqrt(n) and 16*e^2*G*v/sqrt(n); the (2e)^alpha factors of
-    the final M1/M2 constants appear when the threshold is evaluated.
-    """
-    lam1 = 2.0 * gammas.total * mean_y**2 / math.sqrt(n)
-    lam2 = 16.0 * math.e**2 * gammas.total * v / math.sqrt(n)
-    return TailSpec(c=1.0, q0=2.0, terms=((lam1, 0.5), (lam2, 1.5)))
-
-
 def pac_bound_bounded(gammas: GammaSet, b_y: float, n: int, x: float) -> float:
     """High-probability deviation bound for bounded labels:
     sqrt(2*e*x/n) * b_y^2 * (G1 + G2 + G3), failing with probability
@@ -218,7 +151,11 @@ def pac_bound_subgaussian(
 ) -> float:
     """High-probability deviation bound for sub-Gaussian labels:
     (M1 (EY)^2 sqrt(x) + M2 v x^{3/2}) / sqrt(n) with
-    M1 = 2 sqrt(2e) G and M2 = 16 e^2 (2e)^{3/2} G."""
+    M1 = 2 sqrt(2e) G and M2 = 16 e^2 (2e)^{3/2} G, failing with
+    probability at most e * exp(-x).
+
+    v is the variance proxy of Y: E exp(t(Y - EY)) <= exp(v t^2 / 2) for
+    every real t, which gives ||Y - EY||_p <= 2e sqrt(v p) for p >= 1."""
     if x <= 0:
         raise ValueError("x must be positive")
     if n < 3:

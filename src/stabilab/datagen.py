@@ -2,7 +2,7 @@
 
 Every feature family is constructed so the Euclidean bound ||X||_2 <= b_x
 holds by construction (never by rejection), which keeps sampling
-deterministic given a seed and makes assumption verification exact:
+deterministic given a seed:
 
 * ``uniform_ball``      -- uniform on the radius-b_x ball.
 * ``uniform_cube``      -- coordinates uniform on [-b_x/sqrt(d), b_x/sqrt(d)].
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -503,41 +503,3 @@ def replace_point(data: Dataset, j: int, z_new: tuple[np.ndarray, float]) -> Dat
     # a Dataset's arrays) and the new point just now.
     return _unchecked_dataset(xs, ys)
 
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Empirical check of the almost-sure bounds and the sub-Gaussian proxy."""
-
-    max_x_norm: float
-    max_abs_y: float
-    x_bound_ok: bool
-    y_bound_ok: bool | None
-    subg_ratios: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.x_bound_ok and (self.y_bound_ok is not False)
-
-
-def verify_assumptions(data: Dataset, spec: DataSpec) -> AssumptionReport:
-    """Report max ||X||, max |Y| against the declared bounds.
-
-    For specs with a sub-Gaussian proxy this also reports the ratios
-    ||Y - mean(Y)||_q / (2e sqrt(v) sqrt(q)) for q in {2, 4, 8}; a valid
-    proxy keeps these at or below 1 up to sampling noise (informational
-    only, no pass/fail flag).
-    """
-    max_x = float(np.max(np.linalg.norm(data.xs, axis=1)))
-    max_y = float(np.max(np.abs(data.ys)))
-    # Allow one ulp-scale excursion from the norm computation itself.
-    x_ok = max_x <= spec.b_x * (1.0 + 1e-12)
-    y_ok = None if spec.b_y is None else max_y <= spec.b_y * (1.0 + 1e-12)
-
-    ratios: dict[int, float] = {}
-    v = spec.subgaussian_v()
-    if v is not None:
-        centered = np.abs(data.ys - data.ys.mean())
-        for q in (2, 4, 8):
-            emp = float(np.mean(centered**q) ** (1.0 / q))
-            ratios[q] = emp / (2.0 * math.e * math.sqrt(v) * math.sqrt(q))
-    return AssumptionReport(max_x, max_y, x_ok, y_ok, ratios)

@@ -97,13 +97,6 @@ def predict(beta: np.ndarray, x) -> float:
     return float(beta @ x)
 
 
-def ridge_objective(data: Dataset, lam: float, beta) -> float:
-    """The (1/n)-normalised ridge objective at an arbitrary coefficient vector."""
-    beta = np.asarray(beta, dtype=np.float64)
-    residuals = data.ys - data.xs @ beta
-    return float(np.mean(residuals**2) + lam * float(beta @ beta))
-
-
 def neighbor_order(data: Dataset, x) -> np.ndarray:
     """Training indices sorted by distance to x, ties broken by lowest index."""
     x = np.asarray(x, dtype=np.float64)

@@ -5,18 +5,19 @@
     PYTHONPATH=src python3 tests/digests.py --check --only c4_ridge_sweep,d_stability_sweep
 
 Emits CSV/JSON/SVG for the five criterion-10 determinism configs of
-``tests/test_acceptance.py``, for the two ``mc_norm_configs()`` configs
-below and for the seed-0 experiment configs of ``perfbench/workloads.py``
-(30 files), each into a temporary directory, and compares the sha256 of
-every file with ``tests/digests.json``.  Each config's
+``tests/test_acceptance.py``, for the two ``mc_norm_configs()`` and the two
+``subgaussian_configs()`` configs below and for the seed-0 experiment
+configs of ``perfbench/workloads.py`` (35 files), each into a temporary
+directory, and compares the sha256 of every file with
+``tests/digests.json``.  Each config's
 ``out_dir`` is set to ``"out"`` before the run, so the JSON files do not
 depend on where they were written.  Floating-point results may differ in
 the last bit between numpy/BLAS builds, so the digests are host-specific:
 the environment they were recorded under is stored with them, and a check
 under another environment says so.  ``--only`` checks the files of the
 named configs alone.  Not collected by pytest; ``tests/test_digests.py``
-runs the check of the determinism and ``mc_norm_configs()`` configs in the
-test suite, and acceptance criteria 4-8 that of their benchmark configs.
+runs the check of the ``fast_labels()`` configs in the test suite, and
+acceptance criteria 4-8 that of their benchmark configs.
 """
 
 from __future__ import annotations
@@ -65,6 +66,27 @@ def mc_norm_configs() -> dict:
     }
 
 
+def subgaussian_configs() -> dict:
+    """{label: ExperimentConfig} of a coverage run and a bounds table on
+    GAUSSIAN_SPEC: the only configs that reach ``pac_bound_subgaussian``.
+    The table's q_grid [1.0] makes no moment row, so it needs no ||Y||_q."""
+    from test_acceptance import GAUSSIAN_SPEC
+
+    from stabilab.harness import AlgorithmConfig, ExperimentConfig
+
+    ridge = AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5)
+    common = dict(spec=GAUSSIAN_SPEC, algorithm=ridge, q_grid=(1.0,), x_grid=(1.0, 3.0),
+                  out_dir="out")
+    return {
+        "g_coverage": ExperimentConfig(
+            kind="coverage", n_grid=(50,), reps=60, test_m=300, base_seed=38, **common,
+        ),
+        "g_bounds_table": ExperimentConfig(
+            kind="bounds_table", n_grid=(50, 200), reps=1, test_m=2, base_seed=39, **common,
+        ),
+    }
+
+
 def reference_configs() -> dict:
     """{label: ExperimentConfig}, every out_dir set to "out"."""
     from test_acceptance import DETERMINISM_CONFIGS
@@ -75,10 +97,20 @@ def reference_configs() -> dict:
         for config in DETERMINISM_CONFIGS
     }
     configs.update(mc_norm_configs())
+    configs.update(subgaussian_configs())
     for experiments in WORKLOADS.values():
         for name, _, config in experiments:
             configs[name] = config_from_dict({**config, "out_dir": "out"})
     return configs
+
+
+def fast_labels() -> list[str]:
+    """Labels of the configs that run in seconds: the determinism, Monte
+    Carlo ||Y||_q and sub-Gaussian configs, and the benchmark's bounds table."""
+    return sorted(
+        label for label in reference_configs()
+        if label.startswith(("d_", "m_", "g_")) or label == "c10_bounds_table"
+    )
 
 
 def environment() -> dict:

@@ -13,16 +13,14 @@ import numpy as np
 import pytest
 
 import digests
+from oracles import bounded_tail_spec, ridge_objective, subgaussian_tail_spec, tail_threshold
 
 from stabilab.bounds import (
     KAPPA,
-    bounded_tail_spec,
     efron_stein_moment_check,
     gamma_set,
     pac_bound_bounded,
     pac_bound_subgaussian,
-    subgaussian_tail_spec,
-    tail_threshold,
 )
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, sample_dataset
 from stabilab.harness import (
@@ -41,7 +39,6 @@ from stabilab.learners import (
     loo_estimate,
     ridge_fit,
     ridge_loo_fast,
-    ridge_objective,
 )
 from stabilab.stability import knn_gamma_1, ridge_param_diff_check
 
@@ -86,6 +83,18 @@ RADEMACHER_Y_SPEC = DataSpec(
     beta_star=(1.0,),
     noise_scale=0.0,
     b_y=1.0,
+)
+
+# Unbounded Gaussian labels with the default proxy v = sigma^2 + ||beta||^2
+# b_x^2: the sub-Gaussian digest configs and tests/test_datagen.py's proxy
+# check use it.
+GAUSSIAN_SPEC = DataSpec(
+    d=2,
+    x_family="uniform_ball",
+    b_x=1.0,
+    y_model="linear_gaussian",
+    beta_star=(0.4, 0.2),
+    noise_scale=0.2,
 )
 
 

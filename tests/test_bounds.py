@@ -7,8 +7,6 @@ import pytest
 from stabilab.bounds import (
     KAPPA,
     GammaSet,
-    TailSpec,
-    bounded_tail_spec,
     efron_stein_moment_check,
     gamma_set,
     moment_bound_generic,
@@ -16,36 +14,21 @@ from stabilab.bounds import (
     pac_bound_subgaussian,
     ridge_moment_bound,
     ridge_variance_term_bound,
-    subgaussian_tail_spec,
-    tail_prob_bound,
-    tail_threshold,
 )
 from stabilab import bounds, datagen
 from stabilab.datagen import DataSpec, SeedSpec, replace_point, sample_dataset
 from stabilab.stability import power_mean_root, ridge_gamma_q
 
+from oracles import (
+    TailSpec,
+    bounded_tail_spec,
+    subgaussian_tail_spec,
+    tail_prob_bound,
+    tail_threshold,
+)
+from test_acceptance import NOISY_SPEC, RADEMACHER_Y_SPEC
+
 REFERENCE_GAMMAS = gamma_set(1.0, 1.0, 0.5)
-
-RADEMACHER_Y_SPEC = DataSpec(
-    d=1,
-    x_family="rademacher_coords",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(1.0,),
-    noise_scale=0.0,
-    b_y=1.0,
-)
-
-
-NOISY_SPEC = DataSpec(
-    d=2,
-    x_family="uniform_ball",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(0.4, 0.2),
-    noise_scale=0.2,
-    b_y=0.6,
-)
 
 GAUSSIAN_CUBE_SPEC = DataSpec(
     d=3,
@@ -318,17 +301,8 @@ class TestEfronStein:
         assert res.passed
 
     def test_ridge_loo_statistic_passes(self):
-        spec = DataSpec(
-            d=2,
-            x_family="uniform_ball",
-            b_x=1.0,
-            y_model="linear_clipped",
-            beta_star=(0.4, 0.2),
-            noise_scale=0.2,
-            b_y=0.6,
-        )
         res = efron_stein_moment_check(
-            "ridge_loo", spec, 20, 2.0, 150, SeedSpec(44), ridge_lam=0.5
+            "ridge_loo", NOISY_SPEC, 20, 2.0, 150, SeedSpec(44), ridge_lam=0.5
         )
         assert (res.f, res.n, res.q) == ("ridge_loo", 20, 2.0)
         assert res.lhs <= res.rhs + 3.0 * (res.lhs_std_error + res.rhs_std_error)

@@ -15,9 +15,10 @@ from stabilab.datagen import (
     replace_point,
     sample_dataset,
     sample_stack,
-    verify_assumptions,
 )
 from stabilab.datagen import _as_integer, _pcg64_states
+
+from test_acceptance import GAUSSIAN_SPEC
 
 
 def ball_spec(**kwargs):
@@ -473,20 +474,28 @@ class TestSampleSurgery:
                 replace_point(data, j, (np.zeros(d), 0.0))
 
 
-class TestVerifyAssumptions:
-    def test_zero_labels_pass(self):
+class TestAssumptions:
+    """Features and labels meet the declared bounds and proxy by construction."""
+
+    @staticmethod
+    def assert_within_bounds(data, spec):
+        # One ulp-scale excursion from the norm computation itself is allowed.
+        assert np.linalg.norm(data.xs, axis=1).max() <= spec.b_x * (1.0 + 1e-12)
+        assert np.abs(data.ys).max() <= spec.b_y
+
+    def test_zero_labels_within_bounds(self):
         spec = ball_spec(beta_star=(0.0, 0.0, 0.0), noise_scale=0.0, b_y=1.0)
-        report = verify_assumptions(sample_dataset(spec, 50, SeedSpec(15)), spec)
-        assert report.max_abs_y == 0.0
-        assert report.y_bound_ok and report.x_bound_ok
+        data = sample_dataset(spec, 50, SeedSpec(15))
+        assert np.abs(data.ys).max() == 0.0
+        self.assert_within_bounds(data, spec)
 
     def test_ball_radius_two(self):
         spec = ball_spec(b_x=2.0, b_y=1.0)
-        report = verify_assumptions(sample_dataset(spec, 400, SeedSpec(16)), spec)
-        assert report.max_x_norm <= 2.0
-        assert report.x_bound_ok
+        self.assert_within_bounds(sample_dataset(spec, 400, SeedSpec(16)), spec)
 
     def test_subgaussian_ratios_stay_small(self):
+        # ||Y - mean(Y)||_q / (2e sqrt(v q)) stays at or below 1 for a valid
+        # proxy v, up to sampling noise.
         spec = DataSpec(
             d=2,
             x_family="uniform_ball",
@@ -496,16 +505,23 @@ class TestVerifyAssumptions:
             noise_scale=0.5,
             v=0.25,
         )
-        report = verify_assumptions(sample_dataset(spec, 10_000, SeedSpec(17)), spec)
-        assert set(report.subg_ratios) == {2, 4, 8}
-        assert all(r <= 1.1 for r in report.subg_ratios.values())
+        ys = sample_dataset(spec, 10_000, SeedSpec(17)).ys
+        centered = np.abs(ys - ys.mean())
+        for q in (2, 4, 8):
+            ratio = np.mean(centered**q) ** (1.0 / q) / (2.0 * math.e * math.sqrt(spec.v * q))
+            assert ratio <= 1.1
 
-    def test_violation_is_flagged(self):
-        spec = ball_spec()
-        data = Dataset(np.zeros((2, 3)), np.array([0.0, 9.0]))
-        report = verify_assumptions(data, spec)
-        assert report.y_bound_ok is False
-        assert not report.all_ok
+    def test_default_proxy_dominates_log_mgf(self):
+        # log E exp(tY) <= v t^2 / 2 with the default v = sigma^2 +
+        # ||beta||^2 b_x^2, on |t| sqrt(v) <= 3; EY = 0 by symmetry.  The
+        # signal's variance is ||beta||^2 b_x^2 / (d + 2), so this reads
+        # about 0.38 of the bound.
+        spec = GAUSSIAN_SPEC
+        v = spec.subgaussian_v()
+        ts = np.array([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0]) / math.sqrt(v)
+        ys = sample_dataset(spec, 100_000, SeedSpec(18)).ys
+        log_mgf = np.log(np.exp(np.outer(ts, ys)).mean(axis=1))
+        assert np.all(log_mgf <= v * ts**2 / 2.0)
 
     def test_derived_v_for_gaussian_model(self):
         spec = DataSpec(

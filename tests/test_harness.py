@@ -44,6 +44,8 @@ from stabilab.learners import (
 )
 from stabilab.stability import knn_gamma_1, stability_profile
 
+from test_acceptance import BERNOULLI_SPEC, NOISY_SPEC, RADEMACHER_Y_SPEC
+
 ZERO_SPEC = DataSpec(
     d=2,
     x_family="rademacher_coords",
@@ -52,16 +54,6 @@ ZERO_SPEC = DataSpec(
     beta_star=(0.0, 0.0),
     noise_scale=0.0,
     b_y=1.0,
-)
-
-NOISY_SPEC = DataSpec(
-    d=2,
-    x_family="uniform_ball",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(0.4, 0.2),
-    noise_scale=0.2,
-    b_y=0.6,
 )
 
 RIDGE_ALG = AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5)
@@ -775,12 +767,8 @@ class TestCli:
     def test_degenerate_efron_stein_rows_print_a_note(self, tmp_path, capsys):
         # Criterion 6's spec: d = 1 signs, y = x, no noise, so X'X = X'y = n
         # on every draw and no swap moves the ridge LoO statistic.
-        y_equals_x = DataSpec(
-            d=1, x_family="rademacher_coords", b_x=1.0, y_model="linear_clipped",
-            beta_star=(1.0,), noise_scale=0.0, b_y=1.0,
-        )
         for spec, expected in (
-            (y_equals_x, [f"ridge_loo n={n} q={q}" for n in (20, 50) for q in (2, 4)]),
+            (RADEMACHER_Y_SPEC, [f"ridge_loo n={n} q={q}" for n in (20, 50) for q in (2, 4)]),
             (NOISY_SPEC, []),
         ):
             cfg = make_config(
@@ -843,8 +831,7 @@ class TestCli:
         # config must not run it at a lambda the config never gave.
         cfg = make_config(
             kind="efron_stein",
-            spec=DataSpec(d=2, x_family="uniform_ball", b_x=1.0, y_model="bernoulli_label",
-                          beta_star=(0.2, 0.1), noise_scale=0.5, b_y=1.0),
+            spec=BERNOULLI_SPEC,
             algorithm=AlgorithmConfig(name="knn", k=(3,)),
             reps=10,
             out_dir=str(tmp_path),

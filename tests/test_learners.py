@@ -14,8 +14,9 @@ from stabilab.learners import (
     prediction_error_mc,
     ridge_fit,
     ridge_loo_fast,
-    ridge_objective,
 )
+
+from oracles import ridge_objective
 
 
 def random_instance(seed, max_d=8, max_n=64, y_scale=1.0):

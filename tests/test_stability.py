@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -33,36 +34,10 @@ from stabilab.stability import (
     y_norm_mc_std_error,
 )
 
-BERNOULLI_SPEC = DataSpec(
-    d=2,
-    x_family="uniform_ball",
-    b_x=1.0,
-    y_model="bernoulli_label",
-    beta_star=(0.2, 0.1),
-    noise_scale=0.5,
-    b_y=1.0,
-)
-
-NOISY_RIDGE_SPEC = DataSpec(
-    d=2,
-    x_family="uniform_ball",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(0.4, 0.2),
-    noise_scale=0.2,
-    b_y=0.6,
-)
+from test_acceptance import ANALYTIC_SPEC, BERNOULLI_SPEC, NOISY_SPEC
 
 # Three features: the stacks hold fewer replications per chunk than at d = 2.
-NOISY_RIDGE_SPEC_D3 = DataSpec(
-    d=3,
-    x_family="uniform_ball",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(0.4, 0.2, -0.3),
-    noise_scale=0.2,
-    b_y=0.6,
-)
+NOISY_SPEC_D3 = dataclasses.replace(NOISY_SPEC, d=3, beta_star=(0.4, 0.2, -0.3))
 
 
 class TestValidityDomain:
@@ -176,7 +151,7 @@ class TestEmpiricalStability:
 
     def test_monotone_in_q_on_shared_draws(self):
         profile = stability_profile(
-            RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC, 20, 100, SeedSpec(23), (1.0, 2.0, 4.0, 8.0)
+            RidgeAlgorithm(0.5), NOISY_SPEC, 20, 100, SeedSpec(23), (1.0, 2.0, 4.0, 8.0)
         )
         values = [profile[q][0] for q in (1.0, 2.0, 4.0, 8.0)]
         for lo, hi in zip(values, values[1:]):
@@ -197,19 +172,19 @@ class TestEmpiricalStability:
         # are checked: a known algorithm, and 0/1 labels and n >= k + 2 for kNN.
         draws = (10, 10, SeedSpec(25))
         with pytest.raises(ValueError, match="unknown algorithm"):
-            stability_profile(object(), NOISY_RIDGE_SPEC, *draws, (1.0,))
+            stability_profile(object(), NOISY_SPEC, *draws, (1.0,))
         with pytest.raises(ValueError, match="labels in"):
-            stability_profile(KnnAlgorithm(3), NOISY_RIDGE_SPEC, *draws, (1.0,))
+            stability_profile(KnnAlgorithm(3), NOISY_SPEC, *draws, (1.0,))
         with pytest.raises(ValueError, match="n >= k"):
             stability_profile(KnnAlgorithm(9), BERNOULLI_SPEC, *draws, (1.0,))
         with pytest.raises(ValueError, match="q must be"):
-            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, *draws, (2.0, 0.5))
+            stability_profile(RidgeAlgorithm(1.0), NOISY_SPEC, *draws, (2.0, 0.5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n must be"):
-            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, 1, 10, SeedSpec(0), (1.0,))
+            stability_profile(RidgeAlgorithm(1.0), NOISY_SPEC, 1, 10, SeedSpec(0), (1.0,))
         with pytest.raises(ValueError, match="reps must be"):
-            stability_profile(RidgeAlgorithm(1.0), NOISY_RIDGE_SPEC, 10, 1, SeedSpec(0), (1.0,))
+            stability_profile(RidgeAlgorithm(1.0), NOISY_SPEC, 10, 1, SeedSpec(0), (1.0,))
 
 
 # The estimator one replication at a time, with the per-dataset expressions:
@@ -368,8 +343,8 @@ class TestStackedKernels:
     @pytest.mark.parametrize(
         "algorithm, spec",
         [
-            (RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC),
-            (RidgeAlgorithm(0.5), NOISY_RIDGE_SPEC_D3),
+            (RidgeAlgorithm(0.5), NOISY_SPEC),
+            (RidgeAlgorithm(0.5), NOISY_SPEC_D3),
             (KnnAlgorithm(3), BERNOULLI_SPEC),
         ],
         ids=["ridge", "ridge_d3", "knn"],
@@ -505,7 +480,7 @@ class TestCoefficientDifferenceBound:
         assert lhs <= rhs
 
     def test_seeded_instances_never_violate(self):
-        spec = NOISY_RIDGE_SPEC
+        spec = NOISY_SPEC
         rng = np.random.default_rng(42)
         for seed in range(100):
             n = int(rng.integers(5, 40))
@@ -562,22 +537,14 @@ class TestYNorm:
     def test_enumerated_two_level_labels(self):
         # |Y| is (|0.6 s1 + 0.3 s2|)/sqrt(2) over signs: {0.9, 0.3}/sqrt(2)
         # each with probability 1/2.
-        spec = DataSpec(
-            d=2,
-            x_family="rademacher_coords",
-            b_x=1.0,
-            y_model="linear_clipped",
-            beta_star=(0.6, 0.3),
-            noise_scale=0.0,
-            b_y=0.7,
-        )
+        spec = ANALYTIC_SPEC
         q = 2.0
         expected = ((0.9**2 + 0.3**2) / 2.0 / 2.0) ** 0.5
         assert y_norm(spec, q) == pytest.approx(expected, rel=1e-12)
 
     def test_no_closed_form_raises(self):
         with pytest.raises(ValueError, match="closed-form"):
-            y_norm(NOISY_RIDGE_SPEC, 2.0)
+            y_norm(NOISY_SPEC, 2.0)
 
     def test_mc_needs_size(self):
         with pytest.raises(ValueError, match="m >= 2"):
@@ -586,15 +553,7 @@ class TestYNorm:
 
 class TestDominanceSmoke:
     def test_ridge_dominated_at_one_configuration(self):
-        spec = DataSpec(
-            d=2,
-            x_family="rademacher_coords",
-            b_x=1.0,
-            y_model="linear_clipped",
-            beta_star=(0.6, 0.3),
-            noise_scale=0.0,
-            b_y=0.7,
-        )
+        spec = ANALYTIC_SPEC
         n, lam, eta, q = 50, 1.0, 0.5, 2.0
         s_q_hat, std_error = stability_profile(
             RidgeAlgorithm(lam), spec, n, 300, SeedSpec(33), (q,))[q]
