@@ -30,12 +30,7 @@ from .harness import (
     config_to_dict,
     emit_report,
     load_config,
-    run_bounds_table,
-    run_coverage,
-    run_efron_stein,
     run_experiment,
-    run_rate,
-    run_stability_sweep,
 )
 from .learners import (
     KnnAlgorithm,

@@ -3,9 +3,11 @@
     stabilab <coverage|rate|stability|efron-stein|bounds-table>
         --config <path.json> [--out <dir>] [--seed <u64>] [--emit csv,json,svg]
 
-Exit codes: 0 success, 2 config error (an unreadable or non-UTF-8 file
-included), 3 precondition failure (a numerical overflow, a failed solve or
-a refused allocation included), 4 an inequality was empirically violated
+Exit codes: 0 success, 2 config error (a failure that the config alone
+decides, before a draw; an unreadable or non-UTF-8 file included),
+3 precondition failure (one that only the draws or the filesystem reveal:
+the test_m gate, an overflow, a failed solve, a refused allocation, a locked
+or unwritable output directory), 4 an inequality was empirically violated
 beyond the Monte Carlo slack (a test failure signal, not a crash).
 """
 

@@ -92,6 +92,32 @@ class PreconditionError(RuntimeError):
 # Config
 # ---------------------------------------------------------------------------
 
+# Every rule that depends on the config alone is checked here, before any
+# draw, so the runners trust their config.  The fewest replications and the
+# q range each kind runs with:
+_MIN_REPS = {"coverage": 50, "rate": 100, "stability_sweep": 2, "efron_stein": 2,
+             "bounds_table": 1}
+_Q_RANGE = {"stability_sweep": (1.0, 8.0), "efron_stein": (2.0, 8.0)}
+
+
+def _require_distinct(**grids: tuple) -> None:
+    # A repeated entry would run twice and overwrite its own results.
+    for name, values in grids.items():
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} entries must be distinct")
+
+
+def _require_geometric(n_grid: Sequence[int]) -> None:
+    if len(n_grid) < 4:
+        raise ConfigError("rate needs at least 4 sample sizes")
+    ratios = [n_grid[i + 1] / n_grid[i] for i in range(len(n_grid) - 1)]
+    if any(r <= 1.0 for r in ratios):
+        raise ConfigError("n_grid must be strictly increasing")
+    base = ratios[0]
+    if any(abs(r / base - 1.0) > 0.1 for r in ratios):
+        raise ConfigError("n_grid must be geometrically spaced (within 10%)")
+
+
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Algorithm selector for the harness; ridge carries the eta used by the
@@ -121,11 +147,7 @@ class AlgorithmConfig:
                 raise ConfigError("knn config must not set lambda or eta")
         else:
             raise ConfigError(f"unknown algorithm name {self.name!r}")
-
-    def single_lam(self) -> float:
-        if len(self.lam) != 1:
-            raise ConfigError("this experiment needs exactly one lambda value")
-        return self.lam[0]
+        _require_distinct(**{"lambda": self.lam, "k": self.k})
 
 
 @dataclass(frozen=True)
@@ -153,24 +175,37 @@ class ExperimentConfig:
             raise ConfigError(f"out_dir must be a string naming a directory, got {self.out_dir!r}")
         if not self.n_grid or not self.q_grid or not self.x_grid:
             raise ConfigError("n_grid, q_grid and x_grid must all be nonempty")
+        _require_distinct(n_grid=self.n_grid, q_grid=self.q_grid, x_grid=self.x_grid)
         if any(n < 2 for n in self.n_grid):
             raise ConfigError("all n_grid entries must be >= 2")
         if not all(math.isfinite(v) for v in self.q_grid + self.x_grid):
             raise ConfigError("all q_grid and x_grid entries must be finite")
-        if any(q < 1.0 for q in self.q_grid):
-            raise ConfigError("all q_grid entries must be >= 1")
+        q_lo, q_hi = _Q_RANGE.get(self.kind, (1.0, math.inf))
+        if not all(q_lo <= q <= q_hi for q in self.q_grid):
+            raise ConfigError(f"{self.kind} supports q in [{q_lo:g}, {q_hi:g}]")
         if any(x <= 0.0 for x in self.x_grid):
             raise ConfigError("all x_grid entries must be positive")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
-        if self.kind == "coverage" and self.reps < 50:
-            raise ConfigError("coverage requires reps >= 50")
-        if self.kind in ("stability_sweep", "efron_stein") and self.reps < 2:
-            raise ConfigError(f"{self.kind} requires reps >= 2")
+        if self.reps < _MIN_REPS[self.kind]:
+            raise ConfigError(f"{self.kind} requires reps >= {_MIN_REPS[self.kind]}")
         if self.test_m < 2:
             raise ConfigError("test_m must be >= 2")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigError("base_seed must be a 64-bit unsigned integer")
+        alg, spec = self.algorithm, self.spec
+        if self.kind == "stability_sweep":
+            if alg.name == "knn" and spec.y_model != "bernoulli_label":
+                raise ConfigError("kNN stability needs labels in {0, 1} (y_model bernoulli_label)")
+        elif alg.name != "ridge" or len(alg.lam) != 1:
+            raise ConfigError(f"{self.kind} requires the ridge algorithm with one lambda value")
+        if self.kind == "rate":
+            _require_geometric(self.n_grid)
+        elif self.kind == "coverage":
+            violations = [
+                v for n in self.n_grid
+                for v in ridge_corollary_violations(spec.b_x, alg.lam[0], alg.eta, n)
+            ]
+            if violations:
+                raise ConfigError("invalid lambda domain: " + "; ".join(violations))
 
     def root_seed(self) -> SeedSpec:
         return SeedSpec(self.base_seed, 0)
@@ -283,7 +318,7 @@ def _deviation_samples(
     Returns the deviations plus the largest Monte Carlo standard error of
     the prediction-error estimate across replications.
     """
-    lam = config.algorithm.single_lam()
+    lam = config.algorithm.lam[0]
     spec = config.spec
     devs = np.empty(config.reps)
     max_se = -math.inf
@@ -326,24 +361,8 @@ class CoverageRow:
 
 
 def run_coverage(config: ExperimentConfig) -> Report:
-    if config.kind != "coverage":
-        raise ConfigError(f"expected kind 'coverage', got {config.kind!r}")
-    alg = config.algorithm
-    if alg.name != "ridge":
-        raise PreconditionError("coverage requires the ridge algorithm")
-    lam, eta = alg.single_lam(), alg.eta
-    spec = config.spec
-
-    v = spec.subgaussian_v()
-    if spec.b_y is None and v is None:
-        raise PreconditionError(
-            "coverage needs a spec with a label bound (b_y) or a sub-Gaussian proxy (v)"
-        )
-    gammas = gamma_set(spec.b_x, lam, eta)
-    for n in config.n_grid:
-        violations = ridge_corollary_violations(spec.b_x, lam, eta, n)
-        if violations:
-            raise PreconditionError("invalid lambda domain: " + "; ".join(violations))
+    spec, v = config.spec, config.spec.subgaussian_v()
+    gammas = gamma_set(spec.b_x, config.algorithm.lam[0], config.algorithm.eta)
 
     def threshold(n: int, x: float) -> float:
         if spec.b_y is not None:
@@ -405,26 +424,7 @@ class RateRow:
     reps: int
 
 
-def _require_geometric(n_grid: Sequence[int]) -> None:
-    if len(n_grid) < 4:
-        raise PreconditionError("rate needs at least 4 sample sizes")
-    ratios = [n_grid[i + 1] / n_grid[i] for i in range(len(n_grid) - 1)]
-    if any(r <= 1.0 for r in ratios):
-        raise PreconditionError("n_grid must be strictly increasing")
-    base = ratios[0]
-    if any(abs(r / base - 1.0) > 0.1 for r in ratios):
-        raise PreconditionError("n_grid must be geometrically spaced (within 10%)")
-
-
 def run_rate(config: ExperimentConfig) -> Report:
-    if config.kind != "rate":
-        raise ConfigError(f"expected kind 'rate', got {config.kind!r}")
-    if config.algorithm.name != "ridge":
-        raise PreconditionError("rate requires the ridge algorithm")
-    _require_geometric(config.n_grid)
-    if config.reps < 100:
-        raise PreconditionError("rate needs reps >= 100 per sample size")
-
     root = config.root_seed()
     all_devs: list[np.ndarray] = []
     for ni, n in enumerate(config.n_grid):
@@ -482,10 +482,6 @@ def _y_norms(
 
 
 def run_stability_sweep(config: ExperimentConfig) -> Report:
-    if config.kind != "stability_sweep":
-        raise ConfigError(f"expected kind 'stability_sweep', got {config.kind!r}")
-    if any(q > 8.0 for q in config.q_grid):
-        raise PreconditionError("stability sweep supports q in [1, 8]")
     alg = config.algorithm
     spec = config.spec
     root = config.root_seed()
@@ -535,13 +531,7 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def run_efron_stein(config: ExperimentConfig) -> Report:
-    if config.kind != "efron_stein":
-        raise ConfigError(f"expected kind 'efron_stein', got {config.kind!r}")
-    if config.algorithm.name != "ridge":
-        raise PreconditionError("efron_stein requires the ridge algorithm")
-    if any(q < 2.0 or q > 8.0 for q in config.q_grid):
-        raise PreconditionError("efron_stein supports q in [2, 8]")
-    ridge_lam = config.algorithm.single_lam()
+    ridge_lam = config.algorithm.lam[0]
     root = config.root_seed()
     rows: list[EfronSteinRow] = []
     for fi, f in enumerate(EFRON_STEIN_STATS):
@@ -576,12 +566,7 @@ def _deviation_envelope(spec: DataSpec, lam: float) -> float:
 
 
 def run_bounds_table(config: ExperimentConfig) -> Report:
-    if config.kind != "bounds_table":
-        raise ConfigError(f"expected kind 'bounds_table', got {config.kind!r}")
-    alg = config.algorithm
-    if alg.name != "ridge":
-        raise PreconditionError("bounds_table requires the ridge algorithm")
-    lam, eta = alg.single_lam(), alg.eta
+    lam, eta = config.algorithm.lam[0], config.algorithm.eta
     spec = config.spec
     gammas = gamma_set(spec.b_x, lam, eta)
     envelope = _deviation_envelope(spec, lam)

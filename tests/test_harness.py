@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import fcntl
+import importlib.util
 import json
 import math
 import os
@@ -96,6 +97,9 @@ KNN = dict(name="knn", k=(3,))
 EXPERIMENT = dict(kind="coverage", spec=DataSpec(**FULL_SPEC), algorithm=AlgorithmConfig(**RIDGE),
                   n_grid=(20,), q_grid=(2.0,), x_grid=(1.0,), reps=50, test_m=300,
                   base_seed=1234, out_dir="out")
+# Only a sweep on 0/1 labels runs kNN.
+KNN_EXPERIMENT = dict(EXPERIMENT, kind="stability_sweep", spec=BERNOULLI_SPEC,
+                      algorithm=AlgorithmConfig(**KNN))
 
 # A bool, a fraction and a string for integer fields; a bool and a string
 # for float fields; a bool and a number for string fields.  A tuple field
@@ -121,6 +125,18 @@ FIELD_PARAMS = [
     for field, bads in fields.items()
     for bad in bads
 ]
+
+
+def _load_bench_workloads():
+    """perfbench/workloads.py, loaded by path, as perfbench is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = _load_bench_workloads()
 
 
 class TestConfig:
@@ -149,10 +165,12 @@ class TestConfig:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_scalar_lambda_accepted(self):
-        obj = config_to_dict(make_config())
+        # A sweep on 0/1 labels, where ridge and kNN are both legal.
+        cfg = make_config(kind="stability_sweep", spec=BERNOULLI_SPEC)
+        obj = config_to_dict(cfg)
         obj["algorithm"]["lambda"] = 1.0
         obj.update(n_grid=20, q_grid=2.0)
-        assert config_from_dict(obj) == make_config()
+        assert config_from_dict(obj) == cfg
         obj["algorithm"] = {"name": "knn", "k": 3}
         assert config_from_dict(obj).algorithm == AlgorithmConfig(name="knn", k=(3,))
 
@@ -168,18 +186,26 @@ class TestConfig:
         where = {DataSpec: "spec", AlgorithmConfig: "algorithm", ExperimentConfig: None}
         if cls not in where:
             return
-        algorithm = AlgorithmConfig(**base) if cls is AlgorithmConfig else EXPERIMENT["algorithm"]
-        obj = config_to_dict(
-            ExperimentConfig(**{**EXPERIMENT, "algorithm": algorithm, "out_dir": str(tmp_path)})
+        experiment, command = (
+            (KNN_EXPERIMENT, "stability") if base is KNN else (EXPERIMENT, "coverage")
         )
+        obj = config_to_dict(ExperimentConfig(**{**experiment, "out_dir": str(tmp_path)}))
         (obj if where[cls] is None else obj[where[cls]])[json_key] = bad
         with pytest.raises(ConfigError, match=json_key):
             config_from_dict(obj)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(obj))
-        assert cli.main(["coverage", "--config", str(path)]) == 2
+        assert cli.main([command, "--config", str(path)]) == 2
         assert json_key in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+    @pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS.WORKLOADS))
+    def test_benchmark_workload_configs_load(self, workload, smoke):
+        # The benchmark runs these configs, its smoke ones only in its own
+        # tests; a new config rule must not refuse them unnoticed.
+        for name, command, obj in BENCH_WORKLOADS.experiments(workload, smoke=smoke):
+            assert config_from_dict(obj).kind == cli._COMMAND_KINDS[command], name
 
     def test_unknown_keys_rejected(self):
         obj = config_to_dict(make_config())
@@ -271,16 +297,12 @@ class TestCoverage:
             run_coverage(cfg)
 
     def test_invalid_lambda_domain(self):
-        cfg = make_config(algorithm=AlgorithmConfig(name="ridge", lam=(0.001,), eta=0.5))
-        with pytest.raises(PreconditionError, match="lambda domain"):
-            run_coverage(cfg)
+        with pytest.raises(ConfigError, match="lambda domain"):
+            make_config(algorithm=AlgorithmConfig(name="ridge", lam=(0.001,), eta=0.5))
 
     def test_requires_ridge(self):
-        cfg = make_config(
-            spec=ZERO_SPEC, algorithm=AlgorithmConfig(name="knn", k=(3,))
-        )
-        with pytest.raises(PreconditionError, match="ridge"):
-            run_coverage(cfg)
+        with pytest.raises(ConfigError, match="ridge"):
+            make_config(spec=ZERO_SPEC, algorithm=AlgorithmConfig(name="knn", k=(3,)))
 
     def test_subgaussian_spec_supported(self):
         spec = DataSpec(
@@ -295,10 +317,15 @@ class TestCoverage:
         assert report.all_pass
 
 
+def rate_config(**kwargs):
+    """A rate config with the fewest reps and sample sizes that rate takes."""
+    return make_config(**{"kind": "rate", "n_grid": (8, 16, 32, 64), "reps": 100, **kwargs})
+
+
 def _reference_deviation_samples(config, n, n_seed):
     """harness._deviation_samples one replication at a time, each training
     set drawn alone with sample_dataset."""
-    lam = config.algorithm.single_lam()
+    lam = config.algorithm.lam[0]
     devs = np.empty(config.reps)
     max_se = -math.inf
     for r in range(config.reps):
@@ -326,11 +353,11 @@ class TestDeviationSamples:
         ids=["noisy_ball_d2", "gaussian_cube_d3", "rademacher_bernoulli_d2"],
     )
     def test_matches_the_per_replication_loop_bitwise(self, monkeypatch, spec, chunk):
-        n, reps = 10, 7
+        n = 10
         if chunk is not None:
             monkeypatch.setattr(datagen, "_CHUNK_BYTES", 8 * n * spec.d * chunk)
-        assert reps % datagen._chunk_reps(n, spec.d) != 0  # ends on a partial chunk
-        config = make_config(kind="rate", spec=spec, reps=reps, test_m=50)
+        config = rate_config(spec=spec, test_m=50)
+        assert config.reps % datagen._chunk_reps(n, spec.d) != 0  # ends on a partial chunk
         seed = SeedSpec(61).child(2)
         devs, max_se = harness._deviation_samples(config, n, seed)
         ref_devs, ref_max_se = _reference_deviation_samples(config, n, seed)
@@ -340,7 +367,7 @@ class TestDeviationSamples:
     def test_unstable_downdates_take_the_naive_refit(self, monkeypatch):
         # At this limit about half the replications (n = 10, lam = 1) have
         # a downdate marked unstable, and only those are refitted naively.
-        n, reps = 10, 7
+        n = 10
         monkeypatch.setattr(datagen, "_CHUNK_BYTES", 8 * n * NOISY_SPEC.d * 3)
         monkeypatch.setattr(learners, "DOWNDATE_CONDITION_LIMIT", 0.085)
         refitted = []
@@ -351,11 +378,11 @@ class TestDeviationSamples:
             return original(data, lam)
 
         monkeypatch.setattr(learners, "_ridge_loo_betas", recording)
-        config = make_config(kind="rate", reps=reps, test_m=50)
+        config = rate_config(test_m=50)
         seed = SeedSpec(62)
         devs, max_se = harness._deviation_samples(config, n, seed)
         stacked = refitted[:]
-        assert 0 < len(stacked) < reps
+        assert 0 < len(stacked) < config.reps
         ref_devs, ref_max_se = _reference_deviation_samples(config, n, seed)
         assert devs.tobytes() == ref_devs.tobytes()
         assert max_se == ref_max_se
@@ -413,12 +440,14 @@ class TestRate:
         assert (fit["slope_ci_low"], fit["slope_ci_high"]) == (float(low), float(high))
 
     def test_grid_preconditions(self):
-        with pytest.raises(PreconditionError, match="4 sample"):
-            run_rate(make_config(kind="rate", n_grid=(8, 16, 32), reps=100))
-        with pytest.raises(PreconditionError, match="geometrically"):
-            run_rate(make_config(kind="rate", n_grid=(8, 16, 24, 30), reps=100))
-        with pytest.raises(PreconditionError, match="reps"):
-            run_rate(make_config(kind="rate", n_grid=(8, 16, 32, 64), reps=50))
+        with pytest.raises(ConfigError, match="4 sample"):
+            rate_config(n_grid=(8, 16, 32))
+        with pytest.raises(ConfigError, match="increasing"):
+            rate_config(n_grid=(64, 32, 16, 8))
+        with pytest.raises(ConfigError, match="geometrically"):
+            rate_config(n_grid=(8, 16, 24, 30))
+        with pytest.raises(ConfigError, match="reps"):
+            rate_config(reps=50)
 
 
 class TestStabilitySweep:
@@ -493,9 +522,9 @@ class TestEfronSteinRunner:
         assert report.all_pass
 
     def test_q_domain_enforced(self):
-        cfg = make_config(kind="efron_stein", q_grid=(1.0,), reps=10)
-        with pytest.raises(PreconditionError, match="q in"):
-            run_efron_stein(cfg)
+        for q in (1.0, 9.0):
+            with pytest.raises(ConfigError, match=r"q in \[2, 8\]"):
+                make_config(kind="efron_stein", q_grid=(q,), reps=10)
 
 
 class TestBoundsTable:
@@ -708,6 +737,62 @@ class TestEmission:
             emit_report(report, ["csv"])
 
 
+# A valid config of each kind for the config-only failures below.
+PROBE_BASES = {
+    "coverage": dict(spec=ZERO_SPEC),
+    "rate": dict(kind="rate", n_grid=(8, 16, 32, 64), reps=100),
+    "stability_sweep": dict(kind="stability_sweep", spec=BERNOULLI_SPEC,
+                            algorithm=AlgorithmConfig(name="knn", k=(3,)), q_grid=(1.0,), reps=10),
+    "efron_stein": dict(kind="efron_stein", spec=ZERO_SPEC, reps=10),
+    "bounds_table": dict(kind="bounds_table", n_grid=(50,), reps=1),
+}
+KNN_JSON = {"name": "knn", "k": [3]}
+# (kind, section or None, key, value, part of the message)
+CONFIG_ONLY_FAILURES = [
+    pytest.param("coverage", None, "algorithm", KNN_JSON, "coverage requires the ridge",
+                 id="coverage_knn"),
+    pytest.param("rate", None, "algorithm", KNN_JSON, "rate requires the ridge", id="rate_knn"),
+    # The swap statistics include ridge LoO, which needs a lambda; a kNN
+    # config must not run it at a lambda the config never gave.
+    pytest.param("efron_stein", None, "algorithm", KNN_JSON, "efron_stein requires the ridge",
+                 id="efron_stein_knn"),
+    pytest.param("bounds_table", None, "algorithm", KNN_JSON, "bounds_table requires the ridge",
+                 id="bounds_table_knn"),
+    pytest.param("coverage", "algorithm", "lambda", [0.001], "invalid lambda domain",
+                 id="coverage_lambda_outside_domain"),
+    pytest.param("rate", None, "n_grid", [8, 16, 32], "at least 4 sample sizes",
+                 id="rate_three_sizes"),
+    pytest.param("rate", None, "n_grid", [8, 16, 24, 30], "geometrically spaced",
+                 id="rate_not_geometric"),
+    pytest.param("rate", None, "reps", 60, "rate requires reps >= 100", id="rate_60_reps"),
+    pytest.param("stability_sweep", None, "q_grid", [10.0], "supports q in [1, 8]",
+                 id="sweep_q_10"),
+    # The kNN bound is for the 0-1 cost; clipped-linear labels are real
+    # valued, so a "dominated" row there would verify nothing.
+    pytest.param("stability_sweep", None, "spec", config_to_dict(NOISY_SPEC), "labels in {0, 1}",
+                 id="knn_sweep_real_valued_labels"),
+    pytest.param("efron_stein", None, "q_grid", [1.5], "supports q in [2, 8]",
+                 id="efron_stein_q_1.5"),
+    pytest.param("coverage", None, "n_grid", [20, 20], "n_grid entries must be distinct",
+                 id="repeated_n"),
+    pytest.param("stability_sweep", None, "q_grid", [1.0, 1.0], "q_grid entries must be distinct",
+                 id="repeated_q"),
+    pytest.param("bounds_table", None, "x_grid", [1.0, 1.0], "x_grid entries must be distinct",
+                 id="repeated_x"),
+    pytest.param("stability_sweep", None, "algorithm",
+                 {"name": "ridge", "lambda": [1.0, 1.0], "eta": 0.5},
+                 "lambda entries must be distinct", id="repeated_lambda"),
+    pytest.param("stability_sweep", "algorithm", "k", [3, 3], "k entries must be distinct",
+                 id="repeated_k"),
+    # Gaussian labels with no noise and no signal derive the proxy v = 0,
+    # which the sub-Gaussian bound refused later as a field never set.
+    pytest.param("coverage", None, "spec",
+                 {"d": 2, "x_family": "uniform_ball", "b_x": 1.0,
+                  "y_model": "linear_gaussian", "beta_star": [0.0, 0.0], "noise_scale": 0.0},
+                 "noise_scale 0 and beta_star 0", id="gaussian_zero_proxy"),
+]
+
+
 def child_env():
     """This environment, with the tested package first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -815,47 +900,31 @@ class TestCli:
     def test_efron_stein_lambda_grid_exit_two(self, tmp_path):
         # Efron-Stein runs at one lambda; a grid must not silently run at
         # its first value.
-        cfg = make_config(
-            kind="efron_stein",
-            spec=ZERO_SPEC,
-            algorithm=AlgorithmConfig(name="ridge", lam=(0.5, 2.0), eta=0.5),
-            reps=10,
-            out_dir=str(tmp_path),
+        obj = config_to_dict(
+            make_config(kind="efron_stein", spec=ZERO_SPEC, reps=10, out_dir=str(tmp_path))
         )
-        path = self.write_config(tmp_path, cfg)
+        obj["algorithm"]["lambda"] = [0.5, 2.0]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
         assert cli.main(["efron-stein", "--config", str(path)]) == 2
         assert not list(tmp_path.glob("efron_stein_*"))
 
-    def test_efron_stein_knn_exit_three(self, tmp_path, capsys):
-        # The swap statistics include ridge LoO, which needs a lambda; a kNN
-        # config must not run it at a lambda the config never gave.
-        cfg = make_config(
-            kind="efron_stein",
-            spec=BERNOULLI_SPEC,
-            algorithm=AlgorithmConfig(name="knn", k=(3,)),
-            reps=10,
-            out_dir=str(tmp_path),
-        )
-        path = self.write_config(tmp_path, cfg)
-        assert cli.main(["efron-stein", "--config", str(path)]) == 3
-        assert "requires the ridge algorithm" in capsys.readouterr().err
-        assert not list(tmp_path.glob("efron_stein_*"))
-
-    def test_knn_stability_on_real_valued_labels_exit_three(self, tmp_path, capsys):
-        # The kNN bound is for the 0-1 cost; clipped-linear labels are real
-        # valued, so a "dominated" row there would verify nothing.
-        cfg = make_config(
-            kind="stability_sweep",
-            algorithm=AlgorithmConfig(name="knn", k=(3,)),
-            n_grid=(20,),
-            q_grid=(1.0,),
-            reps=10,
-            out_dir=str(tmp_path),
-        )
-        path = self.write_config(tmp_path, cfg)
-        assert cli.main(["stability", "--config", str(path)]) == 3
-        assert "labels in {0, 1}" in capsys.readouterr().err
-        assert not list(tmp_path.glob("stability_sweep_*"))
+    @pytest.mark.parametrize("kind, where, key, value, message", CONFIG_ONLY_FAILURES)
+    def test_config_only_failure_exit_two(
+        self, tmp_path, capsys, kind, where, key, value, message
+    ):
+        # Each of these is decided by the config alone; it used to exit 3
+        # after the config was accepted, or to run (a repeated grid entry
+        # overwrote its own results).  It must exit 2 before any draw.
+        command = {k: c for c, k in cli._COMMAND_KINDS.items()}[kind]
+        obj = config_to_dict(make_config(**PROBE_BASES[kind], out_dir=str(tmp_path / "out")))
+        (obj if where is None else obj[where])[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and message in err[0], err
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
         "where, key, value",
@@ -1058,14 +1127,23 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli.main(["rate", "--config", str(path)]) == 2
 
-    def test_precondition_exit_three(self, tmp_path):
+    def test_precondition_exit_three(self, tmp_path, capsys):
+        # The test_m gate depends on the draws' standard error, so it stays
+        # a precondition failure (the config of
+        # TestCoverage::test_precision_gate_fires_for_tiny_test_m).
+        tight_spec = DataSpec(d=1, x_family="uniform_ball", b_x=0.1, y_model="linear_clipped",
+                              beta_star=(0.02,), noise_scale=0.01, b_y=0.05)
         cfg = make_config(
-            spec=ZERO_SPEC,
-            algorithm=AlgorithmConfig(name="ridge", lam=(0.001,), eta=0.5),
+            spec=tight_spec,
+            algorithm=AlgorithmConfig(name="ridge", lam=(10.0,), eta=0.5),
+            n_grid=(50,),
+            x_grid=(1.0,),
+            test_m=2,
             out_dir=str(tmp_path),
         )
         path = self.write_config(tmp_path, cfg)
         assert cli.main(["coverage", "--config", str(path)]) == 3
+        assert "increase test_m" in capsys.readouterr().err
 
     def test_overrides_applied(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "orig"))
