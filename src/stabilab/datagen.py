@@ -249,9 +249,11 @@ class DataSpec:
                 raise ValueError("b_y must be a positive real")
         elif self.b_y is not None:
             raise ValueError("linear_gaussian labels are unbounded; give v, not b_y")
-        elif self.v is None and self.noise_scale == 0 and not any(self.beta_star):
-            raise ValueError("linear_gaussian with noise_scale 0 and beta_star 0 derives "
-                             "the proxy v = 0; make one nonzero or give v")
+        elif self.v is None and not self.noise_scale * self.noise_scale + (
+            self.beta_norm() * self.beta_norm() * (self.b_x * self.b_x)
+        ) > 0:  # subgaussian_v(), multiplied so that it cannot overflow
+            raise ValueError("linear_gaussian derives the proxy v = noise_scale^2 + "
+                             "||beta_star||^2 b_x^2, which is 0 here; give v")
         if self.y_model == "linear_clipped" and self.b_y < self.beta_norm() * self.b_x:
             raise ValueError(
                 "linear_clipped requires b_y >= ||beta_star||_2 * b_x "

@@ -20,10 +20,10 @@ s_j = x_j' A^-1 x_j, the held-out residual is (y_j - x_j'g) / (1 - s_j).
 residuals of a stack, whose row sums are the leave-one-out risks, and
 ``ridge_loo_fast`` runs it on a stack of one;
 ``ridge_loo_betas_stacked`` turns it into the leave-one-out coefficients
-of a stack.  A conditioning guard marks every index where the downdate is
-unstable; ``_ridge_loo_betas`` refits those naively, and ``ridge_loo_fast``
-takes their coefficients from it, so the fast paths are exact, never
-approximate.
+of a stack, and ``_ridge_loo_betas`` runs it on a stack of one.  Where
+some 1 - s_j is so small that the downdate is numerically singular, it
+raises ``ArithmeticError``: by Sherman-Morrison 1 - s_j >= (n-1)*lam /
+((n-1)*lam + ||x_j||^2), which exceeds 1/2 on the paper's domain.
 
 The ``*_stacked`` kernels take a stack of equally sized samples, xs of
 shape (m, n, d), and round every sample as its per-dataset twin does.
@@ -143,9 +143,9 @@ def _loo_downdate_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
     xs (m, n, d), ys (m, n).
 
     With A = X'X + (n-1)*lam*I per sample returns g = A^-1 X'y (m, d, 1),
-    w (m, d, n) with columns A^-1 x_j, s_j = x_j' A^-1 x_j, 1 - s_j, and the
-    (m, n) mask of indices where 1 - s_j is too small for the downdate to
-    be trusted.
+    w (m, d, n) with columns A^-1 x_j, s_j = x_j' A^-1 x_j and 1 - s_j.
+    Raises ``ArithmeticError`` where some 1 - s_j is too small for the
+    downdate to be trusted.
     """
     n, d = xs.shape[1:]
     if n < 2:
@@ -163,34 +163,29 @@ def _loo_downdate_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
     w = np.linalg.solve(a, xt)
     s = np.einsum("rij,rji->ri", xs, w)
     one_minus_s = 1.0 - s
-    unstable = one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
-    return g, w, s, one_minus_s, unstable
+    if (one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT).any():
+        raise ArithmeticError(f"leave-one-out downdate is numerically singular at lam = {lam}:"
+                              " (n-1)*lam is negligible against some ||x_j||^2")
+    return g, w, s, one_minus_s
 
 
-def ridge_loo_betas_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
-    """Rank-one-downdate leave-one-out coefficients of a stack of samples.
-
-    For xs (m, n, d), ys (m, n) returns betas (m, n, d), betas[r, j] the
-    refit of sample r without point j, and the (m, n) mask of the unstable
-    downdates, whose betas are not exact.
-    """
-    g, w, s, one_minus_s, unstable = _loo_downdate_stacked(xs, ys, lam)
-    scale = ((xs @ g)[..., 0] - ys * s) / np.where(unstable, 1.0, one_minus_s)
+def ridge_loo_betas_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
+    """Rank-one-downdate leave-one-out coefficients of a stack of samples:
+    for xs (m, n, d), ys (m, n), betas (m, n, d) with betas[r, j] the refit
+    of sample r without point j."""
+    g, w, s, one_minus_s = _loo_downdate_stacked(xs, ys, lam)
+    scale = ((xs @ g)[..., 0] - ys * s) / one_minus_s
     wt = w.swapaxes(1, 2)
-    return g.swapaxes(1, 2) - ys[..., None] * wt + scale[..., None] * wt, unstable
+    return g.swapaxes(1, 2) - ys[..., None] * wt + scale[..., None] * wt
 
 
 def _ridge_loo_betas(data: Dataset, lam: float) -> np.ndarray:
     """All n leave-one-out coefficient vectors, betas[j] = refit without point j.
 
-    Exact: downdates where stable, naive refits elsewhere.  C-ordered, so
-    a row's dot product rounds as that of the coefficients ridge_fit returns.
+    C-ordered, so a row's dot product rounds as that of the coefficients
+    ridge_fit returns.
     """
-    betas, unstable = ridge_loo_betas_stacked(data.xs[None], data.ys[None], lam)
-    betas = np.ascontiguousarray(betas[0])
-    for j in np.flatnonzero(unstable[0]):
-        betas[j] = ridge_fit(leave_one_out(data, int(j) + 1), lam)
-    return betas
+    return np.ascontiguousarray(ridge_loo_betas_stacked(data.xs[None], data.ys[None], lam)[0])
 
 
 def loo_estimate(algorithm, data: Dataset) -> float:
@@ -220,32 +215,23 @@ def loo_estimate(algorithm, data: Dataset) -> float:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _ridge_loo_sq_residuals_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
+def _ridge_loo_sq_residuals_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
     """Squared shortcut residuals ((y_j - x_j'g) / (1 - s_j))^2, shape (m, n),
-    of each sample of a stack xs (m, n, d), ys (m, n), and the (m, n) mask
-    of the unstable downdates, whose entries are not exact.  Where no entry
-    is unstable, a row's sum over n is the sample's leave-one-out risk."""
-    g, _, _, one_minus_s, unstable = _loo_downdate_stacked(xs, ys, lam)
-    denom = np.where(unstable, 1.0, one_minus_s) if unstable.any() else one_minus_s
-    return ((ys - (xs @ g)[..., 0]) / denom) ** 2, unstable
+    of each sample of a stack xs (m, n, d), ys (m, n); a row's sum over n
+    is the sample's leave-one-out risk."""
+    g, _, _, one_minus_s = _loo_downdate_stacked(xs, ys, lam)
+    return ((ys - (xs @ g)[..., 0]) / one_minus_s) ** 2
 
 
 def ridge_loo_fast(data: Dataset, lam: float) -> float:
     """Rank-one-downdate leave-one-out risk for ridge with squared cost.
 
-    Exactly equals loo_estimate(RidgeAlgorithm(lam), data); the
-    shortcut residual (y_j - x_j'g)/(1 - s_j) is used where stable and the
-    naive refit of ``_ridge_loo_betas`` elsewhere.
+    Equals loo_estimate(RidgeAlgorithm(lam), data), from the shortcut
+    residuals (y_j - x_j'g)/(1 - s_j).
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lam must be a positive real")
-    xs, ys = data.xs, data.ys
-    sq, unstable = _ridge_loo_sq_residuals_stacked(xs[None], ys[None], lam)
-    sq, unstable = sq[0], unstable[0]
-    if unstable.any():
-        betas = _ridge_loo_betas(data, lam)
-        for j in np.flatnonzero(unstable):
-            sq[j] = (ys[j] - float(betas[j] @ xs[j])) ** 2
+    sq = _ridge_loo_sq_residuals_stacked(data.xs[None], data.ys[None], lam)[0]
     return float(sq.sum() / data.n)
 
 

@@ -41,7 +41,6 @@ from .datagen import (
     SeedSpec,
     _as_integer,
     _chunk_reps,
-    leave_one_out,
     sample_dataset,
     sample_stack,
 )
@@ -107,9 +106,7 @@ def _ridge_cost_diffs_stacked(
     # np.float_power calls too; x * x differs on ~0.1% of values.
     full = ridge_fit_stacked(xs, ys, lam)
     c_full = np.float_power((full[:, None, :] @ x[..., None])[:, 0, 0] - y, 2.0)
-    betas, unstable = ridge_loo_betas_stacked(xs, ys, lam)
-    for r in np.flatnonzero(unstable.any(axis=1)):
-        betas[r] = _ridge_loo_betas(Dataset(xs[r], ys[r]), lam)
+    betas = ridge_loo_betas_stacked(xs, ys, lam)
     costs = ((betas @ x[..., None])[..., 0] - y[:, None]) ** 2
     return np.abs(c_full[:, None] - costs)
 
@@ -224,7 +221,9 @@ def ridge_param_diff_check(
 
     lhs is the Euclidean distance between the full fit and the fit with
     point j removed; rhs is the closed-form bound evaluated on the data.
-    On the valid domain lhs <= rhs deterministically.
+    On the valid domain lhs <= rhs deterministically.  That domain,
+    (n-1)*lam > b_x^2 >= ||x_j||^2, also keeps the leave-one-out downdate
+    well conditioned.
     """
     n = data.n
     if not (0.0 < eta < 1.0):
@@ -241,7 +240,7 @@ def ridge_param_diff_check(
         raise ValueError(f"index j={j} out of range 1..{n}")
 
     beta_full = ridge_fit(data, lam)
-    beta_loo = ridge_fit(leave_one_out(data, j), lam)
+    beta_loo = _ridge_loo_betas(data, lam)[j - 1]
     lhs = float(np.linalg.norm(beta_full - beta_loo))
 
     abs_y = np.abs(data.ys)

@@ -181,6 +181,20 @@ class TestDataSpecValidation:
         with pytest.raises(ValueError, match="b_y"):
             ball_spec(b_y=None)
 
+    @pytest.mark.parametrize(
+        "noise_scale, beta_star, b_x",
+        [(1e-200, (0.0, 0.0), 1.0), (0.0, (1e-200, 0.0), 1e100)],
+        ids=["noise_underflow", "signal_underflow"],
+    )
+    def test_gaussian_proxy_that_rounds_to_zero(self, noise_scale, beta_star, b_x):
+        # Nonzero, but subgaussian_v() would derive v = 0.0 (1e-200**2 and
+        # ||beta||**2 underflow), a proxy that no sub-Gaussian bound takes.
+        gaussian = dict(d=2, x_family="uniform_ball", y_model="linear_gaussian",
+                        b_x=b_x, beta_star=beta_star, noise_scale=noise_scale)
+        with pytest.raises(ValueError, match="derives the proxy v"):
+            DataSpec(**gaussian)
+        assert DataSpec(**gaussian, v=0.5).subgaussian_v() == 0.5
+
 
 def _reference_sample(spec, n, seed):
     """sample_dataset written with the plain broadcast expressions (norm

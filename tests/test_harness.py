@@ -34,7 +34,7 @@ from stabilab.harness import (
     run_rate,
     run_stability_sweep,
 )
-from stabilab import datagen, learners
+from stabilab import datagen
 from stabilab.datagen import DataSpec, SeedSpec, sample_dataset
 from stabilab.learners import (
     KnnAlgorithm,
@@ -363,32 +363,6 @@ class TestDeviationSamples:
         ref_devs, ref_max_se = _reference_deviation_samples(config, n, seed)
         assert devs.tobytes() == ref_devs.tobytes()
         assert max_se == ref_max_se
-
-    def test_unstable_downdates_take_the_naive_refit(self, monkeypatch):
-        # At this limit about half the replications (n = 10, lam = 1) have
-        # a downdate marked unstable, and only those are refitted naively.
-        n = 10
-        monkeypatch.setattr(datagen, "_CHUNK_BYTES", 8 * n * NOISY_SPEC.d * 3)
-        monkeypatch.setattr(learners, "DOWNDATE_CONDITION_LIMIT", 0.085)
-        refitted = []
-        original = learners._ridge_loo_betas
-
-        def recording(data, lam):
-            refitted.append(data.xs.copy())
-            return original(data, lam)
-
-        monkeypatch.setattr(learners, "_ridge_loo_betas", recording)
-        config = rate_config(test_m=50)
-        seed = SeedSpec(62)
-        devs, max_se = harness._deviation_samples(config, n, seed)
-        stacked = refitted[:]
-        assert 0 < len(stacked) < config.reps
-        ref_devs, ref_max_se = _reference_deviation_samples(config, n, seed)
-        assert devs.tobytes() == ref_devs.tobytes()
-        assert max_se == ref_max_se
-        oracle = refitted[len(stacked):]
-        assert len(oracle) == len(stacked)
-        assert all(np.array_equal(a, b) for a, b in zip(stacked, oracle))
 
 
 class TestRate:
@@ -760,6 +734,11 @@ CONFIG_ONLY_FAILURES = [
                  id="bounds_table_knn"),
     pytest.param("coverage", "algorithm", "lambda", [0.001], "invalid lambda domain",
                  id="coverage_lambda_outside_domain"),
+    # The PAC and moment rows of a bounds table hold on the corollary domain
+    # only, as coverage's thresholds do; no lambda puts n < 3 in it.
+    pytest.param("bounds_table", "algorithm", "lambda", [0.001], "invalid lambda domain",
+                 id="bounds_table_lambda_outside_domain"),
+    pytest.param("bounds_table", None, "n_grid", [2], "n >= 3 required", id="bounds_table_n_2"),
     pytest.param("rate", None, "n_grid", [8, 16, 32], "at least 4 sample sizes",
                  id="rate_three_sizes"),
     pytest.param("rate", None, "n_grid", [8, 16, 24, 30], "geometrically spaced",
@@ -789,7 +768,12 @@ CONFIG_ONLY_FAILURES = [
     pytest.param("coverage", None, "spec",
                  {"d": 2, "x_family": "uniform_ball", "b_x": 1.0,
                   "y_model": "linear_gaussian", "beta_star": [0.0, 0.0], "noise_scale": 0.0},
-                 "noise_scale 0 and beta_star 0", id="gaussian_zero_proxy"),
+                 "derives the proxy v", id="gaussian_zero_proxy"),
+    # noise_scale^2 underflows to 0.0, so the derived proxy is v = 0 too.
+    pytest.param("coverage", None, "spec",
+                 {"d": 2, "x_family": "uniform_ball", "b_x": 1.0,
+                  "y_model": "linear_gaussian", "beta_star": [0.0, 0.0], "noise_scale": 1e-200},
+                 "derives the proxy v", id="gaussian_proxy_underflow"),
 ]
 
 
@@ -865,6 +849,21 @@ class TestCli:
             captured = capsys.readouterr()
             notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
             assert [line.split(":")[1].removeprefix(" efron_stein ") for line in notes] == expected
+
+    def test_singular_downdate_exit_three(self, tmp_path, capsys):
+        # Two points in the plane at lam = 1e-14: (n-1)*lam is negligible
+        # against ||x_j||^2, so each leave-one-out downdate is numerically
+        # singular, and the ridge LoO statistic refuses the draw.
+        cfg = make_config(
+            kind="efron_stein", spec=NOISY_SPEC, n_grid=(2,), reps=10,
+            algorithm=AlgorithmConfig(name="ridge", lam=(1e-14,), eta=0.5),
+            out_dir=str(tmp_path / "out"),
+        )
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main(["efron-stein", "--config", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("precondition failure: ArithmeticError"), err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stabilab import learners
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
     KnnAlgorithm,
     RidgeAlgorithm,
+    _ridge_loo_betas,
     knn_classify,
     loo_estimate,
     predict,
     prediction_error_mc,
     ridge_fit,
+    ridge_loo_betas_stacked,
     ridge_loo_fast,
 )
 
@@ -267,52 +272,65 @@ class TestRidgeLooFast:
         with pytest.raises(ValueError, match="n >= 2"):
             ridge_loo_fast(Dataset(np.array([[1.0]]), np.array([1.0])), 1.0)
 
-    def test_only_unstable_samples_refit_through_ridge_loo_betas(self, monkeypatch):
-        # _ridge_loo_betas holds the one naive-refit loop: a stable sample
-        # never reaches it, an unstable one reaches it once and takes the
-        # residual of its refit at every unstable index.
-        from stabilab import learners
-
-        calls = []
-        original = learners._ridge_loo_betas
-
-        def recording(data, lam):
-            calls.append(data)
-            return original(data, lam)
-
-        monkeypatch.setattr(learners, "_ridge_loo_betas", recording)
-        stable = random_instance(4)
-        ridge_loo_fast(stable, 1.0)
-        assert calls == []
-
+    def test_near_singular_downdate_raises(self):
+        # Without the point at 1, the point at 1e-9 hardly constrains the fit,
+        # so at lam = 1e-14 that point's 1 - s_j is ~1e-14, below the
+        # condition guard: every LoO kernel refuses the instance rather than
+        # return an inexact value.
         data = Dataset(np.array([[1.0], [1e-9]]), np.array([0.5, 2.0]))
         lam = 1e-14
-        fast = ridge_loo_fast(data, lam)
-        assert len(calls) == 1 and calls[0] is data
-        betas = original(data, lam)
-        residuals = [
-            (float(data.ys[j]) - float(betas[j] @ data.xs[j])) ** 2 for j in range(data.n)
-        ]
-        assert fast == pytest.approx(sum(residuals) / data.n, rel=1e-12)
+        for kernel in (
+            lambda: ridge_loo_fast(data, lam),
+            lambda: ridge_loo_betas_stacked(data.xs[None], data.ys[None], lam),
+            lambda: _ridge_loo_betas(data, lam),
+        ):
+            with pytest.raises(ArithmeticError, match="numerically singular"):
+                kernel()
 
-    def test_near_singular_downdate_falls_back_to_naive(self):
-        # At lam ~ 1e-14 the downdate denominator 1 - s_j underflows the
-        # condition guard, so the fast path must refit naively and still
-        # agree with the reference estimator.
-        from stabilab.learners import _ridge_loo_betas
-        from test_stability import _reference_downdate
+    def test_loo_betas_match_naive_refits_in_domain(self):
+        # On the paper's domain, lam > b_x^2 / (n*eta - 1), each row of the
+        # downdated coefficients is the refit without that point, which
+        # ridge_param_diff_check's lhs rests on.
+        worst = 0.0
+        for seed in range(100):
+            data = random_instance(seed)
+            n = data.n
+            if n < 3:
+                continue
+            b2 = float(np.max(np.sum(data.xs**2, axis=1)))
+            eta = 0.5
+            u = float(np.random.default_rng(seed + 700).uniform(1.01, 10.0))
+            lam = u * max(b2 / (n * eta - 1.0), 1.0 / (eta * (n - 1)))
+            betas = _ridge_loo_betas(data, lam)
+            assert betas.shape == (n, data.d) and betas.flags.c_contiguous
+            for j in range(n):
+                refit = ridge_fit(leave_one_out(data, j + 1), lam)
+                worst = max(worst, np.linalg.norm(betas[j] - refit) / np.linalg.norm(refit))
+        assert worst <= 1e-9
 
-        data = Dataset(np.array([[1.0], [1e-9]]), np.array([0.5, 2.0]))
-        lam = 1e-14
-        *_, unstable = _reference_downdate(data, lam)
-        assert unstable.any()
-        fast = ridge_loo_fast(data, lam)
-        naive = loo_estimate(RidgeAlgorithm(lam), data)
-        assert fast == pytest.approx(naive, rel=1e-9)
-        betas = _ridge_loo_betas(data, lam)
-        for j in range(data.n):
-            refit = ridge_fit(leave_one_out(data, j + 1), lam)
-            np.testing.assert_allclose(betas[j], refit, rtol=1e-9)
+    @settings(deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3, 8]),
+        n=st.sampled_from([2, 3, 20, 50]),
+        m=st.integers(1, 8),
+        scale=st.floats(1e-3, 1e3),
+        ratio=st.floats(1e-2, 1e2),
+    )
+    def test_downdate_denominator_lower_bound(self, seed, d, n, m, scale, ratio):
+        # Sherman-Morrison: 1 - s_j = 1 / (1 + x_j' B_j^-1 x_j) with
+        # B_j >= (n-1)*lam*I, so 1 - s_j >= (n-1)*lam / ((n-1)*lam + ||x_j||^2),
+        # and 1 - s_j > 1/2 once (n-1)*lam exceeds every ||x_j||^2.
+        rng = np.random.default_rng(seed)
+        xs = scale * rng.uniform(-1.0, 1.0, size=(m, n, d))
+        ys = rng.standard_normal((m, n))
+        norms2 = np.sum(xs**2, axis=2)
+        lam = ratio * float(norms2.max()) / (n - 1)
+        one_minus_s = learners._loo_downdate_stacked(xs, ys, lam)[3]
+        reg = (n - 1) * lam
+        assert np.all(one_minus_s >= reg / (reg + norms2) * (1.0 - 1e-9))
+        if reg > norms2.max():
+            assert np.all(one_minus_s > 0.5)
 
 
 class TestPredictionErrorMc:

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from stabilab import datagen, stability
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
-    DOWNDATE_CONDITION_LIMIT,
     KnnAlgorithm,
     RidgeAlgorithm,
     knn_classify,
     knn_loo_flips_stacked,
     neighbor_order,
-    predict,
     ridge_fit,
     ridge_fit_stacked,
     ridge_loo_betas_stacked,
@@ -198,8 +196,8 @@ def _reference_beta(xs, ys, lam):
 
 def _reference_downdate(data, lam):
     """The rank-one downdate of one sample, with the per-dataset expressions:
-    g = A^-1 X'y, w (columns A^-1 x_j), s_j = x_j' A^-1 x_j, 1 - s_j,
-    h = X g and the unstable mask, for A = X'X + (n-1)*lam*I."""
+    g = A^-1 X'y, w (columns A^-1 x_j), s_j = x_j' A^-1 x_j, 1 - s_j and
+    h = X g, for A = X'X + (n-1)*lam*I."""
     xs, ys = data.xs, data.ys
     a = xs.T @ xs
     a.flat[:: data.d + 1] += (data.n - 1) * lam
@@ -207,33 +205,21 @@ def _reference_downdate(data, lam):
     w = np.linalg.solve(a, xs.T)
     s = np.einsum("ij,ji->i", xs, w)
     h = xs @ g
-    one_minus_s = 1.0 - s
-    unstable = one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT
-    return g, w, s, one_minus_s, h, unstable
+    return g, w, s, 1.0 - s, h
 
 
 def _reference_loo_fast(data, lam):
-    """ridge_loo_fast on _reference_downdate: the shortcut residual where
-    stable, a naive refit's residual elsewhere."""
-    _, _, _, one_minus_s, h, unstable = _reference_downdate(data, lam)
-    ys = data.ys
-    sq = ((ys - h) / np.where(unstable, 1.0, one_minus_s)) ** 2
-    for j in np.flatnonzero(unstable):
-        beta = ridge_fit(leave_one_out(data, int(j) + 1), lam)
-        sq[j] = (ys[j] - predict(beta, data.xs[j])) ** 2
-    return float(sq.sum() / data.n)
+    """ridge_loo_fast on _reference_downdate: the mean squared shortcut residual."""
+    _, _, _, one_minus_s, h = _reference_downdate(data, lam)
+    return float((((data.ys - h) / one_minus_s) ** 2).sum() / data.n)
 
 
 def _reference_loo_betas(data, lam):
-    """_ridge_loo_betas on _reference_downdate, with naive refits where unstable."""
-    g, w, s, one_minus_s, h, unstable = _reference_downdate(data, lam)
+    """_ridge_loo_betas on _reference_downdate."""
+    g, w, s, one_minus_s, h = _reference_downdate(data, lam)
     ys = data.ys
-    scale = (h - ys * s) / np.where(unstable, 1.0, one_minus_s)
-    betas = g[None, :] - ys[:, None] * w.T + scale[:, None] * w.T
-    for j in np.flatnonzero(unstable):
-        loo = leave_one_out(data, int(j) + 1)
-        betas[j] = _reference_beta(loo.xs, loo.ys, lam)
-    return betas
+    scale = (h - ys * s) / one_minus_s
+    return g[None, :] - ys[:, None] * w.T + scale[:, None] * w.T
 
 
 def _reference_ridge_diffs(data, lam, x, y):
@@ -292,13 +278,12 @@ class TestStackedKernels:
         ys = rng.standard_normal((m, n))
         x, y = rng.uniform(-1.0, 1.0, size=(m, d)) / math.sqrt(d), rng.standard_normal(m)
         full = ridge_fit_stacked(xs, ys, lam)
-        betas, unstable = ridge_loo_betas_stacked(xs, ys, lam)
+        betas = ridge_loo_betas_stacked(xs, ys, lam)
         diffs = stability._ridge_cost_diffs_stacked(xs, ys, x, y, lam)
         for r in range(m):
             data = Dataset(xs[r], ys[r])
             assert np.array_equal(full[r], _reference_beta(xs[r], ys[r], lam))
             assert np.array_equal(ridge_fit(data, lam), full[r])
-            assert np.array_equal(unstable[r], _reference_downdate(data, lam)[-1])
             assert np.array_equal(betas[r], _reference_loo_betas(data, lam))
             assert ridge_loo_fast(data, lam) == _reference_loo_fast(data, lam)
             ref = _reference_ridge_diffs(data, lam, x[r], float(y[r]))
@@ -360,46 +345,6 @@ class TestStackedKernels:
         reference = _reference_profile(algorithm, spec, *draws, qs)
         for q in qs:
             assert profile[q] == reference[q], q
-
-    def test_near_singular_downdates_match_naive_refits(self, monkeypatch):
-        # Two sign directions, three points, lam ~ 0: a point alone on its
-        # direction has s_j ~ 1, so its downdate is unstable and the sample
-        # must go through _ridge_loo_betas and its naive refits.
-        spec = DataSpec(d=2, x_family="rademacher_coords", b_x=1.0,
-                        y_model="linear_clipped", beta_star=(0.5, -0.3),
-                        noise_scale=0.3, b_y=1.0)
-        lam, n, q = 1e-14, 3, 2.0
-        reps, seed = 40, SeedSpec(5)
-        draws = [(sample_dataset(spec, n, seed.child(r).child(0)),
-                  sample_dataset(spec, 1, seed.child(r).child(1))) for r in range(reps)]
-        unstable = [_reference_downdate(data, lam)[-1].any() for data, _ in draws]
-        assert 0 < sum(unstable) < reps
-        # ridge_loo_fast takes the unstable indices from _ridge_loo_betas.
-        assert all(ridge_loo_fast(data, lam) == _reference_loo_fast(data, lam)
-                   for data, _ in draws)
-
-        fallbacks = []
-        original = stability._ridge_loo_betas
-
-        def recording(data, lam):
-            fallbacks.append(data.xs.copy())
-            return original(data, lam)
-
-        monkeypatch.setattr(stability, "_ridge_loo_betas", recording)
-        est = stability_profile(RidgeAlgorithm(lam), spec, n, reps, seed, (q,))[q]
-        expected = [data.xs for (data, _), u in zip(draws, unstable) if u]
-        assert len(fallbacks) == len(expected)
-        assert all(np.array_equal(a, b) for a, b in zip(fallbacks, expected))
-        assert est == _reference_profile(RidgeAlgorithm(lam), spec, n, reps, seed, (q,))[q]
-
-        powered = []
-        for data, test in draws:
-            x, y = test.xs[0], float(test.ys[0])
-            c_full = (ridge_fit(data, lam) @ x - y) ** 2
-            c_loo = [(ridge_fit(leave_one_out(data, j), lam) @ x - y) ** 2
-                     for j in range(1, n + 1)]
-            powered.append(np.mean(np.abs(c_full - np.asarray(c_loo)) ** q))
-        assert est[0] == pytest.approx(power_mean_root(np.asarray(powered), q)[0], rel=1e-9)
 
 
 class TestRidgeGamma:
