@@ -14,7 +14,8 @@ Label models:
   Gaussian noise of scale ``noise_scale``; requires b_y >= ||beta_star|| b_x
   so the clip is a projection of noise excursions only.
 * ``linear_gaussian``  -- Y = <beta_star, X> + Gaussian noise (unbounded Y,
-  sub-Gaussian with proxy v); a label bound b_y is rejected.
+  sub-Gaussian with the derived proxy v = noise_scale^2 + ||beta_star||^2
+  b_x^2); a label bound b_y is rejected.
 * ``bernoulli_label``  -- Y in {0, 1} with P(Y=1 | X) = clip(p0 + <beta_star,
   X>, 0, 1) where p0 is taken from ``noise_scale``.  For the symmetric
   feature families the marginal P(Y=1) equals p0 exactly whenever
@@ -215,16 +216,14 @@ class DataSpec:
     beta_star: tuple[float, ...]
     noise_scale: float = 0.0
     b_y: float | None = None
-    v: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _as_integer(self.d, "d"))
         object.__setattr__(self, "b_x", _as_float(self.b_x, "b_x"))
         object.__setattr__(self, "beta_star", _as_tuple(self.beta_star, _as_float, "beta_star"))
         object.__setattr__(self, "noise_scale", _as_float(self.noise_scale, "noise_scale"))
-        for name in ("b_y", "v"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _as_float(getattr(self, name), name))
+        if self.b_y is not None:
+            object.__setattr__(self, "b_y", _as_float(self.b_y, "b_y"))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.x_family not in X_FAMILIES:
@@ -239,8 +238,6 @@ class DataSpec:
             raise ValueError("beta_star entries must be finite")
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise ValueError("noise_scale must be nonnegative")
-        if self.v is not None and not (math.isfinite(self.v) and self.v > 0):
-            raise ValueError("v must be a positive real when given")
 
         if self.y_model in ("linear_clipped", "bernoulli_label"):
             if self.b_y is None:
@@ -248,12 +245,12 @@ class DataSpec:
             if not (math.isfinite(self.b_y) and self.b_y > 0):
                 raise ValueError("b_y must be a positive real")
         elif self.b_y is not None:
-            raise ValueError("linear_gaussian labels are unbounded; give v, not b_y")
-        elif self.v is None and not self.noise_scale * self.noise_scale + (
+            raise ValueError("linear_gaussian labels are unbounded; b_y is not allowed")
+        elif not self.noise_scale * self.noise_scale + (
             self.beta_norm() * self.beta_norm() * (self.b_x * self.b_x)
         ) > 0:  # subgaussian_v(), multiplied so that it cannot overflow
             raise ValueError("linear_gaussian derives the proxy v = noise_scale^2 + "
-                             "||beta_star||^2 b_x^2, which is 0 here; give v")
+                             "||beta_star||^2 b_x^2, which must be positive")
         if self.y_model == "linear_clipped" and self.b_y < self.beta_norm() * self.b_x:
             raise ValueError(
                 "linear_clipped requires b_y >= ||beta_star||_2 * b_x "
@@ -272,11 +269,9 @@ class DataSpec:
         return float(np.linalg.norm(self.beta_star))
 
     def subgaussian_v(self) -> float | None:
-        """Sub-Gaussian proxy for Y: the explicit v if set, else a derived
-        default (noise variance plus the signal range ||beta||^2 b_x^2) for
-        the Gaussian label model."""
-        if self.v is not None:
-            return self.v
+        """Sub-Gaussian proxy v for Y under the Gaussian label model: the
+        noise variance plus the signal range ||beta||^2 b_x^2.  None for the
+        bounded label models, whose bounds use b_y."""
         if self.y_model == "linear_gaussian":
             return self.noise_scale**2 + self.beta_norm() ** 2 * self.b_x**2
         return None

@@ -597,7 +597,8 @@ def run_bounds_table(config: ExperimentConfig) -> Report:
                               value > envelope)
                 )
     # ExperimentConfig keeps every n in the corollary domain and every spec has
-    # b_y or a proxy v, so rows is never empty.  Vacuousness is reported per row.
+    # b_y or a derived proxy v, so rows is never empty.  Vacuousness is
+    # reported per row.
     return Report(config, rows, True)
 
 

@@ -1,23 +1,35 @@
-"""Byte-identity gate: sha256 of every emitted file of the reference configs.
+"""Byte-identity gate: every emitted file against its one pin.
 
     PYTHONPATH=src python3 tests/digests.py --record   # write tests/digests.json
     PYTHONPATH=src python3 tests/digests.py --check    # compare, exit 1 on a mismatch
     PYTHONPATH=src python3 tests/digests.py --check --only c4_ridge_sweep,d_stability_sweep
 
-Emits CSV/JSON/SVG for the five criterion-10 determinism configs of
-``tests/test_acceptance.py``, for the two ``mc_norm_configs()`` and the two
-``subgaussian_configs()`` configs below and for the seed-0 experiment
-configs of ``perfbench/workloads.py`` (35 files), each into a temporary
-directory, and compares the sha256 of every file with
-``tests/digests.json``.  Each config's
-``out_dir`` is set to ``"out"`` before the run, so the JSON files do not
-depend on where they were written.  Floating-point results may differ in
-the last bit between numpy/BLAS builds, so the digests are host-specific:
-the environment they were recorded under is stored with them, and a check
-under another environment says so.  ``--only`` checks the files of the
+Emits CSV/JSON/SVG for two sets of configs, each into a temporary
+directory:
+
+* the digest configs (``digest_configs()``, 19 files): four of the five
+  criterion-10 determinism configs of ``tests/test_acceptance.py``, the two
+  ``mc_norm_configs()`` and the two ``subgaussian_configs()`` configs below.
+  The sha256 of every file is compared with ``tests/digests.json``.
+* the benchmark configs (``benchmark_configs()``, 14 files): the seed-0
+  experiments of ``perfbench/workloads.py``, the fifth determinism config
+  among them.  Every file is compared byte for byte with
+  ``perfbench/reference/<label>/``, which the benchmark checks its own runs
+  against, so these outputs have one pin.
+
+Each config's ``out_dir`` is ``"out"``, so the JSON files do not depend on
+where they were written.  Floating-point results may differ in the last
+bit between numpy/BLAS builds, so both pins are host-specific: the
+environment the digests were recorded under is stored with them, and a
+check under another environment says so.  ``--record`` rewrites the
+digests only; the reference files are recorded by
+``perfbench/record_reference.py``.  ``--only`` checks the files of the
 named configs alone.  Not collected by pytest; ``tests/test_digests.py``
-runs the check of the ``fast_labels()`` configs in the test suite, and
-acceptance criteria 4-8 that of their benchmark configs.
+runs the check in the test suite, and acceptance criteria 4-8 and 10
+compare their benchmark reports with the reference files.
+
+This module is the tests' one loader of ``perfbench/workloads.py``:
+``from digests import workloads``.
 """
 
 from __future__ import annotations
@@ -34,10 +46,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 DIGESTS = HERE / "digests.json"
+REFERENCE = ROOT / "perfbench" / "reference"
 
 sys.path[:0] = [str(ROOT / "src"), str(HERE), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
+import workloads  # noqa: E402
 
 from stabilab.harness import config_from_dict, emit_report, run_experiment  # noqa: E402
 
@@ -87,10 +101,10 @@ def subgaussian_configs() -> dict:
     }
 
 
-def reference_configs() -> dict:
-    """{label: ExperimentConfig}, every out_dir set to "out"."""
+def digest_configs() -> dict:
+    """{label: ExperimentConfig} of the configs that tests/digests.json pins,
+    every out_dir set to "out"."""
     from test_acceptance import DETERMINISM_CONFIGS
-    from workloads import WORKLOADS
 
     configs = {
         f"d_{config.kind}": dataclasses.replace(config, out_dir="out")
@@ -98,19 +112,29 @@ def reference_configs() -> dict:
     }
     configs.update(mc_norm_configs())
     configs.update(subgaussian_configs())
-    for experiments in WORKLOADS.values():
-        for name, _, config in experiments:
-            configs[name] = config_from_dict({**config, "out_dir": "out"})
     return configs
 
 
-def fast_labels() -> list[str]:
-    """Labels of the configs that run in seconds: the determinism, Monte
-    Carlo ||Y||_q and sub-Gaussian configs, and the benchmark's bounds table."""
-    return sorted(
-        label for label in reference_configs()
-        if label.startswith(("d_", "m_", "g_")) or label == "c10_bounds_table"
-    )
+def benchmark_configs() -> dict:
+    """{label: ExperimentConfig} of the benchmark's experiments at its
+    default seed, whose outputs perfbench/reference/<label>/ pins."""
+    return {
+        name: config_from_dict(config)
+        for workload in workloads.WORKLOADS
+        for name, _, config in workloads.experiments(workload)
+    }
+
+
+def reference_comparison(label: str, written) -> dict[str, bool]:
+    """{file name: whether its bytes equal the reference} over the emitted
+    ``written`` paths and the files of perfbench/reference/<label>/; a file
+    on one side only does not match."""
+    emitted = {path.name: path.read_bytes() for path in written}
+    expected = {path.name: path.read_bytes() for path in (REFERENCE / label).iterdir()}
+    return {
+        name: emitted.get(name) == expected.get(name)
+        for name in sorted(emitted.keys() | expected.keys())
+    }
 
 
 def environment() -> dict:
@@ -123,65 +147,86 @@ def environment() -> dict:
     }
 
 
-def compute_digests(labels=None) -> dict[str, str]:
-    """{label/file: sha256} of the configs named in ``labels`` (all if None)."""
-    digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for label, config in reference_configs().items():
-            if labels is not None and label not in labels:
-                continue
-            written = emit_report(run_experiment(config), FORMATS, out_dir=Path(tmp) / label)
-            for path in written:
-                digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return dict(sorted(digests.items()))
+def environment_note() -> str | None:
+    """Why this host's bytes may differ from both pins, or None on the host
+    whose environment tests/digests.json records."""
+    recorded, env = json.loads(DIGESTS.read_text())["environment"], environment()
+    if recorded == env:
+        return None
+    return (f"digests were recorded under {recorded}, this host is {env}; "
+            "last-bit differences are possible")
+
+
+def _emit(configs: dict, tmp: Path) -> dict[str, list[Path]]:
+    """{label: written paths} of every config, each into tmp/<label>."""
+    return {
+        label: emit_report(run_experiment(config), FORMATS, out_dir=tmp / label)
+        for label, config in configs.items()
+    }
+
+
+def _digests(written: dict[str, list[Path]]) -> dict[str, str]:
+    return dict(sorted(
+        (f"{label}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
+        for label, paths in written.items() for path in paths
+    ))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", action="store_true", help=f"write {DIGESTS.name}")
-    mode.add_argument("--check", action="store_true", help=f"compare with {DIGESTS.name}")
+    mode.add_argument("--check", action="store_true",
+                      help=f"compare with {DIGESTS.name} and {REFERENCE.relative_to(ROOT)}/")
     parser.add_argument(
         "--only", metavar="LABEL[,LABEL]",
         help="with --check, run and compare only these configs (default: all)",
     )
     args = parser.parse_args(argv)
-    labels = None
+    pinned, benchmark = digest_configs(), benchmark_configs()
     if args.only is not None:
         if args.record:
             parser.error("--only works with --check; --record writes every digest")
         labels = set(args.only.split(","))
-        unknown = sorted(labels - reference_configs().keys())
+        unknown = sorted(labels - pinned.keys() - benchmark.keys())
         if unknown:
-            parser.error(f"unknown labels {unknown}; known: {sorted(reference_configs())}")
+            parser.error(f"unknown labels {unknown}; known: {sorted({**pinned, **benchmark})}")
+        pinned = {label: c for label, c in pinned.items() if label in labels}
+        benchmark = {label: c for label, c in benchmark.items() if label in labels}
 
-    env, digests = environment(), compute_digests(labels)
-    if args.record:
-        DIGESTS.write_text(
-            json.dumps({"environment": env, "files": digests}, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"recorded {len(digests)} digests to {DIGESTS}")
-        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = _digests(_emit(pinned, Path(tmp) / "digests"))
+        if args.record:
+            DIGESTS.write_text(json.dumps(
+                {"environment": environment(), "files": digests}, indent=2, sort_keys=True
+            ) + "\n")
+            print(f"recorded {len(digests)} digests to {DIGESTS}")
+            return 0
+        references = {
+            f"{label}/{name}": same
+            for label, written in _emit(benchmark, Path(tmp) / "reference").items()
+            for name, same in reference_comparison(label, written).items()
+        }
 
-    recorded = json.loads(DIGESTS.read_text())
-    if recorded["environment"] != env:
-        print(
-            f"note: digests were recorded under {recorded['environment']}, "
-            f"this host is {env}; last-bit differences are possible",
-            file=sys.stderr,
-        )
+    note = environment_note()
+    if note is not None:
+        print(f"note: {note}", file=sys.stderr)
     expected = {
-        name: digest for name, digest in recorded["files"].items()
-        if labels is None or name.split("/", 1)[0] in labels
+        name: digest for name, digest in json.loads(DIGESTS.read_text())["files"].items()
+        if name.split("/", 1)[0] in pinned
     }
-    bad = sorted(
-        name for name in expected.keys() | digests.keys()
-        if expected.get(name) != digests.get(name)
-    )
-    for name in bad:
+    names = sorted(expected.keys() | digests.keys())
+    bad_digests = [name for name in names if expected.get(name) != digests.get(name)]
+    for name in bad_digests:
         print(f"MISMATCH {name}: recorded {expected.get(name)}, now {digests.get(name)}")
-    print(f"{len(digests) - len(bad)}/{len(expected.keys() | digests.keys())} digests match")
-    return 1 if bad else 0
+    bad_references = [name for name, same in references.items() if not same]
+    for name in bad_references:
+        print(f"MISMATCH {name}: differs from {REFERENCE.relative_to(ROOT)}/{name}")
+    print(
+        f"{len(names) - len(bad_digests)}/{len(names)} digests match, "
+        f"{len(references) - len(bad_references)}/{len(references)} reference files match"
+    )
+    return 1 if bad_digests or bad_references else 0
 
 
 if __name__ == "__main__":

@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
-import hashlib
-import json
 import math
 import time
 
@@ -13,6 +11,7 @@ import numpy as np
 import pytest
 
 import digests
+from digests import workloads
 from oracles import bounded_tail_spec, ridge_objective, subgaussian_tail_spec, tail_threshold
 
 from stabilab.bounds import (
@@ -27,7 +26,6 @@ from stabilab.harness import (
     AlgorithmConfig,
     ExperimentConfig,
     emit_report,
-    run_bounds_table,
     run_coverage,
     run_efron_stein,
     run_experiment,
@@ -42,50 +40,16 @@ from stabilab.learners import (
 )
 from stabilab.stability import knn_gamma_1, ridge_param_diff_check
 
-# Clipped linear labels over sign-pattern features: |Y| has exactly two
+# The benchmark's data specs (perfbench/workloads.py).  ANALYTIC_SPEC has
+# clipped linear labels over sign-pattern features: |Y| has exactly two
 # levels, so every population norm used by the bounds is available in
 # closed form.
-ANALYTIC_SPEC = DataSpec(
-    d=2,
-    x_family="rademacher_coords",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(0.6, 0.3),
-    noise_scale=0.0,
-    b_y=0.7,
-)
+ANALYTIC_SPEC = DataSpec(**workloads.ANALYTIC_SPEC)
+NOISY_SPEC = DataSpec(**workloads.NOISY_SPEC)
+BERNOULLI_SPEC = DataSpec(**workloads.BERNOULLI_SPEC)
+RADEMACHER_Y_SPEC = DataSpec(**workloads.RADEMACHER_Y_SPEC)
 
-NOISY_SPEC = DataSpec(
-    d=2,
-    x_family="uniform_ball",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(0.4, 0.2),
-    noise_scale=0.2,
-    b_y=0.6,
-)
-
-BERNOULLI_SPEC = DataSpec(
-    d=2,
-    x_family="uniform_ball",
-    b_x=1.0,
-    y_model="bernoulli_label",
-    beta_star=(0.2, 0.1),
-    noise_scale=0.5,
-    b_y=1.0,
-)
-
-RADEMACHER_Y_SPEC = DataSpec(
-    d=1,
-    x_family="rademacher_coords",
-    b_x=1.0,
-    y_model="linear_clipped",
-    beta_star=(1.0,),
-    noise_scale=0.0,
-    b_y=1.0,
-)
-
-# Unbounded Gaussian labels with the default proxy v = sigma^2 + ||beta||^2
+# Unbounded Gaussian labels with the derived proxy v = sigma^2 + ||beta||^2
 # b_x^2: the sub-Gaussian digest configs and tests/test_datagen.py's proxy
 # check use it.
 GAUSSIAN_SPEC = DataSpec(
@@ -103,29 +67,16 @@ def _report(name: str, detail: str = "") -> None:
     print(f"[acceptance] {name}: PASS{suffix}")
 
 
-def _assert_matches_benchmark(config, report, label, tmp_path) -> None:
-    """The config is the benchmark workload's config ``label``, and its
-    report emits exactly the files whose sha256 tests/digests.json records
-    for that label (checked only under the recording environment, as in
-    tests/test_digests.py)."""
-    assert config == digests.reference_configs()[label]
-    recorded = json.loads(digests.DIGESTS.read_text())
-    env = digests.environment()
-    if recorded["environment"] != env:
-        pytest.skip(
-            f"digests were recorded under {recorded['environment']}, this host is "
-            f"{env}; last-bit differences are possible"
-        )
+def _assert_matches_benchmark(report, label, tmp_path) -> None:
+    """The report of the benchmark config ``label`` emits exactly the files
+    of perfbench/reference/<label>/, byte for byte (checked only under the
+    recording environment of tests/digests.json, as in tests/test_digests.py)."""
+    note = digests.environment_note()
+    if note is not None:
+        pytest.skip(note)
     written = emit_report(report, digests.FORMATS, out_dir=tmp_path / label)
-    emitted = {
-        f"{label}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in written
-    }
-    expected = {
-        name: digest for name, digest in recorded["files"].items()
-        if name.startswith(f"{label}/")
-    }
-    assert emitted == expected
+    comparison = digests.reference_comparison(label, written)
+    assert [name for name, same in comparison.items() if not same] == []
 
 
 def _random_instance(seed: int, max_d: int = 8, max_n: int = 64):
@@ -215,22 +166,10 @@ def test_criterion_3_parameter_difference_inequality():
 
 def test_criterion_4_ridge_stability_dominance(tmp_path):
     start = time.monotonic()
-    config = ExperimentConfig(
-        kind="stability_sweep",
-        spec=ANALYTIC_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(0.5, 1.0, 2.0), eta=0.5),
-        n_grid=(50, 100),
-        q_grid=(1.0, 2.0, 4.0),
-        x_grid=(1.0,),
-        reps=500,
-        test_m=2,
-        base_seed=20240,
-        out_dir="out",
-    )
-    report = run_stability_sweep(config)
+    report = run_stability_sweep(digests.benchmark_configs()["c4_ridge_sweep"])
     assert len(report.rows) == 18
     assert all(r.dominated == "true" for r in report.rows)
-    _assert_matches_benchmark(config, report, "c4_ridge_sweep", tmp_path)
+    _assert_matches_benchmark(report, "c4_ridge_sweep", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     _report("criterion 4 ridge dominance", f"18 rows dominated in {elapsed:.2f}s")
@@ -239,22 +178,10 @@ def test_criterion_4_ridge_stability_dominance(tmp_path):
 def test_criterion_5_knn_stability_dominance(tmp_path):
     start = time.monotonic()
     assert knn_gamma_1(4, 100) == pytest.approx(0.0319154, rel=1e-5)
-    config = ExperimentConfig(
-        kind="stability_sweep",
-        spec=BERNOULLI_SPEC,
-        algorithm=AlgorithmConfig(name="knn", k=(1, 3, 5)),
-        n_grid=(50, 100, 200),
-        q_grid=(1.0,),
-        x_grid=(1.0,),
-        reps=1000,
-        test_m=2,
-        base_seed=20241,
-        out_dir="out",
-    )
-    report = run_stability_sweep(config)
+    report = run_stability_sweep(digests.benchmark_configs()["c5_knn_sweep"])
     assert len(report.rows) == 9
     assert all(r.dominated == "true" for r in report.rows)
-    _assert_matches_benchmark(config, report, "c5_knn_sweep", tmp_path)
+    _assert_matches_benchmark(report, "c5_knn_sweep", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 180.0
     _report("criterion 5 kNN dominance", f"9 rows dominated in {elapsed:.2f}s")
@@ -262,19 +189,7 @@ def test_criterion_5_knn_stability_dominance(tmp_path):
 
 def test_criterion_6_generalized_efron_stein(tmp_path):
     start = time.monotonic()
-    config = ExperimentConfig(
-        kind="efron_stein",
-        spec=RADEMACHER_Y_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-        n_grid=(20, 50),
-        q_grid=(2.0, 4.0),
-        x_grid=(1.0,),
-        reps=500,
-        test_m=2,
-        base_seed=20244,
-        out_dir="out",
-    )
-    report = run_efron_stein(config)
+    report = run_efron_stein(digests.benchmark_configs()["c6_efron_stein"])
     assert report.all_pass
     # With y = x and no noise the ridge LoO statistic never moves, so its
     # rows check nothing; the report says so in a note (not in the files).
@@ -299,7 +214,7 @@ def test_criterion_6_generalized_efron_stein(tmp_path):
             )
             assert res.lhs > 0.0
             assert res.passed
-    _assert_matches_benchmark(config, report, "c6_efron_stein", tmp_path)
+    _assert_matches_benchmark(report, "c6_efron_stein", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _report("criterion 6 generalized Efron-Stein", f"{elapsed:.2f}s")
@@ -307,26 +222,14 @@ def test_criterion_6_generalized_efron_stein(tmp_path):
 
 def test_criterion_7_pac_coverage_bounded(tmp_path):
     start = time.monotonic()
-    config = ExperimentConfig(
-        kind="coverage",
-        spec=NOISY_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-        n_grid=(200,),
-        q_grid=(2.0,),
-        x_grid=(1.0, 2.0, 3.0),
-        reps=500,
-        test_m=400,
-        base_seed=20243,
-        out_dir="out",
-    )
-    report = run_coverage(config)
+    report = run_coverage(digests.benchmark_configs()["c7_coverage"])
     assert report.all_pass
     for row in report.rows:
         assert row.exceedance_rate <= row.failure_bound + row.half_width
         # Pinned seeded outcome: the bound is conservative, nothing exceeds.
         assert row.exceedance_rate == 0.0
         assert math.isfinite(row.max_dev_ratio)
-    _assert_matches_benchmark(config, report, "c7_coverage", tmp_path)
+    _assert_matches_benchmark(report, "c7_coverage", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(
@@ -337,21 +240,9 @@ def test_criterion_7_pac_coverage_bounded(tmp_path):
 
 def test_criterion_8_rate_slope(tmp_path):
     start = time.monotonic()
-    config = ExperimentConfig(
-        kind="rate",
-        spec=NOISY_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(0.5,), eta=0.5),
-        n_grid=(64, 128, 256, 512, 1024),
-        q_grid=(2.0,),
-        x_grid=(1.0,),
-        reps=200,
-        test_m=20000,
-        base_seed=20242,
-        out_dir="out",
-    )
-    report = run_rate(config)
+    report = run_rate(digests.benchmark_configs()["c8_rate"])
     assert -0.65 <= report.extras["slope"] <= -0.35
-    _assert_matches_benchmark(config, report, "c8_rate", tmp_path)
+    _assert_matches_benchmark(report, "c8_rate", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 900.0
     _report(
@@ -377,8 +268,9 @@ def test_criterion_9_formula_self_consistency():
     _report("criterion 9 formula self-consistency")
 
 
-# The five criterion-10 configs, one per experiment kind; tests/digests.py
-# records the sha256 of their outputs as well.
+# Criterion 10 runs one config per experiment kind: these four, whose
+# outputs tests/digests.py pins as the d_* digests, and the benchmark's
+# c10_bounds_table.
 DETERMINISM_CONFIGS = [
     ExperimentConfig(
         kind="coverage",
@@ -428,25 +320,14 @@ DETERMINISM_CONFIGS = [
         base_seed=34,
         out_dir="unused",
     ),
-    ExperimentConfig(
-        kind="bounds_table",
-        spec=ANALYTIC_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-        n_grid=(50,),
-        q_grid=(2.0, 4.0),
-        x_grid=(1.0, 3.0),
-        reps=1,
-        test_m=2,
-        base_seed=35,
-        out_dir="unused",
-    ),
 ]
 
 
 def test_criterion_10_determinism(tmp_path):
     start = time.monotonic()
     formats = ["csv", "json", "svg"]
-    for config in DETERMINISM_CONFIGS:
+    bounds_table = digests.benchmark_configs()["c10_bounds_table"]
+    for config in DETERMINISM_CONFIGS + [bounds_table]:
         blobs = []
         for attempt in ("first", "second"):
             out = tmp_path / f"{config.kind}_{attempt}"
@@ -454,6 +335,7 @@ def test_criterion_10_determinism(tmp_path):
             written = emit_report(report, formats, out_dir=out)
             blobs.append({p.name: p.read_bytes() for p in written})
         assert blobs[0] == blobs[1], f"{config.kind} rerun differed"
+    _assert_matches_benchmark(run_experiment(bounds_table), "c10_bounds_table", tmp_path)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     _report("criterion 10 determinism", f"5 experiment kinds, {elapsed:.2f}s")

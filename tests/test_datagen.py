@@ -193,7 +193,6 @@ class TestDataSpecValidation:
                         b_x=b_x, beta_star=beta_star, noise_scale=noise_scale)
         with pytest.raises(ValueError, match="derives the proxy v"):
             DataSpec(**gaussian)
-        assert DataSpec(**gaussian, v=0.5).subgaussian_v() == 0.5
 
 
 def _reference_sample(spec, n, seed):
@@ -508,8 +507,8 @@ class TestAssumptions:
         self.assert_within_bounds(sample_dataset(spec, 400, SeedSpec(16)), spec)
 
     def test_subgaussian_ratios_stay_small(self):
-        # ||Y - mean(Y)||_q / (2e sqrt(v q)) stays at or below 1 for a valid
-        # proxy v, up to sampling noise.
+        # ||Y - mean(Y)||_q / (2e sqrt(v q)) stays at or below 1 for the
+        # derived proxy v = noise_scale^2 = 0.25, up to sampling noise.
         spec = DataSpec(
             d=2,
             x_family="uniform_ball",
@@ -517,12 +516,13 @@ class TestAssumptions:
             y_model="linear_gaussian",
             beta_star=(0.0, 0.0),
             noise_scale=0.5,
-            v=0.25,
         )
+        v = spec.subgaussian_v()
+        assert v == 0.25
         ys = sample_dataset(spec, 10_000, SeedSpec(17)).ys
         centered = np.abs(ys - ys.mean())
         for q in (2, 4, 8):
-            ratio = np.mean(centered**q) ** (1.0 / q) / (2.0 * math.e * math.sqrt(spec.v * q))
+            ratio = np.mean(centered**q) ** (1.0 / q) / (2.0 * math.e * math.sqrt(v * q))
             assert ratio <= 1.1
 
     def test_default_proxy_dominates_log_mgf(self):

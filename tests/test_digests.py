@@ -1,11 +1,10 @@
-"""Byte-identity gate in the test suite: every config that runs in seconds
-(``digests.fast_labels()``: the five criterion-10 determinism configs, the
-two Monte Carlo ||Y||_q configs, the two sub-Gaussian configs and the
-benchmark's bounds table) must emit exactly the files whose sha256
-``tests/digests.json`` records.  The other benchmark configs take far
-longer to run: acceptance criteria 4-8 (``tests/test_acceptance.py``)
-check the ``c4_*``...``c8_*`` digests on the reports they already compute,
-and ``tests/digests.py --check`` checks them all."""
+"""Byte-identity gate in the test suite.  Every digest config runs in
+seconds, so each must emit exactly the files whose sha256
+``tests/digests.json`` records; ``--only`` also takes a benchmark label,
+whose files are compared with ``perfbench/reference/``.  Acceptance
+criteria 4-8 and 10 compare the benchmark reports they already compute
+with the reference files, and ``tests/digests.py --check`` checks every
+config."""
 
 import json
 
@@ -14,12 +13,21 @@ import pytest
 import digests
 
 
-def test_fast_configs_match_recorded_digests():
-    recorded = json.loads(digests.DIGESTS.read_text())["environment"]
-    env = digests.environment()
-    if recorded != env:
-        pytest.skip(
-            f"digests were recorded under {recorded}, this host is {env}; "
-            "last-bit differences are possible"
-        )
-    assert digests.main(["--check", "--only", ",".join(digests.fast_labels())]) == 0
+def test_fast_configs_match_recorded_digests(capsys):
+    note = digests.environment_note()
+    if note is not None:
+        pytest.skip(note)
+    labels = [*digests.digest_configs(), "c10_bounds_table"]
+    assert digests.main(["--check", "--only", ",".join(labels)]) == 0
+    n = len(json.loads(digests.DIGESTS.read_text())["files"])
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{n}/{n} digests match, 2/2 reference files match"
+    )
+
+
+def test_reference_set_matches_the_workloads():
+    # A workload experiment with no reference, or a reference left over
+    # from a removed experiment, fails here and not only in a benchmark run.
+    references = sorted(path.name for path in digests.REFERENCE.iterdir())
+    experiments = digests.workloads.WORKLOADS.values()
+    assert references == sorted(name for names in experiments for name, _, _ in names)

@@ -1,7 +1,6 @@
 import dataclasses
 import errno
 import fcntl
-import importlib.util
 import json
 import math
 import os
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 from stabilab import cli, harness
-from stabilab.bounds import BoundsRow, gamma_set, pac_bound_bounded
+from stabilab.bounds import BoundsRow, gamma_set, pac_bound_bounded, pac_bound_subgaussian
 from stabilab.harness import (
     AlgorithmConfig,
     ConfigError,
@@ -45,7 +44,8 @@ from stabilab.learners import (
 )
 from stabilab.stability import knn_gamma_1, stability_profile
 
-from test_acceptance import BERNOULLI_SPEC, NOISY_SPEC, RADEMACHER_Y_SPEC
+from digests import workloads
+from test_acceptance import BERNOULLI_SPEC, GAUSSIAN_SPEC, NOISY_SPEC, RADEMACHER_Y_SPEC
 
 ZERO_SPEC = DataSpec(
     d=2,
@@ -91,7 +91,7 @@ def make_config(**kwargs):
 
 # Valid keyword arguments of each config type, every optional field set.
 FULL_SPEC = dict(d=2, x_family="uniform_ball", b_x=1.0, y_model="linear_clipped",
-                 beta_star=(0.4, 0.2), noise_scale=0.2, b_y=0.6, v=0.5)
+                 beta_star=(0.4, 0.2), noise_scale=0.2, b_y=0.6)
 RIDGE = dict(name="ridge", lam=(1.0,), eta=0.5)
 KNN = dict(name="knn", k=(3,))
 EXPERIMENT = dict(kind="coverage", spec=DataSpec(**FULL_SPEC), algorithm=AlgorithmConfig(**RIDGE),
@@ -108,7 +108,7 @@ INT_BAD, FLOAT_BAD, STR_BAD = (True, 2.5, "3"), (True, "0.5"), (True, 2.5)
 FIELD_CASES = [
     (DataSpec, FULL_SPEC, {"d": INT_BAD, "x_family": STR_BAD, "b_x": FLOAT_BAD,
                            "y_model": STR_BAD, "beta_star": FLOAT_BAD,
-                           "noise_scale": FLOAT_BAD, "b_y": FLOAT_BAD, "v": FLOAT_BAD}),
+                           "noise_scale": FLOAT_BAD, "b_y": FLOAT_BAD}),
     (AlgorithmConfig, RIDGE, {"name": STR_BAD, "lam": FLOAT_BAD, "eta": FLOAT_BAD}),
     (AlgorithmConfig, KNN, {"k": INT_BAD}),
     (ExperimentConfig, EXPERIMENT, {"kind": STR_BAD, "n_grid": INT_BAD, "q_grid": FLOAT_BAD,
@@ -127,26 +127,13 @@ FIELD_PARAMS = [
 ]
 
 
-def _load_bench_workloads():
-    """perfbench/workloads.py, loaded by path, as perfbench is no package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
-    return module
-
-
-BENCH_WORKLOADS = _load_bench_workloads()
-
-
 class TestConfig:
-    @pytest.mark.parametrize("v", [None, 0.05])
-    def test_round_trip(self, v):
-        cfg = make_config(spec=dataclasses.replace(NOISY_SPEC, v=v))
+    @pytest.mark.parametrize("spec", [NOISY_SPEC, GAUSSIAN_SPEC], ids=["b_y", "no_b_y"])
+    def test_round_trip(self, spec):
+        cfg = make_config(spec=spec)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
-    @pytest.mark.parametrize("v", [None, 0.3])
-    def test_round_trip_knn(self, v):
+    def test_round_trip_knn(self):
         cfg = make_config(
             kind="stability_sweep",
             spec=DataSpec(
@@ -157,7 +144,6 @@ class TestConfig:
                 beta_star=(0.0, 0.0),
                 noise_scale=0.5,
                 b_y=1.0,
-                v=v,
             ),
             algorithm=AlgorithmConfig(name="knn", k=(1, 3)),
             q_grid=(1.0,),
@@ -200,11 +186,11 @@ class TestConfig:
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
-    @pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS.WORKLOADS))
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
     def test_benchmark_workload_configs_load(self, workload, smoke):
         # The benchmark runs these configs, its smoke ones only in its own
         # tests; a new config rule must not refuse them unnoticed.
-        for name, command, obj in BENCH_WORKLOADS.experiments(workload, smoke=smoke):
+        for name, command, obj in workloads.experiments(workload, smoke=smoke):
             assert config_from_dict(obj).kind == cli._COMMAND_KINDS[command], name
 
     def test_unknown_keys_rejected(self):
@@ -520,20 +506,24 @@ class TestBoundsTable:
         # These constants dwarf the attainable squared-error range here.
         assert all(r.vacuous for r in pac_rows.values())
 
-    def test_subgaussian_rows_compare_with_the_envelope(self):
+    def test_subgaussian_rows_have_no_envelope(self):
+        # Only Gaussian labels make a pac_subgaussian row, with the derived
+        # proxy v; they are unbounded, so no squared-error range makes it
+        # vacuous.
         cfg = make_config(
             kind="bounds_table",
-            spec=dataclasses.replace(NOISY_SPEC, v=0.05),
+            spec=GAUSSIAN_SPEC,
             n_grid=(50,),
-            q_grid=(2.0,),
+            q_grid=(1.0,),
             x_grid=(1.0,),
             reps=1,
         )
-        rows = {r.bound_name: r for r in run_bounds_table(cfg).rows}
-        envelope = harness._deviation_envelope(cfg.spec, 1.0)
-        for name in ("pac_bounded", "pac_subgaussian"):
-            assert rows[name].value > envelope
-            assert rows[name].vacuous, name
+        [row] = run_bounds_table(cfg).rows
+        v = GAUSSIAN_SPEC.subgaussian_v()
+        assert row.bound_name == "pac_subgaussian"
+        assert row.value == pac_bound_subgaussian(gamma_set(1.0, 1.0, 0.5), 0.0, v, 50, 1.0)
+        assert harness._deviation_envelope(cfg.spec, 1.0) == math.inf
+        assert not row.vacuous
 
 
 class TestEmission:
@@ -774,6 +764,15 @@ CONFIG_ONLY_FAILURES = [
                  {"d": 2, "x_family": "uniform_ball", "b_x": 1.0,
                   "y_model": "linear_gaussian", "beta_star": [0.0, 0.0], "noise_scale": 1e-200},
                  "derives the proxy v", id="gaussian_proxy_underflow"),
+    # The sub-Gaussian proxy is always derived from the labels.  Nothing
+    # could check a given v against them (a tiny one made non-vacuous PAC
+    # rows), so a v key is refused, on clipped Bernoulli labels as well.
+    pytest.param("bounds_table", "spec", "v", 1e-9, "unknown keys in spec: ['v']",
+                 id="explicit_proxy"),
+    pytest.param("bounds_table", None, "spec",
+                 {"d": 2, "x_family": "uniform_ball", "b_x": 1.0, "y_model": "bernoulli_label",
+                  "beta_star": [0.6, 0.3], "noise_scale": 0.5, "b_y": 1.0, "v": 0.5},
+                 "unknown keys in spec: ['v']", id="explicit_proxy_bernoulli_clipped"),
 ]
 
 
