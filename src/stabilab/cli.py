@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         config = dataclasses.replace(
             config, **{k: v for k, v in overrides.items() if v is not None}
         )
-        formats = parse_formats(args.emit.split(","))
+        formats = parse_formats(args.emit.split(","), config.kind)
         report = run_experiment(config)
         written = emit_report(report, formats)
     except ConfigError as exc:

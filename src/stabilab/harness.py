@@ -30,8 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
+    STAT_REGISTRY,
     BoundsRow,
     EfronSteinRow,
+    GammaSet,
     gamma_set,
     efron_stein_moment_check,
     pac_bound_bounded,
@@ -45,6 +47,7 @@ from .datagen import (
     _as_integer,
     _as_tuple,
     _chunk_reps,
+    sample_dataset,
     sample_stack,
 )
 from .learners import (
@@ -57,17 +60,15 @@ from .learners import (
 from .stability import (
     SweepRow,
     knn_gamma_1,
+    power_mean_root,
     ridge_corollary_violations,
     ridge_gamma_q,
     ridge_stability_violations,
     stability_profile,
     y_norm,
-    y_norm_mc_std_error,
 )
 
-KINDS = ("coverage", "rate", "stability_sweep", "efron_stein", "bounds_table")
-
-EFRON_STEIN_STATS = ("constant", "mean", "ridge_loo")
+EFRON_STEIN_STATS = tuple(STAT_REGISTRY)
 
 # Reserved stream roles, kept far away from grid indices.
 _BOOTSTRAP_ROLE = 10**9
@@ -91,8 +92,8 @@ class PreconditionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 # Every rule that depends on the config alone is checked here, before any
-# draw, so the runners trust their config.  The fewest replications and the
-# q range each kind runs with:
+# draw, so the runners trust their config.  The fewest replications each
+# kind runs with (its keys are the kinds) and the q range:
 _MIN_REPS = {"coverage": 50, "rate": 100, "stability_sweep": 2, "efron_stein": 2,
              "bounds_table": 1}
 _Q_RANGE = {"stability_sweep": (1.0, 8.0), "efron_stein": (2.0, 8.0)}
@@ -147,6 +148,17 @@ class AlgorithmConfig:
             raise ConfigError(f"unknown algorithm name {self.name!r}")
         _require_distinct(**{"lambda": self.lam, "k": self.k})
 
+    def params(self) -> tuple:
+        """The swept parameter values: lambda for ridge, k for kNN."""
+        return self.lam if self.name == "ridge" else self.k
+
+    def sweep_skips(self, b_x: float, n: int, param) -> bool:
+        """Whether a stability sweep leaves (n, param) out: n and lambda off
+        the ridge stability domain, or n < k + 2 for kNN's leave-one-out."""
+        if self.name == "ridge":
+            return bool(ridge_stability_violations(b_x, param, self.eta, n))
+        return n < param + 2
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -167,7 +179,7 @@ class ExperimentConfig:
         object.__setattr__(self, "x_grid", _as_tuple(self.x_grid, _as_float, "x_grid"))
         for name in ("reps", "test_m", "base_seed"):
             object.__setattr__(self, name, _as_integer(getattr(self, name), name))
-        if self.kind not in KINDS:
+        if self.kind not in _MIN_REPS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ConfigError(f"out_dir must be a string naming a directory, got {self.out_dir!r}")
@@ -193,6 +205,11 @@ class ExperimentConfig:
         if self.kind == "stability_sweep":
             if alg.name == "knn" and spec.y_model != "bernoulli_label":
                 raise ConfigError("kNN stability needs labels in {0, 1} (y_model bernoulli_label)")
+            # A sweep whose every row is skipped checks nothing.
+            if all(alg.sweep_skips(spec.b_x, n, p) for n in self.n_grid for p in alg.params()):
+                pair = ("(n, lambda) pair in the ridge stability domain" if alg.name == "ridge"
+                        else "(n, k) pair with n >= k + 2")
+                raise ConfigError(f"stability_sweep has no {pair}, so every row would be skipped")
         elif alg.name != "ridge" or len(alg.lam) != 1:
             raise ConfigError(f"{self.kind} requires the ridge algorithm with one lambda value")
         if self.kind == "rate":
@@ -296,16 +313,36 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# Shared deviation sampling (coverage and rate)
+# Shared bound inputs and deviation sampling
 # ---------------------------------------------------------------------------
 
-def _analytic_y_mean(spec: DataSpec) -> float:
-    """E[Y] for the built-in specs.  The linear models have mean zero by the
-    symmetry of every feature family, the noise, and the clip; the Bernoulli
-    model's marginal is its base probability."""
-    if spec.y_model == "bernoulli_label":
-        return spec.bernoulli_p()
-    return 0.0
+def _pac_threshold(spec: DataSpec, gammas: GammaSet, n: int, x: float) -> tuple[str, float]:
+    """(bound name, value) of the PAC threshold on |LoO - prediction error|
+    at failure level e*exp(-x): the bounded-label bound when the spec has
+    b_y, else the sub-Gaussian bound with the derived proxy v and E[Y] = 0.
+    Only linear_gaussian labels are unbounded, and they are centred: every
+    feature family and the noise are symmetric."""
+    if spec.b_y is not None:
+        return "pac_bounded", pac_bound_bounded(gammas, spec.b_y, n, x)
+    return "pac_subgaussian", pac_bound_subgaussian(gammas, 0.0, spec.subgaussian_v(), n, x)
+
+
+def _y_norms(
+    spec: DataSpec, orders: Sequence[float], root: SeedSpec
+) -> dict[float, tuple[float, float]]:
+    """(norm, std_error) of ||Y||_order per order: the closed form with zero
+    error where the spec has one, else the Monte Carlo estimate with its
+    delta-method error.  Every order of the estimate comes from one sample
+    of |Y|, drawn on ``root.child(_YNORM_ROLE).child(0)``, so an order's
+    estimate does not depend on the other orders asked for, and the norms
+    increase with the order as the population norms do."""
+    try:
+        return {order: (y_norm(spec, order), 0.0) for order in orders}
+    except ValueError:
+        pass  # no closed form for this spec (y_norm decides per spec)
+    seed = root.child(_YNORM_ROLE).child(0)
+    abs_y = np.abs(sample_dataset(spec, _YNORM_MC_DRAWS, seed).ys)
+    return {order: power_mean_root(abs_y**order, order) for order in orders}
 
 
 def _deviation_samples(
@@ -355,16 +392,11 @@ class CoverageRow:
 
 
 def run_coverage(config: ExperimentConfig) -> Report:
-    spec, v = config.spec, config.spec.subgaussian_v()
+    spec = config.spec
     gammas = gamma_set(spec.b_x, config.algorithm.lam[0], config.algorithm.eta)
-
-    def threshold(n: int, x: float) -> float:
-        if spec.b_y is not None:
-            return pac_bound_bounded(gammas, spec.b_y, n, x)
-        return pac_bound_subgaussian(gammas, _analytic_y_mean(spec), v, n, x)
-
     thresholds = {
-        (n, x): threshold(n, x) for n in config.n_grid for x in config.x_grid
+        (n, x): _pac_threshold(spec, gammas, n, x)[1]
+        for n in config.n_grid for x in config.x_grid
     }
     min_threshold = min(thresholds.values())
 
@@ -459,49 +491,25 @@ def run_rate(config: ExperimentConfig) -> Report:
 # Stability sweep
 # ---------------------------------------------------------------------------
 
-def _y_norms(
-    spec: DataSpec, orders: Sequence[float], root: SeedSpec
-) -> dict[float, tuple[float, float]]:
-    """(norm, std_error) of ||Y||_order per order: the closed form with zero
-    error where one exists, else a fixed-size Monte Carlo estimate on
-    ``root.child(_YNORM_ROLE).child(i)`` for the i-th order."""
-    norms = {}
-    for i, order in enumerate(orders):
-        try:
-            norms[order] = y_norm(spec, order), 0.0
-        except ValueError:
-            seed = root.child(_YNORM_ROLE).child(i)
-            norms[order] = y_norm_mc_std_error(spec, order, _YNORM_MC_DRAWS, seed)
-    return norms
-
-
 def run_stability_sweep(config: ExperimentConfig) -> Report:
     alg = config.algorithm
     spec = config.spec
     root = config.root_seed()
 
     if alg.name == "ridge":
-        params = list(alg.lam)
         # ||Y||_{2q} per q; a Monte Carlo error widens the dominance margin.
         norms = _y_norms(spec, [2.0 * q for q in config.q_grid], root)
-    else:
-        params = list(alg.k)
 
     rows: list[SweepRow] = []
     for ni, n in enumerate(config.n_grid):
-        for pi, param in enumerate(params):
-            if alg.name == "ridge":
-                skip = bool(ridge_stability_violations(spec.b_x, param, alg.eta, n))
-                algorithm = RidgeAlgorithm(param)
-            else:
-                skip = n < param + 2
-                algorithm = KnnAlgorithm(param)
-            if skip:
+        for pi, param in enumerate(alg.params()):
+            if alg.sweep_skips(spec.b_x, n, param):
                 rows += [
                     SweepRow(alg.name, q, n, param, math.nan, math.nan, math.nan, "skipped")
                     for q in config.q_grid
                 ]
                 continue
+            algorithm = RidgeAlgorithm(param) if alg.name == "ridge" else KnnAlgorithm(param)
             profile = stability_profile(
                 algorithm, spec, n, config.reps, root.child(ni).child(pi), config.q_grid
             )
@@ -569,7 +577,6 @@ def run_bounds_table(config: ExperimentConfig) -> Report:
     norms = _y_norms(spec, list(dict.fromkeys(orders)), config.root_seed())
 
     rows: list[BoundsRow] = []
-    v = spec.subgaussian_v()
     for n in config.n_grid:
         for q in config.q_grid:
             if q < 2.0:
@@ -584,21 +591,11 @@ def run_bounds_table(config: ExperimentConfig) -> Report:
                     BoundsRow(name, spec.b_x, lam, eta, n, q, value, value > envelope)
                 )
         for x in config.x_grid:
-            if spec.b_y is not None:
-                value = pac_bound_bounded(gammas, spec.b_y, n, x)
-                rows.append(
-                    BoundsRow("pac_bounded", spec.b_x, lam, eta, n, x, value,
-                              value > envelope)
-                )
-            if v is not None:
-                value = pac_bound_subgaussian(gammas, _analytic_y_mean(spec), v, n, x)
-                rows.append(
-                    BoundsRow("pac_subgaussian", spec.b_x, lam, eta, n, x, value,
-                              value > envelope)
-                )
-    # ExperimentConfig keeps every n in the corollary domain and every spec has
-    # b_y or a derived proxy v, so rows is never empty.  Vacuousness is
-    # reported per row.
+            name, value = _pac_threshold(spec, gammas, n, x)
+            rows.append(BoundsRow(name, spec.b_x, lam, eta, n, x, value, value > envelope))
+    # ExperimentConfig keeps every n in the corollary domain, and every x
+    # makes a PAC row, so rows is never empty.  Vacuousness is reported per
+    # row.
     return Report(config, rows, True)
 
 
@@ -781,15 +778,20 @@ def _json_text(report: Report) -> str:
     return json.dumps(_finite_or_null(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def parse_formats(formats: Sequence[str]) -> list[str]:
-    """The requested output formats, stripped, blanks dropped; an unknown
-    format or no format at all is a ConfigError."""
+def parse_formats(formats: Sequence[str], kind: str) -> list[str]:
+    """The requested output formats of a report of this kind, stripped,
+    blanks dropped.  An unknown format, no format at all, or formats that
+    write no file for the kind (SVG alone, for a kind without a figure) are
+    a ConfigError."""
     formats = [f.strip() for f in formats if f.strip()]
     unknown = set(formats) - {"csv", "json", "svg"}
     if unknown:
         raise ConfigError(f"unknown emit formats: {sorted(unknown)}")
     if not formats:
         raise ConfigError("no emit format given; choose from csv, json, svg")
+    if set(formats) == {"svg"} and kind not in _SVG_FIGURES:
+        raise ConfigError(f"{kind} has no SVG figure, so emit format svg alone "
+                          "writes nothing; add csv or json")
     return formats
 
 
@@ -800,7 +802,8 @@ def emit_report(
 
     Non-finite floats are written as ``nan``/``inf`` in CSV and as null in
     JSON.  SVG is produced for the kinds with a defined figure (coverage and
-    rate); requesting it elsewhere is a no-op.  Emission holds an exclusive
+    rate); requesting it beside CSV or JSON elsewhere is a no-op, and alone a
+    ConfigError (``parse_formats``).  Emission holds an exclusive
     ``flock`` on the output directory, so concurrent runs cannot interleave
     files; the lock writes no file and ends with the run that holds it.
     Each file is renamed into place whole, so a crash leaves no truncated
@@ -809,8 +812,8 @@ def emit_report(
     """
     if not report.rows:
         raise PreconditionError("refusing to emit an empty report")
-    formats = parse_formats(formats)
     kind = report.config.kind
+    formats = parse_formats(formats, kind)
     out = Path(out_dir) if out_dir is not None else Path(report.config.out_dir)
     stem = f"{kind}_{report.config.base_seed}"
     renderers = {"csv": _csv_text, "json": _json_text, "svg": _SVG_FIGURES.get(kind)}

@@ -41,7 +41,6 @@ from .datagen import (
     SeedSpec,
     _as_integer,
     _chunk_reps,
-    sample_dataset,
     sample_stack,
 )
 from .learners import (
@@ -279,8 +278,9 @@ def y_norm(spec: DataSpec, q: float) -> float:
 
     Available for the Bernoulli label model (with its closed-form marginal)
     and for noise-free clipped-linear labels over sign-pattern features,
-    where the finitely many outcomes are enumerated.  Any other spec raises
-    ``ValueError``; ``y_norm_mc_std_error`` estimates the norm from draws.
+    where the finitely many outcomes are enumerated.  Whether a closed form
+    exists depends on the spec alone, never on q: any other spec raises
+    ``ValueError`` at every q, as does q < 1.
     """
     if q < 1.0:
         raise ValueError("q must be >= 1")
@@ -291,16 +291,7 @@ def y_norm(spec: DataSpec, q: float) -> float:
     ):
         abs_y = _enumerate_clipped_labels(spec)
         return float(np.mean(abs_y**q) ** (1.0 / q))
-    raise ValueError(
-        "no closed-form |Y| moments for this spec; use y_norm_mc_std_error"
-    )
-
-
-def y_norm_mc_std_error(spec: DataSpec, q: float, m: int, seed: SeedSpec) -> tuple[float, float]:
-    """Monte Carlo ||Y||_q with its delta-method standard error."""
-    if m < 2:
-        raise ValueError("mc estimation needs m >= 2")
-    return power_mean_root(np.abs(sample_dataset(spec, m, seed).ys) ** q, q)
+    raise ValueError("no closed-form |Y| moments for this spec")
 
 
 # ---------------------------------------------------------------------------

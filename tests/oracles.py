@@ -12,17 +12,24 @@ every x > 0
 two-term specs whose thresholds ``pac_bound_bounded`` and
 ``pac_bound_subgaussian`` must reproduce.  ``ridge_objective`` is the
 objective whose minimiser ``ridge_fit`` must return.
+
+``finite_support`` and ``multiset_samples`` make an expectation over
+n-point samples of a finite law an exact weighted sum: a statistic that
+depends on a sample only through its multiset (a ridge fit, its
+leave-one-out risk) takes one value per multiset, weighted by its
+multinomial probability.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from stabilab.bounds import GammaSet
-from stabilab.datagen import Dataset
+from stabilab.datagen import DataSpec, Dataset
 
 
 @dataclass(frozen=True)
@@ -96,3 +103,33 @@ def ridge_objective(data: Dataset, lam: float, beta) -> float:
     beta = np.asarray(beta, dtype=np.float64)
     residuals = data.ys - data.xs @ beta
     return float(np.mean(residuals**2) + lam * float(beta @ beta))
+
+
+def finite_support(spec: DataSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^d * 2 points of a rademacher_coords / bernoulli_label law as
+    xs (k, d), ys (k,) and their probabilities (k,), which sum to 1."""
+    if spec.x_family != "rademacher_coords" or spec.y_model != "bernoulli_label":
+        raise ValueError("finite_support needs rademacher_coords features and bernoulli_label")
+    d = spec.d
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)[None, :]) & 1
+    signs = (2.0 * bits - 1.0) * (spec.b_x / math.sqrt(d))
+    p_one = np.clip(signs @ np.asarray(spec.beta_star) + spec.noise_scale, 0.0, 1.0)
+    xs = np.concatenate([signs, signs])
+    ys = np.concatenate([np.zeros(2**d), np.ones(2**d)])
+    probs = np.concatenate([1.0 - p_one, p_one]) / 2**d
+    return xs, ys, probs
+
+
+def multiset_samples(
+    xs: np.ndarray, ys: np.ndarray, probs: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every n-point multiset of the k support points, stacked as
+    xs (m, n, d) and ys (m, n) with m = C(n + k - 1, n), and the probability
+    (m,) that an i.i.d. n-point sample has that multiset: the multinomial
+    coefficient n! / prod c_i! times prod probs_i^c_i."""
+    k = len(probs)
+    idx = np.array(list(itertools.combinations_with_replacement(range(k), n)))
+    counts = (idx[..., None] == np.arange(k)).sum(axis=1)
+    factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=np.float64)
+    weights = factorial[n] / np.prod(factorial[counts], axis=1) * np.prod(probs**counts, axis=1)
+    return xs[idx], ys[idx], weights

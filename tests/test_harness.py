@@ -42,10 +42,16 @@ from stabilab.learners import (
     ridge_fit,
     ridge_loo_fast,
 )
-from stabilab.stability import knn_gamma_1, stability_profile
+from stabilab.stability import knn_gamma_1, stability_profile, y_norm
 
 from digests import workloads
-from test_acceptance import BERNOULLI_SPEC, GAUSSIAN_SPEC, NOISY_SPEC, RADEMACHER_Y_SPEC
+from test_acceptance import (
+    ANALYTIC_SPEC,
+    BERNOULLI_SPEC,
+    GAUSSIAN_SPEC,
+    NOISY_SPEC,
+    RADEMACHER_Y_SPEC,
+)
 
 ZERO_SPEC = DataSpec(
     d=2,
@@ -410,6 +416,22 @@ class TestRate:
             rate_config(reps=50)
 
 
+class TestYNorms:
+    def test_an_order_does_not_depend_on_the_other_orders(self):
+        # NOISY_SPEC has no closed form: every order comes from one sample.
+        root = SeedSpec(36)
+        alone = harness._y_norms(NOISY_SPEC, (4.0,), root)
+        norms = harness._y_norms(NOISY_SPEC, (2.0, 4.0, 8.0), root)
+        assert alone[4.0] == norms[4.0]
+        assert norms[2.0][0] <= norms[4.0][0] <= norms[8.0][0]
+        assert all(se > 0.0 for _, se in norms.values())
+
+    def test_closed_form_has_no_error_and_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(harness, "sample_dataset", None)
+        norms = harness._y_norms(ANALYTIC_SPEC, (2.0, 4.0), SeedSpec(0))
+        assert norms == {q: (y_norm(ANALYTIC_SPEC, q), 0.0) for q in (2.0, 4.0)}
+
+
 class TestStabilitySweep:
     def test_zero_label_rows_dominated(self):
         cfg = make_config(
@@ -668,9 +690,18 @@ class TestEmission:
         assert list(tmp_path.iterdir()) == []
 
     def test_parse_formats_strips_blanks_and_keeps_order(self):
-        assert parse_formats([" json", "", "csv ", "svg"]) == ["json", "csv", "svg"]
+        assert parse_formats([" json", "", "csv ", "svg"], "coverage") == ["json", "csv", "svg"]
         with pytest.raises(ConfigError, match=r"\['jsn', 'pdf'\]"):
-            parse_formats(["pdf", "csv", "jsn"])
+            parse_formats(["pdf", "csv", "jsn"], "coverage")
+        # SVG alone writes nothing for a kind without a figure.
+        assert parse_formats(["svg"], "rate") == ["svg"]
+        with pytest.raises(ConfigError, match="bounds_table has no SVG figure"):
+            parse_formats([" svg", ""], "bounds_table")
+
+    def test_svg_beside_csv_writes_the_csv_only(self, tmp_path):
+        written = emit_report(self.sweep_report(tmp_path), ["csv", "svg"])
+        assert [p.name for p in written] == ["stability_sweep_77.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stability_sweep_77.csv"]
 
     def test_lock_or_temp_write_failure_is_a_precondition_error(self, tmp_path, monkeypatch):
         report = self.sweep_report(tmp_path)
@@ -736,6 +767,13 @@ CONFIG_ONLY_FAILURES = [
     pytest.param("rate", None, "reps", 60, "rate requires reps >= 100", id="rate_60_reps"),
     pytest.param("stability_sweep", None, "q_grid", [10.0], "supports q in [1, 8]",
                  id="sweep_q_10"),
+    # A sweep whose every row would be skipped checks nothing, and used to
+    # exit 0 with all_pass=True.  lambda 0.01 at n 20 is below 1/(eta(n-1)).
+    pytest.param("stability_sweep", None, "algorithm",
+                 {"name": "ridge", "lambda": [0.01], "eta": 0.5},
+                 "no (n, lambda) pair in the ridge stability domain", id="sweep_ridge_all_skipped"),
+    pytest.param("stability_sweep", None, "n_grid", [4], "no (n, k) pair with n >= k + 2",
+                 id="sweep_knn_all_skipped"),
     # The kNN bound is for the 0-1 cost; clipped-linear labels are real
     # valued, so a "dominated" row there would verify nothing.
     pytest.param("stability_sweep", None, "spec", config_to_dict(NOISY_SPEC), "labels in {0, 1}",
@@ -1119,6 +1157,23 @@ class TestCli:
         assert cli.main(["coverage", "--config", str(path), "--emit", emit]) == 2
         assert "emit format" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["stability_sweep", "efron_stein", "bounds_table"])
+    def test_svg_alone_without_a_figure_exit_two_before_the_run(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        # It used to run, write an empty output directory and exit 0.
+        def not_called(config):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", not_called)
+        command = {k: c for c, k in cli._COMMAND_KINDS.items()}[kind]
+        cfg = make_config(**PROBE_BASES[kind], out_dir=str(tmp_path / "out"))
+        path = self.write_config(tmp_path, cfg)
+        assert cli.main([command, "--config", str(path), "--emit", "svg"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {kind} has no SVG figure"), err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,16 +13,18 @@ from stabilab.learners import (
     KnnAlgorithm,
     RidgeAlgorithm,
     _ridge_loo_betas,
+    _ridge_loo_sq_residuals_stacked,
     knn_classify,
     loo_estimate,
     predict,
     prediction_error_mc,
     ridge_fit,
+    ridge_fit_stacked,
     ridge_loo_betas_stacked,
     ridge_loo_fast,
 )
 
-from oracles import ridge_objective
+from oracles import finite_support, multiset_samples, ridge_objective
 
 
 def random_instance(seed, max_d=8, max_n=64, y_scale=1.0):
@@ -397,3 +400,45 @@ class TestPredictionErrorMc:
         )
         with pytest.raises(ValueError):
             prediction_error_mc(np.zeros(1), spec, 1, SeedSpec(10))
+
+
+class TestLooIdentityOnAFiniteLaw:
+    """E[LoO_n] = E[R(beta^(-j))] exactly (Luntz and Brailovsky): the held-out
+    point is a fresh draw for the fit without it.  On a law with 8 support
+    points both sides are exact sums over the C(n + 7, 7) multisets of a
+    sample, so LoO meets the identity to rounding, and the training error,
+    which reuses its points, misses it."""
+
+    SPEC = DataSpec(d=2, x_family="rademacher_coords", b_x=1.0, y_model="bernoulli_label",
+                    beta_star=(0.2, 0.1), noise_scale=0.5, b_y=1.0)
+    LAM = 1.0
+
+    def test_multiset_sum_equals_the_sum_over_ordered_samples(self):
+        support_xs, support_ys, probs = finite_support(self.SPEC)
+        n = 3
+        idx = np.array(list(itertools.product(range(8), repeat=n)))
+        ordered = _ridge_loo_sq_residuals_stacked(support_xs[idx], support_ys[idx], self.LAM)
+        xs, ys, weights = multiset_samples(support_xs, support_ys, probs, n)
+        multiset = _ridge_loo_sq_residuals_stacked(xs, ys, self.LAM)
+        assert weights @ multiset.mean(axis=1) == pytest.approx(
+            np.prod(probs[idx], axis=1) @ ordered.mean(axis=1), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_loo_meets_the_identity_and_training_error_misses_it(self, n):
+        support_xs, support_ys, probs = finite_support(self.SPEC)
+        assert len(probs) == 8 and math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
+        xs, ys, weights = multiset_samples(support_xs, support_ys, probs, n)
+        assert len(weights) == math.comb(n + 7, 7)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
+        def risk(betas):
+            # Population risk of each coefficient vector: a sum over the support.
+            return ((support_ys - betas @ support_xs.T) ** 2) @ probs
+
+        mean_loo_risk = risk(ridge_loo_betas_stacked(xs, ys, self.LAM)).mean(axis=1)
+        loo = _ridge_loo_sq_residuals_stacked(xs, ys, self.LAM).mean(axis=1)
+        full = ridge_fit_stacked(xs, ys, self.LAM)
+        training = ((ys - (xs @ full[..., None])[..., 0]) ** 2).mean(axis=1)
+
+        assert abs(weights @ (loo - mean_loo_risk)) <= 1e-12
+        assert abs(weights @ (training - mean_loo_risk)) > 0.01

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilab import datagen, stability
+from stabilab import datagen, harness, stability
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
     KnnAlgorithm,
@@ -29,7 +29,6 @@ from stabilab.stability import (
     ridge_stability_violations,
     stability_profile,
     y_norm,
-    y_norm_mc_std_error,
 )
 
 from test_acceptance import ANALYTIC_SPEC, BERNOULLI_SPEC, NOISY_SPEC
@@ -463,8 +462,13 @@ class TestYNorm:
             assert y_norm(self.CONSTANT_SPEC, q) == pytest.approx(2.0, rel=1e-12)
 
     def test_constant_magnitude_mc_exact_at_q2(self):
-        val, _ = y_norm_mc_std_error(self.CONSTANT_SPEC, 2.0, 100, SeedSpec(31))
-        assert val == 2.0
+        # Noise far beyond the clip makes |Y| = 2 on every draw, and the
+        # spec has no closed form, so the harness takes the Monte Carlo path.
+        spec = dataclasses.replace(self.CONSTANT_SPEC, beta_star=(0.0,), noise_scale=1e12)
+        with pytest.raises(ValueError, match="closed-form"):
+            y_norm(spec, 2.0)
+        norms = harness._y_norms(spec, (2.0, 4.0), SeedSpec(31))
+        assert norms == {2.0: (2.0, 0.0), 4.0: (2.0, 0.0)}
 
     def test_bernoulli_moments(self):
         spec = DataSpec(
@@ -490,10 +494,6 @@ class TestYNorm:
     def test_no_closed_form_raises(self):
         with pytest.raises(ValueError, match="closed-form"):
             y_norm(NOISY_SPEC, 2.0)
-
-    def test_mc_needs_size(self):
-        with pytest.raises(ValueError, match="m >= 2"):
-            y_norm_mc_std_error(self.CONSTANT_SPEC, 2.0, 1, SeedSpec(1))
 
 
 class TestDominanceSmoke:
