@@ -668,9 +668,7 @@ def _svg_figure(
 
     pts = [p for _, s in series for p in s] + curve
     xs = [tx(p[0]) for p in pts]
-    ys = [tx(p[1]) for p in pts if p[1] > 0 or not log_log]
-    if not ys:
-        ys = [0.0, 1.0]
+    ys = [tx(p[1]) for p in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
@@ -682,6 +680,7 @@ def _svg_figure(
     def py(v: float) -> float:
         return height - pad - (tx(v) - y_lo) / y_span * (height - 2 * pad)
 
+    coords = " ".join(f"{px(a):.6g},{py(b):.6g}" for a, b in curve)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
@@ -690,18 +689,12 @@ def _svg_figure(
         f'y2="{height - pad:g}" stroke="black"/>',
         f'<line x1="{pad:g}" y1="{pad:g}" x2="{pad:g}" y2="{height - pad:g}" '
         f'stroke="black"/>',
+        f'<polyline points="{coords}" fill="none" stroke="#888888" stroke-width="1.5"/>',
     ]
-    if curve:
-        coords = " ".join(f"{px(a):.6g},{py(b):.6g}" for a, b in curve if b > 0 or not log_log)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="#888888" stroke-width="1.5"/>'
-        )
     palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
     for i, (label, pts_i) in enumerate(series):
         color = palette[i % len(palette)]
         for a, b in pts_i:
-            if log_log and b <= 0:
-                continue
             parts.append(
                 f'<circle cx="{px(a):.6g}" cy="{py(b):.6g}" r="4" fill="{color}">'
                 f"<title>{label}</title></circle>"

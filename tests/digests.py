@@ -1,30 +1,37 @@
-"""Byte-identity gate: every emitted file against its one pin.
+"""Byte-identity gate: every emitted file against its reference file.
 
-    PYTHONPATH=src python3 tests/digests.py --record   # write tests/digests.json
     PYTHONPATH=src python3 tests/digests.py --check    # compare, exit 1 on a mismatch
     PYTHONPATH=src python3 tests/digests.py --check --only c4_ridge_sweep,d_stability_sweep
+    PYTHONPATH=src python3 tests/digests.py --record   # re-run and rewrite tests/reference/
 
-Emits CSV/JSON/SVG for two sets of configs, each into a temporary
-directory:
+Each pinned config is a directory of reference files, named by its label,
+in one of two roots:
 
-* the digest configs (``digest_configs()``, 19 files): four of the five
-  criterion-10 determinism configs of ``tests/test_acceptance.py``, the two
-  ``mc_norm_configs()`` and the two ``subgaussian_configs()`` configs below.
-  The sha256 of every file is compared with ``tests/digests.json``.
-* the benchmark configs (``benchmark_configs()``, 14 files): the seed-0
-  experiments of ``perfbench/workloads.py``, the fifth determinism config
-  among them.  Every file is compared byte for byte with
-  ``perfbench/reference/<label>/``, which the benchmark checks its own runs
-  against, so these outputs have one pin.
+* ``tests/reference/<label>/`` (``pinned_configs()``, 8 configs): one
+  criterion-10 determinism config per experiment kind but the bounds table
+  (``d_*``), the two configs that reach the Monte Carlo ||Y||_q (``m_*``),
+  and the two that reach ``pac_bound_subgaussian`` (``g_*``).  Each config
+  is read from the ``config`` object of its own JSON output, so the
+  directory is the one source of both the config and its bytes.
+* ``perfbench/reference/<label>/`` (``benchmark_configs()``): the seed-0
+  experiments of ``perfbench/workloads.py``, which the benchmark checks its
+  own runs against.  This module only reads them;
+  ``perfbench/record_reference.py`` records them.
 
-Each config's ``out_dir`` is ``"out"``, so the JSON files do not depend on
-where they were written.  Floating-point results may differ in the last
-bit between numpy/BLAS builds, so both pins are host-specific: the
-environment the digests were recorded under is stored with them, and a
-check under another environment says so.  ``--record`` rewrites the
-digests only; the reference files are recorded by
-``perfbench/record_reference.py``.  ``--only`` checks the files of the
-named configs alone.  Not collected by pytest; ``tests/test_digests.py``
+``--check`` runs every config into a temporary directory and compares each
+emitted file byte for byte with its reference file.  For a config with a
+mismatch it also prints why, from ``perfbench/check.py``: the first numbers
+that moved by more than 1e-12 relative, or that the files agree within
+1e-12 (last-bit drift).  ``--only`` checks the files of the named configs
+alone.  ``--record`` re-runs every ``tests/reference/`` config and rewrites
+its files, so ``git diff`` shows which numbers moved.  Each config's
+``out_dir`` is ``"out"``, so a JSON file does not depend on where it was
+written.
+
+Floating-point results may differ in the last bit between numpy/BLAS
+builds, so the reference files are host-specific: ``tests/digests.json``
+holds the environment they were recorded under, and a check under another
+environment says so.  Not collected by pytest; ``tests/test_digests.py``
 runs the check in the test suite, and acceptance criteria 4-8 and 10
 compare their benchmark reports with the reference files.
 
@@ -35,10 +42,9 @@ This module is the tests' one loader of ``perfbench/workloads.py``:
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import platform
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -46,10 +52,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 DIGESTS = HERE / "digests.json"
-REFERENCE = ROOT / "perfbench" / "reference"
+PINNED = HERE / "reference"
+BENCHMARK = ROOT / "perfbench" / "reference"
 
 sys.path[:0] = [str(ROOT / "src"), str(HERE), str(ROOT / "perfbench")]
 
+import check  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
@@ -58,60 +66,19 @@ from stabilab.harness import config_from_dict, emit_report, run_experiment  # no
 FORMATS = ["csv", "json", "svg"]
 
 
-def mc_norm_configs() -> dict:
-    """{label: ExperimentConfig} of a ridge sweep and a bounds table on
-    NOISY_SPEC, whose ||Y||_q has no closed form: the only configs that
-    reach the Monte Carlo norm estimate."""
-    from test_acceptance import NOISY_SPEC
-
-    from stabilab.harness import AlgorithmConfig, ExperimentConfig
-
-    ridge = AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5)
-    common = dict(spec=NOISY_SPEC, algorithm=ridge, x_grid=(1.0, 3.0), test_m=2, out_dir="out")
-    return {
-        "m_stability_sweep": ExperimentConfig(
-            kind="stability_sweep", n_grid=(20,), q_grid=(1.0, 2.0), reps=30, base_seed=36,
-            **common,
-        ),
-        "m_bounds_table": ExperimentConfig(
-            kind="bounds_table", n_grid=(50,), q_grid=(2.0, 4.0), reps=1, base_seed=37,
-            **common,
-        ),
-    }
-
-
-def subgaussian_configs() -> dict:
-    """{label: ExperimentConfig} of a coverage run and a bounds table on
-    GAUSSIAN_SPEC: the only configs that reach ``pac_bound_subgaussian``.
-    The table's q_grid [1.0] makes no moment row, so it needs no ||Y||_q."""
-    from test_acceptance import GAUSSIAN_SPEC
-
-    from stabilab.harness import AlgorithmConfig, ExperimentConfig
-
-    ridge = AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5)
-    common = dict(spec=GAUSSIAN_SPEC, algorithm=ridge, q_grid=(1.0,), x_grid=(1.0, 3.0),
-                  out_dir="out")
-    return {
-        "g_coverage": ExperimentConfig(
-            kind="coverage", n_grid=(50,), reps=60, test_m=300, base_seed=38, **common,
-        ),
-        "g_bounds_table": ExperimentConfig(
-            kind="bounds_table", n_grid=(50, 200), reps=1, test_m=2, base_seed=39, **common,
-        ),
-    }
-
-
-def digest_configs() -> dict:
-    """{label: ExperimentConfig} of the configs that tests/digests.json pins,
-    every out_dir set to "out"."""
-    from test_acceptance import DETERMINISM_CONFIGS
-
-    configs = {
-        f"d_{config.kind}": dataclasses.replace(config, out_dir="out")
-        for config in DETERMINISM_CONFIGS
-    }
-    configs.update(mc_norm_configs())
-    configs.update(subgaussian_configs())
+def pinned_configs() -> dict:
+    """{label: ExperimentConfig} of every tests/reference/<label>/, each read
+    from the config echo of the one JSON file there; ValueError if a
+    directory has no such file or it holds no valid config."""
+    configs = {}
+    for directory in sorted(PINNED.iterdir()):
+        reports = sorted(directory.glob("*.json"))
+        if len(reports) != 1:
+            raise ValueError(f"{directory} holds {len(reports)} JSON files, not one")
+        try:
+            configs[directory.name] = config_from_dict(json.loads(reports[0].read_text())["config"])
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{reports[0]} holds no valid config: {exc!r}") from exc
     return configs
 
 
@@ -125,16 +92,33 @@ def benchmark_configs() -> dict:
     }
 
 
+def reference_dir(label: str) -> Path:
+    """The reference files of a config: tests/reference/<label>/, or
+    perfbench/reference/<label>/ for a benchmark config."""
+    pinned = PINNED / label
+    return pinned if pinned.is_dir() else BENCHMARK / label
+
+
 def reference_comparison(label: str, written) -> dict[str, bool]:
     """{file name: whether its bytes equal the reference} over the emitted
-    ``written`` paths and the files of perfbench/reference/<label>/; a file
-    on one side only does not match."""
+    ``written`` paths and the files of ``reference_dir(label)``; a file on
+    one side only does not match."""
     emitted = {path.name: path.read_bytes() for path in written}
-    expected = {path.name: path.read_bytes() for path in (REFERENCE / label).iterdir()}
+    expected = {path.name: path.read_bytes() for path in reference_dir(label).iterdir()}
     return {
         name: emitted.get(name) == expected.get(name)
         for name in sorted(emitted.keys() | expected.keys())
     }
+
+
+def explain(emitted: Path, reference: Path) -> str:
+    """Why two output directories whose bytes differ do so: the first three
+    differences beyond perfbench/check.py's 1e-12 relative comparison, or
+    last-bit drift when there are none."""
+    moved = check.compare_dirs(emitted, reference)
+    if not moved:
+        return "within 1e-12 (last-bit drift)"
+    return "; ".join(moved[:3]) + (f"; and {len(moved) - 3} more" if len(moved) > 3 else "")
 
 
 def environment() -> dict:
@@ -148,12 +132,12 @@ def environment() -> dict:
 
 
 def environment_note() -> str | None:
-    """Why this host's bytes may differ from both pins, or None on the host
-    whose environment tests/digests.json records."""
+    """Why this host's bytes may differ from the reference files, or None on
+    the host whose environment tests/digests.json records."""
     recorded, env = json.loads(DIGESTS.read_text())["environment"], environment()
     if recorded == env:
         return None
-    return (f"digests were recorded under {recorded}, this host is {env}; "
+    return (f"reference files were recorded under {recorded}, this host is {env}; "
             "last-bit differences are possible")
 
 
@@ -165,68 +149,67 @@ def _emit(configs: dict, tmp: Path) -> dict[str, list[Path]]:
     }
 
 
-def _digests(written: dict[str, list[Path]]) -> dict[str, str]:
-    return dict(sorted(
-        (f"{label}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
-        for label, paths in written.items() for path in paths
-    ))
+def _record(tmp: Path) -> int:
+    """Re-run every tests/reference config and replace its files, once all
+    have run, along with the recording environment."""
+    written = _emit(pinned_configs(), tmp)
+    for label, paths in written.items():
+        for path in (PINNED / label).iterdir():
+            path.unlink()
+        for path in paths:
+            shutil.copyfile(path, PINNED / label / path.name)
+    DIGESTS.write_text(json.dumps({"environment": environment()}, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {sum(map(len, written.values()))} files to {PINNED}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--record", action="store_true", help=f"write {DIGESTS.name}")
+    mode.add_argument("--record", action="store_true",
+                      help=f"re-run and rewrite {PINNED.relative_to(ROOT)}/")
     mode.add_argument("--check", action="store_true",
-                      help=f"compare with {DIGESTS.name} and {REFERENCE.relative_to(ROOT)}/")
+                      help=f"compare with {PINNED.relative_to(ROOT)}/ and "
+                           f"{BENCHMARK.relative_to(ROOT)}/")
     parser.add_argument(
         "--only", metavar="LABEL[,LABEL]",
         help="with --check, run and compare only these configs (default: all)",
     )
     args = parser.parse_args(argv)
-    pinned, benchmark = digest_configs(), benchmark_configs()
+    if args.record:
+        if args.only is not None:
+            parser.error("--only works with --check; --record rewrites every reference file")
+        with tempfile.TemporaryDirectory() as tmp:
+            return _record(Path(tmp))
+    try:
+        configs = {**pinned_configs(), **benchmark_configs()}
+    except ValueError as exc:
+        parser.exit(1, f"MISMATCH {exc}\n")
     if args.only is not None:
-        if args.record:
-            parser.error("--only works with --check; --record writes every digest")
         labels = set(args.only.split(","))
-        unknown = sorted(labels - pinned.keys() - benchmark.keys())
+        unknown = sorted(labels - configs.keys())
         if unknown:
-            parser.error(f"unknown labels {unknown}; known: {sorted({**pinned, **benchmark})}")
-        pinned = {label: c for label, c in pinned.items() if label in labels}
-        benchmark = {label: c for label, c in benchmark.items() if label in labels}
-
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = _digests(_emit(pinned, Path(tmp) / "digests"))
-        if args.record:
-            DIGESTS.write_text(json.dumps(
-                {"environment": environment(), "files": digests}, indent=2, sort_keys=True
-            ) + "\n")
-            print(f"recorded {len(digests)} digests to {DIGESTS}")
-            return 0
-        references = {
-            f"{label}/{name}": same
-            for label, written in _emit(benchmark, Path(tmp) / "reference").items()
-            for name, same in reference_comparison(label, written).items()
-        }
+            parser.error(f"unknown labels {unknown}; known: {sorted(configs)}")
+        configs = {label: c for label, c in configs.items() if label in labels}
 
     note = environment_note()
     if note is not None:
         print(f"note: {note}", file=sys.stderr)
-    expected = {
-        name: digest for name, digest in json.loads(DIGESTS.read_text())["files"].items()
-        if name.split("/", 1)[0] in pinned
-    }
-    names = sorted(expected.keys() | digests.keys())
-    bad_digests = [name for name in names if expected.get(name) != digests.get(name)]
-    for name in bad_digests:
-        print(f"MISMATCH {name}: recorded {expected.get(name)}, now {digests.get(name)}")
-    bad_references = [name for name, same in references.items() if not same]
-    for name in bad_references:
-        print(f"MISMATCH {name}: differs from {REFERENCE.relative_to(ROOT)}/{name}")
-    print(
-        f"{len(names) - len(bad_digests)}/{len(names)} digests match, "
-        f"{len(references) - len(bad_references)}/{len(references)} reference files match"
-    )
-    return 1 if bad_digests or bad_references else 0
+    matched = total = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, written in _emit(configs, Path(tmp)).items():
+            reference = reference_dir(label)
+            comparison = reference_comparison(label, written)
+            bad = [name for name, same in comparison.items() if not same]
+            for name in bad:
+                print(f"MISMATCH {label}/{name}: differs from "
+                      f"{reference.relative_to(ROOT)}/{name}")
+            if bad:
+                print(f"  why: {explain(Path(tmp) / label, reference)}")
+            matched += len(comparison) - len(bad)
+            total += len(comparison)
+    print(f"{matched}/{total} reference files match")
+    return 0 if matched == total else 1
 
 
 if __name__ == "__main__":

@@ -14,10 +14,10 @@ two-term specs whose thresholds ``pac_bound_bounded`` and
 objective whose minimiser ``ridge_fit`` must return.
 
 ``finite_support`` and ``multiset_samples`` make an expectation over
-n-point samples of a finite law an exact weighted sum: a statistic that
-depends on a sample only through its multiset (a ridge fit, its
-leave-one-out risk) takes one value per multiset, weighted by its
-multinomial probability.
+n-point samples of a finite law, such as ``FINITE_LAW``, an exact weighted
+sum: a statistic that depends on a sample only through its multiset (a
+ridge fit, its leave-one-out risk) takes one value per multiset, weighted
+by its multinomial probability.  ``exact_ridge_stability`` is such a sum.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ import numpy as np
 
 from stabilab.bounds import GammaSet
 from stabilab.datagen import DataSpec, Dataset
+from stabilab.learners import ridge_fit_stacked, ridge_loo_betas_stacked
+
+# Sign-pattern features and 0/1 labels at d = 2: a law with 8 support points.
+FINITE_LAW = DataSpec(d=2, x_family="rademacher_coords", b_x=1.0, y_model="bernoulli_label",
+                      beta_star=(0.2, 0.1), noise_scale=0.5, b_y=1.0)
 
 
 @dataclass(frozen=True)
@@ -133,3 +138,19 @@ def multiset_samples(
     factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=np.float64)
     weights = factorial[n] / np.prod(factorial[counts], axis=1) * np.prod(probs**counts, axis=1)
     return xs[idx], ys[idx], weights
+
+
+def exact_ridge_stability(spec: DataSpec, lam: float, n: int, qs) -> dict[float, float]:
+    """{q: s_q} of ridge with squared cost on a finite law, exactly: the q-th
+    root of E[mean_j |c(beta, Z) - c(beta^(-j), Z)|^q] over every n-point
+    multiset and every support point Z, the quantity that
+    ``stability_profile`` estimates."""
+    support_xs, support_ys, probs = finite_support(spec)
+    xs, ys, weights = multiset_samples(support_xs, support_ys, probs, n)
+
+    def costs(betas):
+        return (betas @ support_xs.T - support_ys) ** 2
+
+    full = costs(ridge_fit_stacked(xs, ys, lam))
+    diffs = np.abs(full[:, None, :] - costs(ridge_loo_betas_stacked(xs, ys, lam)))
+    return {q: float(weights @ (diffs**q).mean(axis=1) @ probs) ** (1.0 / q) for q in qs}

@@ -23,8 +23,6 @@ from stabilab.bounds import (
 )
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, sample_dataset
 from stabilab.harness import (
-    AlgorithmConfig,
-    ExperimentConfig,
     emit_report,
     run_coverage,
     run_efron_stein,
@@ -50,8 +48,8 @@ BERNOULLI_SPEC = DataSpec(**workloads.BERNOULLI_SPEC)
 RADEMACHER_Y_SPEC = DataSpec(**workloads.RADEMACHER_Y_SPEC)
 
 # Unbounded Gaussian labels with the derived proxy v = sigma^2 + ||beta||^2
-# b_x^2: the sub-Gaussian digest configs and tests/test_datagen.py's proxy
-# check use it.
+# b_x^2, the spec of the g_* configs of tests/reference/: tests/test_datagen.py's
+# proxy check and tests/test_harness.py use it.
 GAUSSIAN_SPEC = DataSpec(
     d=2,
     x_family="uniform_ball",
@@ -268,66 +266,20 @@ def test_criterion_9_formula_self_consistency():
     _report("criterion 9 formula self-consistency")
 
 
-# Criterion 10 runs one config per experiment kind: these four, whose
-# outputs tests/digests.py pins as the d_* digests, and the benchmark's
-# c10_bounds_table.
-DETERMINISM_CONFIGS = [
-    ExperimentConfig(
-        kind="coverage",
-        spec=NOISY_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-        n_grid=(20,),
-        q_grid=(2.0,),
-        x_grid=(1.0, 3.0),
-        reps=50,
-        test_m=300,
-        base_seed=31,
-        out_dir="unused",
-    ),
-    ExperimentConfig(
-        kind="rate",
-        spec=NOISY_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(0.5,), eta=0.5),
-        n_grid=(8, 16, 32, 64),
-        q_grid=(2.0,),
-        x_grid=(1.0,),
-        reps=100,
-        test_m=300,
-        base_seed=32,
-        out_dir="unused",
-    ),
-    ExperimentConfig(
-        kind="stability_sweep",
-        spec=ANALYTIC_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(0.5, 1.0), eta=0.5),
-        n_grid=(20,),
-        q_grid=(1.0, 2.0),
-        x_grid=(1.0,),
-        reps=60,
-        test_m=2,
-        base_seed=33,
-        out_dir="unused",
-    ),
-    ExperimentConfig(
-        kind="efron_stein",
-        spec=RADEMACHER_Y_SPEC,
-        algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
-        n_grid=(6,),
-        q_grid=(2.0,),
-        x_grid=(1.0,),
-        reps=30,
-        test_m=2,
-        base_seed=34,
-        out_dir="unused",
-    ),
-]
-
-
 def test_criterion_10_determinism(tmp_path):
     start = time.monotonic()
     formats = ["csv", "json", "svg"]
+    # One config per experiment kind: the four d_* configs of
+    # tests/reference/, whose bytes tests/test_digests.py pins, and the
+    # benchmark's c10_bounds_table.
+    configs = [config for label, config in digests.pinned_configs().items()
+               if label.startswith("d_")]
     bounds_table = digests.benchmark_configs()["c10_bounds_table"]
-    for config in DETERMINISM_CONFIGS + [bounds_table]:
+    configs.append(bounds_table)
+    assert sorted(config.kind for config in configs) == [
+        "bounds_table", "coverage", "efron_stein", "rate", "stability_sweep"
+    ]
+    for config in configs:
         blobs = []
         for attempt in ("first", "second"):
             out = tmp_path / f"{config.kind}_{attempt}"

@@ -1,33 +1,53 @@
-"""Byte-identity gate in the test suite.  Every digest config runs in
-seconds, so each must emit exactly the files whose sha256
-``tests/digests.json`` records; ``--only`` also takes a benchmark label,
-whose files are compared with ``perfbench/reference/``.  Acceptance
-criteria 4-8 and 10 compare the benchmark reports they already compute
-with the reference files, and ``tests/digests.py --check`` checks every
-config."""
+"""Byte-identity gate in the test suite.  Every config of
+``tests/reference/`` runs in seconds, so each must emit exactly its
+reference files; ``--only`` also takes a benchmark label, whose files are
+compared with ``perfbench/reference/``.  Acceptance criteria 4-8 and 10
+compare the benchmark reports they already compute with the reference
+files, and ``tests/digests.py --check`` checks every config."""
 
-import json
+import shutil
 
 import pytest
 
 import digests
 
 
-def test_fast_configs_match_recorded_digests(capsys):
+def test_fast_configs_match_reference_files(capsys):
     note = digests.environment_note()
     if note is not None:
         pytest.skip(note)
-    labels = [*digests.digest_configs(), "c10_bounds_table"]
+    labels = [*digests.pinned_configs(), "c10_bounds_table"]
     assert digests.main(["--check", "--only", ",".join(labels)]) == 0
-    n = len(json.loads(digests.DIGESTS.read_text())["files"])
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        f"{n}/{n} digests match, 2/2 reference files match"
-    )
+    n = sum(path.is_file() for path in digests.PINNED.rglob("*")) + 2
+    assert capsys.readouterr().out.splitlines()[-1] == f"{n}/{n} reference files match"
 
 
 def test_reference_set_matches_the_workloads():
     # A workload experiment with no reference, or a reference left over
     # from a removed experiment, fails here and not only in a benchmark run.
-    references = sorted(path.name for path in digests.REFERENCE.iterdir())
+    references = sorted(path.name for path in digests.BENCHMARK.iterdir())
     experiments = digests.workloads.WORKLOADS.values()
     assert references == sorted(name for names in experiments for name, _, _ in names)
+    assert not set(references) & set(digests.pinned_configs())
+
+
+def test_a_mismatch_says_which_numbers_moved(tmp_path):
+    reference = digests.PINNED / "g_bounds_table"
+    emitted = tmp_path / "g_bounds_table"
+    shutil.copytree(reference, emitted)
+    csv = emitted / "bounds_table_39.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[1].split(",")
+    value = cells[6]
+
+    def write_value(text):
+        csv.write_text("\n".join([lines[0], ",".join([*cells[:6], text, cells[7]]), *lines[2:]])
+                       + "\n")
+
+    # The last of 17 significant digits is last-bit drift; a doubled value is not.
+    write_value(value[:-1] + ("1" if value[-1] != "1" else "2"))
+    assert digests.explain(emitted, reference) == "within 1e-12 (last-bit drift)"
+    write_value(repr(2 * float(value)))
+    assert digests.explain(emitted, reference) == (
+        f"bounds_table_39.csv: row 1 cell 6: {2 * float(value)!r} != {float(value)!r}"
+    )

@@ -811,6 +811,62 @@ CONFIG_ONLY_FAILURES = [
                  {"d": 2, "x_family": "uniform_ball", "b_x": 1.0, "y_model": "bernoulli_label",
                   "beta_star": [0.6, 0.3], "noise_scale": 0.5, "b_y": 1.0, "v": 0.5},
                  "unknown keys in spec: ['v']", id="explicit_proxy_bernoulli_clipped"),
+    # Gaussian labels are unbounded, so a b_y would wrongly select the
+    # bounded-label PAC bound.
+    pytest.param("coverage", None, "spec",
+                 {"d": 2, "x_family": "uniform_ball", "b_x": 1.0, "y_model": "linear_gaussian",
+                  "beta_star": [0.4, 0.2], "noise_scale": 0.3, "b_y": 0.5},
+                 "linear_gaussian labels are unbounded; b_y is not allowed",
+                 id="gaussian_with_b_y"),
+    # Efron-Stein runs at one lambda; a grid must not silently run at its
+    # first value.
+    pytest.param("efron_stein", "algorithm", "lambda", [0.5, 2.0],
+                 "efron_stein requires the ridge algorithm with one lambda value",
+                 id="efron_stein_lambda_grid"),
+    # One replication has no spread to estimate; the runner refused it only
+    # after the config had been accepted, with exit 3.
+    pytest.param("stability_sweep", None, "reps", 1, "stability_sweep requires reps >= 2",
+                 id="sweep_one_rep"),
+    pytest.param("efron_stein", None, "reps", 1, "efron_stein requires reps >= 2",
+                 id="efron_stein_one_rep"),
+    # int() would truncate these to a run of another config than the file
+    # names, and emit that truncated config as if it were given.
+    *(pytest.param("stability_sweep", where, key, value, f"{key} must be an integer",
+                   id=f"integer_{key}={value!r}")
+      for where, key, value in [
+          (None, "reps", 20.9), (None, "base_seed", 7.5), (None, "n_grid", [50.7]),
+          (None, "test_m", 300.5), ("algorithm", "k", [1.9]), ("spec", "d", 1.5),
+          ("spec", "d", True), (None, "reps", "500"), (None, "n_grid", ["50"]),
+          (None, "base_seed", "35"), (None, "test_m", "300"), ("algorithm", "k", ["1"]),
+          ("spec", "d", "2"),
+      ]),
+    # float() turns true into 1.0 and "1.0" into 1.0, so these ran a config
+    # that the file does not state.
+    *(pytest.param("bounds_table", where, key, value, f"{key} must be a number",
+                   id=f"number_{key}={value!r}")
+      for where, key, value in [
+          ("algorithm", "lambda", True), ("algorithm", "eta", "0.5"), ("spec", "b_x", True),
+          ("spec", "b_y", "0.6"), (None, "q_grid", [True]), (None, "x_grid", ["1.0"]),
+      ]),
+    # Python's json parses NaN and Infinity; a NaN passes every range check
+    # and would be emitted as a nan row.
+    pytest.param("bounds_table", None, "x_grid", [math.nan, 1.0], "must be finite",
+                 id="x_grid_nan"),
+    pytest.param("bounds_table", None, "q_grid", [2.0, math.inf], "must be finite",
+                 id="q_grid_inf"),
+    pytest.param("stability_sweep", None, "q_grid", [math.nan], "must be finite",
+                 id="knn_q_grid_nan"),
+    # str(None) would write into ./None, and an empty path into the current
+    # directory.
+    pytest.param("coverage", None, "out_dir", None, "out_dir must be a string",
+                 id="out_dir_null"),
+    pytest.param("coverage", None, "out_dir", "",
+                 "out_dir must be a string naming a directory, got ''", id="out_dir_empty"),
+    # A string used to be read key by key: "ridge" as keys r, i, d, g, e.
+    pytest.param("coverage", None, "spec", "ridge", "spec must be a JSON object",
+                 id="spec_string"),
+    pytest.param("coverage", None, "algorithm", "ridge", "algorithm must be a JSON object",
+                 id="algorithm_string"),
 ]
 
 
@@ -907,53 +963,24 @@ class TestCli:
         bad.write_text("{")
         assert cli.main(["coverage", "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("where", ["config", "spec", "algorithm"])
-    def test_non_object_section_exit_two(self, tmp_path, capsys, where):
-        # A string used to be read key by key: "ridge" as keys r, i, d, g, e.
+    def test_top_level_list_exit_two(self, tmp_path, capsys):
         obj = config_to_dict(make_config(spec=ZERO_SPEC, out_dir=str(tmp_path)))
-        if where == "config":
-            obj = [obj]
-        else:
-            obj[where] = "ridge"
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps([obj]))
         assert cli.main(["coverage", "--config", str(path)]) == 2
-        assert f"{where} must be a JSON object" in capsys.readouterr().err
-
-    def test_bounded_label_on_gaussian_model_exit_two(self, tmp_path):
-        # Gaussian labels are unbounded, so a b_y would wrongly select the
-        # bounded-label PAC bound.
-        obj = config_to_dict(make_config(n_grid=(50,), test_m=20000, out_dir=str(tmp_path)))
-        obj["spec"] = {
-            "d": 2, "x_family": "uniform_ball", "b_x": 1.0,
-            "y_model": "linear_gaussian", "beta_star": [0.4, 0.2],
-            "noise_scale": 0.3, "b_y": 0.5,
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        assert cli.main(["coverage", "--config", str(path)]) == 2
-
-    def test_efron_stein_lambda_grid_exit_two(self, tmp_path):
-        # Efron-Stein runs at one lambda; a grid must not silently run at
-        # its first value.
-        obj = config_to_dict(
-            make_config(kind="efron_stein", spec=ZERO_SPEC, reps=10, out_dir=str(tmp_path))
-        )
-        obj["algorithm"]["lambda"] = [0.5, 2.0]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        assert cli.main(["efron-stein", "--config", str(path)]) == 2
-        assert not list(tmp_path.glob("efron_stein_*"))
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, where, key, value, message", CONFIG_ONLY_FAILURES)
     def test_config_only_failure_exit_two(
-        self, tmp_path, capsys, kind, where, key, value, message
+        self, tmp_path, capsys, monkeypatch, kind, where, key, value, message
     ):
         # Each of these is decided by the config alone; it used to exit 3
         # after the config was accepted, or to run (a repeated grid entry
-        # overwrote its own results).  It must exit 2 before any draw.
+        # overwrote its own results).  It must exit 2 before any draw and
+        # write nothing, not even into the current directory.
+        monkeypatch.chdir(tmp_path)
         command = {k: c for c, k in cli._COMMAND_KINDS.items()}[kind]
-        obj = config_to_dict(make_config(**PROBE_BASES[kind], out_dir=str(tmp_path / "out")))
+        obj = config_to_dict(make_config(**PROBE_BASES[kind], out_dir="out"))
         (obj if where is None else obj[where])[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(obj))
@@ -961,70 +988,6 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and message in err[0], err
         assert list(tmp_path.iterdir()) == [path]
-
-    @pytest.mark.parametrize(
-        "where, key, value",
-        [
-            (None, "reps", 20.9),
-            (None, "base_seed", 7.5),
-            (None, "n_grid", [50.7]),
-            (None, "test_m", 300.5),
-            ("algorithm", "k", [1.9]),
-            ("spec", "d", 1.5),
-            ("spec", "d", True),
-            (None, "reps", "500"),
-            (None, "n_grid", ["50"]),
-            (None, "base_seed", "35"),
-            (None, "test_m", "300"),
-            ("algorithm", "k", ["1"]),
-            ("spec", "d", "2"),
-        ],
-    )
-    def test_non_integral_integer_field_exit_two(self, tmp_path, capsys, where, key, value):
-        # int() would truncate these to a run of another config than the
-        # file names, and emit that truncated config as if it were given.
-        obj = config_to_dict(make_config(
-            kind="stability_sweep",
-            spec=DataSpec(d=1, x_family="uniform_ball", b_x=1.0, y_model="bernoulli_label",
-                          beta_star=(0.1,), noise_scale=0.5, b_y=1.0),
-            algorithm=AlgorithmConfig(name="knn", k=(1,)),
-            n_grid=(50,), q_grid=(1.0,), reps=20, base_seed=7, out_dir=str(tmp_path),
-        ))
-        (obj if where is None else obj[where])[key] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        assert cli.main(["stability", "--config", str(path)]) == 2
-        assert f"{key} must be an integer" in capsys.readouterr().err
-        assert not list(tmp_path.glob("stability_sweep_*"))
-
-    @pytest.mark.parametrize(
-        "command, algorithm, key, value",
-        [
-            ("bounds-table", RIDGE_ALG, "x_grid", [math.nan, 1.0]),
-            ("bounds-table", RIDGE_ALG, "q_grid", [2.0, math.inf]),
-            ("stability", AlgorithmConfig(name="knn", k=(1,)), "q_grid", [math.nan]),
-        ],
-        ids=["x_grid_nan", "q_grid_inf", "knn_q_grid_nan"],
-    )
-    def test_non_finite_grid_entry_exit_two(
-        self, tmp_path, capsys, command, algorithm, key, value
-    ):
-        # Python's json parses NaN and Infinity; a NaN passes every range
-        # check and would be emitted as a nan row.
-        kind = cli._COMMAND_KINDS[command]
-        obj = config_to_dict(make_config(
-            kind=kind,
-            spec=DataSpec(d=1, x_family="uniform_ball", b_x=1.0, y_model="bernoulli_label",
-                          beta_star=(0.1,), noise_scale=0.5, b_y=1.0),
-            algorithm=algorithm,
-            n_grid=(50,), q_grid=(2.0,), x_grid=(1.0,), reps=20, out_dir=str(tmp_path),
-        ))
-        obj[key] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        assert cli.main([command, "--config", str(path)]) == 2
-        assert "must be finite" in capsys.readouterr().err
-        assert not list(tmp_path.glob(f"{kind}_*"))
 
     def test_integral_float_fields_are_accepted(self):
         # Integral floats in integer fields, and JSON integers in float fields.
@@ -1035,67 +998,13 @@ class TestCli:
         obj["algorithm"]["lambda"] = 1
         assert config_from_dict(obj) == make_config(x_grid=(1.0, 3.0))
 
-    def test_bool_or_string_float_field_exit_two(self, tmp_path, capsys):
-        # float() turns true into 1.0 and "1.0" into 1.0, so these ran a
-        # config that the file does not state.
-        for where, key, value in [
-            ("algorithm", "lambda", True),
-            ("algorithm", "eta", "0.5"),
-            ("spec", "b_x", True),
-            ("spec", "b_y", "0.6"),
-            (None, "q_grid", [True]),
-            (None, "x_grid", ["1.0"]),
-        ]:
-            obj = config_to_dict(make_config(
-                kind="bounds_table", n_grid=(50,), x_grid=(1.0,), reps=1,
-                out_dir=str(tmp_path),
-            ))
-            (obj if where is None else obj[where])[key] = value
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(obj))
-            assert cli.main(["bounds-table", "--config", str(path)]) == 2, key
-            assert f"{key} must be a number" in capsys.readouterr().err
-            assert not list(tmp_path.glob("bounds_table_*"))
-
-    def test_non_string_out_dir_exit_two(self, tmp_path, capsys, monkeypatch):
-        # str(None) would write into ./None.
-        monkeypatch.chdir(tmp_path)
-        obj = config_to_dict(make_config(spec=ZERO_SPEC))
-        obj["out_dir"] = None
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        assert cli.main(["coverage", "--config", str(path)]) == 2
-        assert "out_dir must be a string" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [path]
-
     def test_empty_out_dir_exit_two(self, tmp_path, capsys, monkeypatch):
-        # An empty path wrote the outputs into the current directory.
+        # An empty --out wrote the outputs into the current directory.
         monkeypatch.chdir(tmp_path)
         cfg = make_config(spec=ZERO_SPEC, out_dir=str(tmp_path / "out"))
-        obj = config_to_dict(cfg)
-        obj["out_dir"] = ""
-        from_file = tmp_path / "empty.json"
-        from_file.write_text(json.dumps(obj))
         path = self.write_config(tmp_path, cfg)
-        for argv in (["--config", str(from_file)], ["--config", str(path), "--out", ""]):
-            assert cli.main(["coverage", *argv]) == 2
-            assert "out_dir must be a string naming a directory, got ''" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "empty.json"]
-
-    @pytest.mark.parametrize(
-        "command, spec", [("stability", ZERO_SPEC), ("efron-stein", NOISY_SPEC)]
-    )
-    def test_single_rep_sweep_or_efron_stein_exit_two(self, tmp_path, capsys, command, spec):
-        # One replication has no spread to estimate; the runner refused it
-        # only after the config had been accepted, with exit 3.
-        kind = cli._COMMAND_KINDS[command]
-        cfg = make_config(kind=kind, spec=spec, reps=2, out_dir=str(tmp_path / "out"))
-        obj = config_to_dict(cfg)
-        obj["reps"] = 1
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        assert cli.main([command, "--config", str(path)]) == 2
-        assert "reps" in capsys.readouterr().err
+        assert cli.main(["coverage", "--config", str(path), "--out", ""]) == 2
+        assert "out_dir must be a string naming a directory, got ''" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     def test_output_path_that_is_a_file_exit_three(self, tmp_path, capsys):

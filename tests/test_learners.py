@@ -24,7 +24,7 @@ from stabilab.learners import (
     ridge_loo_fast,
 )
 
-from oracles import finite_support, multiset_samples, ridge_objective
+from oracles import FINITE_LAW, finite_support, multiset_samples
 
 
 def random_instance(seed, max_d=8, max_n=64, y_scale=1.0):
@@ -74,25 +74,6 @@ class TestRidgeFit:
         for lam in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="lam must be a positive real"):
                 ridge_fit(data, lam)
-
-    def test_gradient_vanishes_on_fifty_seeded_instances(self):
-        # Central finite differences of the (1/n)-normalised objective; the
-        # objective is quadratic, so the only error is roundoff.
-        for seed in range(50):
-            data = random_instance(seed, max_n=256)
-            lam = float(np.random.default_rng(seed + 1000).uniform(0.05, 2.0))
-            beta = ridge_fit(data, lam)
-            obj = ridge_objective(data, lam, beta)
-            h = 1e-6
-            grad = np.empty_like(beta)
-            for i in range(beta.size):
-                up, down = beta.copy(), beta.copy()
-                up[i] += h
-                down[i] -= h
-                grad[i] = (
-                    ridge_objective(data, lam, up) - ridge_objective(data, lam, down)
-                ) / (2 * h)
-            assert np.linalg.norm(grad) <= 1e-6 * (1.0 + obj)
 
     def test_coefficient_norm_bound_under_feature_bound(self):
         # ||beta|| <= (b_x/(n*lam)) * sum |y_i| whenever ||x_i|| <= b_x.
@@ -249,23 +230,9 @@ class TestLooEstimate:
 
 
 class TestRidgeLooFast:
-    def test_hand_case(self):
-        data = Dataset(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
-        assert ridge_loo_fast(data, 1.0) == pytest.approx(2.5, rel=1e-12)
-
     def test_zero_labels(self):
         data = Dataset(np.random.default_rng(5).uniform(-1, 1, (8, 3)), np.zeros(8))
         assert ridge_loo_fast(data, 0.7) == 0.0
-
-    def test_matches_naive_on_seeded_instances(self):
-        worst = 0.0
-        for seed in range(100):
-            data = random_instance(seed)
-            lam = float(np.random.default_rng(seed + 500).uniform(0.05, 3.0))
-            fast = ridge_loo_fast(data, lam)
-            naive = loo_estimate(RidgeAlgorithm(lam), data)
-            worst = max(worst, abs(fast - naive) / max(naive, 1e-300))
-        assert worst <= 1e-9
 
     def test_preconditions(self):
         data = random_instance(3)
@@ -409,8 +376,7 @@ class TestLooIdentityOnAFiniteLaw:
     sample, so LoO meets the identity to rounding, and the training error,
     which reuses its points, misses it."""
 
-    SPEC = DataSpec(d=2, x_family="rademacher_coords", b_x=1.0, y_model="bernoulli_label",
-                    beta_star=(0.2, 0.1), noise_scale=0.5, b_y=1.0)
+    SPEC = FINITE_LAW
     LAM = 1.0
 
     def test_multiset_sum_equals_the_sum_over_ordered_samples(self):

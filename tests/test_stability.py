@@ -31,6 +31,7 @@ from stabilab.stability import (
     y_norm,
 )
 
+from oracles import FINITE_LAW, exact_ridge_stability
 from test_acceptance import ANALYTIC_SPEC, BERNOULLI_SPEC, NOISY_SPEC
 
 # Three features: the stacks hold fewer replications per chunk than at d = 2.
@@ -260,6 +261,26 @@ def _reference_profile(algorithm, spec, n, reps, seed, qs):
 def _rademacher(rng, shape):
     d = shape[-1]
     return (rng.integers(0, 2, size=shape) * 2 - 1) / math.sqrt(d)
+
+
+class TestStabilityOnAFiniteLaw:
+    """stability_profile against the value it estimates: on the 8-point law
+    of ``oracles.FINITE_LAW`` the ridge s_q is an exact sum over multisets.
+    At 4,000 replications, seeds 0-99 put all six rows within 3 SE (z from
+    -2.85 to +2.84)."""
+
+    EXACT = {
+        6: {1.0: 0.042468770720938, 2.0: 0.082294610862553, 4.0: 0.142272425278826},
+        7: {1.0: 0.035643399303269, 2.0: 0.069820682733036, 4.0: 0.120661816352544},
+    }
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_ridge_profile_is_within_three_standard_errors_of_exact(self, n):
+        exact = exact_ridge_stability(FINITE_LAW, 1.0, n, (1.0, 2.0, 4.0))
+        assert exact == pytest.approx(self.EXACT[n], rel=1e-9)
+        profile = stability_profile(RidgeAlgorithm(1.0), FINITE_LAW, n, 4000, SeedSpec(0), exact)
+        for q, (value, std_error) in profile.items():
+            assert abs(value - exact[q]) <= 3.0 * std_error, (q, value, exact[q], std_error)
 
 
 class TestStackedKernels:
