@@ -1,14 +1,18 @@
 """Small dense linear algebra used throughout the package.
 
 Matrices and vectors are plain float64 numpy arrays.  Everything here is a
-pure function; symmetry and positive-semidefiniteness are checked with
-relative tolerances (1e-12) because inputs arrive from floating-point
-accumulation, never exactly.
+pure function.  ``require_symmetric``, ``require_psd`` and
+``solve_regularized`` check symmetry and positive-semidefiniteness with
+relative tolerances (1e-12), because inputs arrive from floating-point
+accumulation, never exactly.  ``solve_stack`` checks nothing but
+singularity: it is the LAPACK solve that every ridge kernel runs, and the
+only code in the package that calls numpy's solve gufunc directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-12
@@ -42,6 +46,21 @@ def require_psd(m) -> np.ndarray:
     return m
 
 
+def solve_stack(a: np.ndarray, *bs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What ``numpy.linalg.solve(a, b)`` returns for each float64 right-hand
+    side b of shape (..., d, k), bit for bit, without its per-call Python
+    wrapper.
+
+    ``a`` is a float64 (..., d, d) stack; nothing about it is checked.  The
+    gufunc is the one ``numpy.linalg.solve`` dispatches to for such b, so the
+    LAPACK ``gesv`` call and its rounding are the same.  An exactly
+    singular system raises ``FloatingPointError`` (an ``ArithmeticError``)
+    instead of ``LinAlgError``.
+    """
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        return tuple([_umath_linalg.solve(a, b, signature="dd->d") for b in bs])
+
+
 def solve_regularized(s, lam: float, b) -> np.ndarray:
     """Solve (s + lam*I) v = b for a symmetric PSD matrix s and lam > 0.
 
@@ -61,7 +80,7 @@ def solve_regularized(s, lam: float, b) -> np.ndarray:
         raise ValueError("lam must be a positive real")
 
     a = s + lam * np.eye(s.shape[-1])
-    v = np.linalg.solve(a, b[..., None])
+    (v,) = solve_stack(a, b[..., None])
     r = (a @ v)[..., 0] - b
     # Squared norms: no square roots unless the check fails.
     r2, b2 = (r * r).sum(axis=-1), (b * b).sum(axis=-1)

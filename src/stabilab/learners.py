@@ -16,14 +16,19 @@ boundary case (label sum exactly k/2) as 1.
 Every ridge leave-one-out shortcut runs one rank-one downdate
 (``_loo_downdate_stacked``): with A = X'X + (n-1)*lam*I, g = A^-1 X'y and
 s_j = x_j' A^-1 x_j, the held-out residual is (y_j - x_j'g) / (1 - s_j).
+Its two solves, like ``ridge_fit_stacked``'s, run through
+``core_math.solve_stack``, the LAPACK solve of ``numpy.linalg.solve``
+without that function's per-call Python wrapper, which cost more than the
+solve itself on the small systems of a swap.
 ``_ridge_loo_sq_residuals_stacked`` turns it into the squared held-out
 residuals of a stack, whose row sums are the leave-one-out risks, and
 ``ridge_loo_fast`` runs it on a stack of one;
 ``ridge_loo_betas_stacked`` turns it into the leave-one-out coefficients
 of a stack, and ``_ridge_loo_betas`` runs it on a stack of one.  Where
-some 1 - s_j is so small that the downdate is numerically singular, it
-raises ``ArithmeticError``: by Sherman-Morrison 1 - s_j >= (n-1)*lam /
-((n-1)*lam + ||x_j||^2), which exceeds 1/2 on the paper's domain.
+some s_j >= L / (L + 1), with L = ``DOWNDATE_CONDITION_LIMIT``, or is NaN,
+the downdate is numerically singular and it raises ``ArithmeticError``:
+by Sherman-Morrison 1 - s_j >= (n-1)*lam / ((n-1)*lam + ||x_j||^2), which
+exceeds 1/2 on the paper's domain.
 
 The ``*_stacked`` kernels take a stack of equally sized samples, xs of
 shape (m, n, d), and round every sample as its per-dataset twin does.
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import solve_regularized
+from .core_math import solve_regularized, solve_stack
 from .datagen import (
     DataSpec,
     Dataset,
@@ -49,6 +54,8 @@ from .datagen import (
 
 # 1/(1-s_j) beyond this means the downdated system is numerically singular.
 DOWNDATE_CONDITION_LIMIT = 1e12
+# For s_j >= 0, 1 - s_j <= s_j / L is s_j >= L / (L + 1); for s_j < 0 neither fires.
+_SINGULAR_S = DOWNDATE_CONDITION_LIMIT / (DOWNDATE_CONDITION_LIMIT + 1.0)
 
 
 @dataclass(frozen=True)
@@ -144,8 +151,8 @@ def _loo_downdate_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
 
     With A = X'X + (n-1)*lam*I per sample returns g = A^-1 X'y (m, d, 1),
     w (m, d, n) with columns A^-1 x_j, s_j = x_j' A^-1 x_j and 1 - s_j.
-    Raises ``ArithmeticError`` where some 1 - s_j is too small for the
-    downdate to be trusted.
+    Raises ``ArithmeticError`` where some s_j is NaN or so close to 1 that
+    the downdate cannot be trusted.
     """
     n, d = xs.shape[1:]
     if n < 2:
@@ -159,14 +166,14 @@ def _loo_downdate_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
     # stacked right-hand side [X'y | X'], rounds g differently, and the
     # constant ridge statistic of a d = 1, y = x sample shows those last
     # bits in its Efron-Stein lhs, which is checked at 1e-12 relative.
-    g = np.linalg.solve(a, xt @ ys[..., None])
-    w = np.linalg.solve(a, xt)
+    g, w = solve_stack(a, xt @ ys[..., None], xt)
     s = np.einsum("rij,rji->ri", xs, w)
-    one_minus_s = 1.0 - s
-    if (one_minus_s <= np.abs(s) / DOWNDATE_CONDITION_LIMIT).any():
+    # One reduction over the stack; a NaN s_j fails the comparison and raises
+    # too, and the initial 0 lets an empty stack through.
+    if not s.max(initial=0.0) < _SINGULAR_S:
         raise ArithmeticError(f"leave-one-out downdate is numerically singular at lam = {lam}:"
                               " (n-1)*lam is negligible against some ||x_j||^2")
-    return g, w, s, one_minus_s
+    return g, w, s, 1.0 - s
 
 
 def ridge_loo_betas_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
@@ -220,7 +227,10 @@ def _ridge_loo_sq_residuals_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) 
     of each sample of a stack xs (m, n, d), ys (m, n); a row's sum over n
     is the sample's leave-one-out risk."""
     g, _, _, one_minus_s = _loo_downdate_stacked(xs, ys, lam)
-    return ((ys - (xs @ g)[..., 0]) / one_minus_s) ** 2
+    r = ys - (xs @ g)[..., 0]
+    r /= one_minus_s
+    r *= r
+    return r
 
 
 def ridge_loo_fast(data: Dataset, lam: float) -> float:

@@ -9,7 +9,35 @@ from stabilab.core_math import (
     require_psd,
     require_symmetric,
     solve_regularized,
+    solve_stack,
 )
+
+
+class TestSolveStack:
+    """solve_stack calls numpy's private solve gufunc; these pin it to the
+    public np.linalg.solve, bit for bit, so a numpy upgrade that changes
+    the gufunc fails here rather than in the emitted bytes."""
+
+    @pytest.mark.parametrize("m", [1, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_matches_np_linalg_solve_bitwise(self, d, m):
+        rng = np.random.default_rng(100 * d + m)
+        n = 20
+        for _ in range(10):
+            xs = rng.uniform(-1.0, 1.0, (m, n, d))
+            a = xs.swapaxes(1, 2) @ xs + rng.uniform(0.01, 10.0) * np.eye(d)
+            one = rng.standard_normal((m, d, 1))
+            many = xs.swapaxes(1, 2)
+            got_one, got_many = solve_stack(a, one, many)
+            assert np.array_equal(got_one, np.linalg.solve(a, one))
+            assert np.array_equal(got_many, np.linalg.solve(a, many))
+
+    def test_exactly_singular_system_raises(self):
+        with pytest.raises(ArithmeticError):
+            solve_stack(np.zeros((1, 2, 2)), np.ones((1, 2, 1)))
+        stack = np.stack([np.eye(3), np.zeros((3, 3))])
+        with pytest.raises(ArithmeticError):
+            solve_stack(stack, np.ones((2, 3, 1)), np.ones((2, 3, 4)))
 
 
 class TestSolveRegularized:
