@@ -12,7 +12,6 @@ from .bounds import (
     ridge_moment_bound,
     ridge_variance_term_bound,
 )
-from .core_math import solve_regularized
 from .datagen import (
     DataSpec,
     Dataset,

@@ -6,7 +6,7 @@
 Exit codes: 0 success, 2 config error (a failure that the config alone
 decides, before a draw; an unreadable or non-UTF-8 file included),
 3 precondition failure (one that only the draws or the filesystem reveal:
-the test_m gate, an overflow, a failed solve, a refused allocation, a locked
+the test_m gate, an overflow, a singular solve, a refused allocation, a locked
 or unwritable output directory), 4 an inequality was empirically violated
 beyond the Monte Carlo slack (a test failure signal, not a crash).
 """
@@ -79,9 +79,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
     except (ArithmeticError, MemoryError) as exc:
-        # An overflow, a regularised solve that missed its tolerance, or an
-        # allocation numpy refused: the config's values are beyond float64
-        # range or conditioning, or its sizes beyond this machine's memory.
+        # An overflow, an exactly singular solve or a numerically singular
+        # leave-one-out downdate, or an allocation numpy refused: the
+        # config's values are beyond float64 range or conditioning, or its
+        # sizes beyond this machine's memory.
         print(f"precondition failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

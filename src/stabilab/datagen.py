@@ -307,8 +307,8 @@ class Dataset:
             raise ValueError("xs must be (n, d) and ys (n,)")
         if self.xs.shape[0] != self.ys.shape[0]:
             raise ValueError("xs and ys disagree on n")
-        if self.xs.shape[0] < 1:
-            raise ValueError("dataset needs n >= 1")
+        if self.xs.shape[0] < 1 or self.xs.shape[1] < 1:
+            raise ValueError("dataset needs n >= 1 and d >= 1")
         if not (np.isfinite(self.xs).all() and np.isfinite(self.ys).all()):
             raise ValueError("dataset contains non-finite entries")
 

@@ -1,8 +1,8 @@
 """Byte-identity gate: every emitted file against its reference file.
 
-    PYTHONPATH=src python3 tests/digests.py --check    # compare, exit 1 on a mismatch
-    PYTHONPATH=src python3 tests/digests.py --check --only c4_ridge_sweep,d_stability_sweep
-    PYTHONPATH=src python3 tests/digests.py --record   # re-run and rewrite tests/reference/
+    PYTHONPATH=src python3 tests/references.py --check    # compare, exit 1 on a mismatch
+    PYTHONPATH=src python3 tests/references.py --check --only c4_ridge_sweep,d_stability_sweep
+    PYTHONPATH=src python3 tests/references.py --record   # re-run and rewrite tests/reference/
 
 Each pinned config is a directory of reference files, named by its label,
 in one of two roots:
@@ -29,14 +29,15 @@ its files, so ``git diff`` shows which numbers moved.  Each config's
 written.
 
 Floating-point results may differ in the last bit between numpy/BLAS
-builds, so the reference files are host-specific: ``tests/digests.json``
-holds the environment they were recorded under, and a check under another
-environment says so.  Not collected by pytest; ``tests/test_digests.py``
-runs the check in the test suite, and acceptance criteria 4-8 and 10
-compare their benchmark reports with the reference files.
+builds, so the reference files are host-specific:
+``tests/reference_environment.json`` holds the environment they were
+recorded under, and a check under another environment says so.  Not
+collected by pytest; ``tests/test_references.py`` runs the check in the
+test suite, and acceptance criteria 4-8 and 10 compare their benchmark
+reports with the reference files.
 
 This module is the tests' one loader of ``perfbench/workloads.py``:
-``from digests import workloads``.
+``from references import workloads``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-DIGESTS = HERE / "digests.json"
+ENVIRONMENT = HERE / "reference_environment.json"
 PINNED = HERE / "reference"
 BENCHMARK = ROOT / "perfbench" / "reference"
 
@@ -133,8 +134,8 @@ def environment() -> dict:
 
 def environment_note() -> str | None:
     """Why this host's bytes may differ from the reference files, or None on
-    the host whose environment tests/digests.json records."""
-    recorded, env = json.loads(DIGESTS.read_text())["environment"], environment()
+    the host whose environment tests/reference_environment.json records."""
+    recorded, env = json.loads(ENVIRONMENT.read_text())["environment"], environment()
     if recorded == env:
         return None
     return (f"reference files were recorded under {recorded}, this host is {env}; "
@@ -158,7 +159,9 @@ def _record(tmp: Path) -> int:
             path.unlink()
         for path in paths:
             shutil.copyfile(path, PINNED / label / path.name)
-    DIGESTS.write_text(json.dumps({"environment": environment()}, indent=2, sort_keys=True) + "\n")
+    ENVIRONMENT.write_text(
+        json.dumps({"environment": environment()}, indent=2, sort_keys=True) + "\n"
+    )
     print(f"recorded {sum(map(len, written.values()))} files to {PINNED}")
     return 0
 

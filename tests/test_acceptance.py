@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-import digests
-from digests import workloads
+import references
+from references import workloads
 from oracles import bounded_tail_spec, ridge_objective, subgaussian_tail_spec, tail_threshold
 
 from stabilab.bounds import (
@@ -68,12 +68,13 @@ def _report(name: str, detail: str = "") -> None:
 def _assert_matches_benchmark(report, label, tmp_path) -> None:
     """The report of the benchmark config ``label`` emits exactly the files
     of perfbench/reference/<label>/, byte for byte (checked only under the
-    recording environment of tests/digests.json, as in tests/test_digests.py)."""
-    note = digests.environment_note()
+    recording environment of tests/reference_environment.json, as in
+    tests/test_references.py)."""
+    note = references.environment_note()
     if note is not None:
         pytest.skip(note)
-    written = emit_report(report, digests.FORMATS, out_dir=tmp_path / label)
-    comparison = digests.reference_comparison(label, written)
+    written = emit_report(report, references.FORMATS, out_dir=tmp_path / label)
+    comparison = references.reference_comparison(label, written)
     assert [name for name, same in comparison.items() if not same] == []
 
 
@@ -164,7 +165,7 @@ def test_criterion_3_parameter_difference_inequality():
 
 def test_criterion_4_ridge_stability_dominance(tmp_path):
     start = time.monotonic()
-    report = run_stability_sweep(digests.benchmark_configs()["c4_ridge_sweep"])
+    report = run_stability_sweep(references.benchmark_configs()["c4_ridge_sweep"])
     assert len(report.rows) == 18
     assert all(r.dominated == "true" for r in report.rows)
     _assert_matches_benchmark(report, "c4_ridge_sweep", tmp_path)
@@ -176,7 +177,7 @@ def test_criterion_4_ridge_stability_dominance(tmp_path):
 def test_criterion_5_knn_stability_dominance(tmp_path):
     start = time.monotonic()
     assert knn_gamma_1(4, 100) == pytest.approx(0.0319154, rel=1e-5)
-    report = run_stability_sweep(digests.benchmark_configs()["c5_knn_sweep"])
+    report = run_stability_sweep(references.benchmark_configs()["c5_knn_sweep"])
     assert len(report.rows) == 9
     assert all(r.dominated == "true" for r in report.rows)
     _assert_matches_benchmark(report, "c5_knn_sweep", tmp_path)
@@ -187,7 +188,7 @@ def test_criterion_5_knn_stability_dominance(tmp_path):
 
 def test_criterion_6_generalized_efron_stein(tmp_path):
     start = time.monotonic()
-    report = run_efron_stein(digests.benchmark_configs()["c6_efron_stein"])
+    report = run_efron_stein(references.benchmark_configs()["c6_efron_stein"])
     assert report.all_pass
     # With y = x and no noise the ridge LoO statistic never moves, so its
     # rows check nothing; the report says so in a note (not in the files).
@@ -220,7 +221,7 @@ def test_criterion_6_generalized_efron_stein(tmp_path):
 
 def test_criterion_7_pac_coverage_bounded(tmp_path):
     start = time.monotonic()
-    report = run_coverage(digests.benchmark_configs()["c7_coverage"])
+    report = run_coverage(references.benchmark_configs()["c7_coverage"])
     assert report.all_pass
     for row in report.rows:
         assert row.exceedance_rate <= row.failure_bound + row.half_width
@@ -238,7 +239,7 @@ def test_criterion_7_pac_coverage_bounded(tmp_path):
 
 def test_criterion_8_rate_slope(tmp_path):
     start = time.monotonic()
-    report = run_rate(digests.benchmark_configs()["c8_rate"])
+    report = run_rate(references.benchmark_configs()["c8_rate"])
     assert -0.65 <= report.extras["slope"] <= -0.35
     _assert_matches_benchmark(report, "c8_rate", tmp_path)
     elapsed = time.monotonic() - start
@@ -270,11 +271,11 @@ def test_criterion_10_determinism(tmp_path):
     start = time.monotonic()
     formats = ["csv", "json", "svg"]
     # One config per experiment kind: the four d_* configs of
-    # tests/reference/, whose bytes tests/test_digests.py pins, and the
+    # tests/reference/, whose bytes tests/test_references.py pins, and the
     # benchmark's c10_bounds_table.
-    configs = [config for label, config in digests.pinned_configs().items()
+    configs = [config for label, config in references.pinned_configs().items()
                if label.startswith("d_")]
-    bounds_table = digests.benchmark_configs()["c10_bounds_table"]
+    bounds_table = references.benchmark_configs()["c10_bounds_table"]
     configs.append(bounds_table)
     assert sorted(config.kind for config in configs) == [
         "bounds_table", "coverage", "efron_stein", "rate", "stability_sweep"

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabilab.core_math import (
-    PSD_RTOL,
-    SYMMETRY_RTOL,
-    require_psd,
-    require_symmetric,
-    solve_regularized,
-    solve_stack,
-)
+from stabilab.core_math import solve_regularized, solve_stack
 
 
 class TestSolveStack:
@@ -55,30 +48,11 @@ class TestSolveRegularized:
         v = solve_regularized(s, 0.5, np.array([1.0, 0.0]))
         np.testing.assert_allclose(v, [10.0 / 21.0, -4.0 / 21.0], rtol=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            solve_regularized(np.eye(2), 1.0, np.ones(3))
-
-    def test_nonfinite_entries(self):
-        bad = np.array([[1.0, 0.0], [0.0, np.nan]])
-        with pytest.raises(ValueError, match="non-finite"):
-            solve_regularized(bad, 1.0, np.ones(2))
-        with pytest.raises(ValueError, match="non-finite"):
-            solve_regularized(np.eye(2), 1.0, np.array([1.0, np.inf]))
-
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError, match="positive"):
             solve_regularized(np.eye(2), 0.0, np.ones(2))
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_regularized(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, np.ones(2))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            solve_regularized(-np.eye(2), 0.1, np.ones(2))
-
-    def test_stack_solves_as_alone_and_checks_every_matrix(self):
+    def test_stack_solves_as_alone(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 3, 3))
         s = a @ a.swapaxes(1, 2)
@@ -86,15 +60,6 @@ class TestSolveRegularized:
         v = solve_regularized(s, 0.5, b)
         for i in range(5):
             assert np.array_equal(v[i], solve_regularized(s[i], 0.5, b[i]))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            solve_regularized(s, 0.5, b[:4])
-        asymmetric = s.copy()
-        asymmetric[2, 0, 1] += 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_regularized(asymmetric, 0.5, b)
-        s[4] = -np.eye(3)
-        with pytest.raises(ValueError, match="semidefinite"):
-            solve_regularized(s, 0.5, b)
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -123,45 +88,3 @@ class TestSolveRegularized:
         v1 = solve_regularized(m, lam, b1)
         v2 = solve_regularized(m, lam, b2)
         np.testing.assert_allclose(v_sum, v1 + v2, atol=1e-10, rtol=1e-10)
-
-
-class TestMatrixChecks:
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (0, 0), (4, 2, 3), (1, 2, 2, 2)])
-    def test_non_square_or_empty_shapes_are_rejected(self, shape):
-        with pytest.raises(ValueError, match="expected a square matrix"):
-            require_symmetric(np.zeros(shape))
-
-    def test_non_finite_entries_are_rejected_in_a_stack(self):
-        stack = np.stack([np.eye(2)] * 3)
-        stack[1, 0, 0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            require_symmetric(stack)
-        with pytest.raises(ValueError, match="non-finite"):
-            require_psd(np.full((1, 1), np.nan))
-
-    def test_symmetry_tolerance_is_relative_with_a_floor_of_one(self):
-        # Entries below 1 in size get the absolute tolerance SYMMETRY_RTOL.
-        require_symmetric([[0.0, 0.5 * SYMMETRY_RTOL], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            require_symmetric([[0.0, 2.0 * SYMMETRY_RTOL], [0.0, 0.0]])
-        # Larger entries get SYMMETRY_RTOL times their size.
-        big = 1e6
-        require_symmetric([[1.0, big], [big * (1 + 0.5 * SYMMETRY_RTOL), 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            require_symmetric([[1.0, big], [big * (1 + 4.0 * SYMMETRY_RTOL), 1.0]])
-
-    def test_psd_tolerance_is_relative_to_the_largest_eigenvalue(self):
-        require_psd(np.diag([-0.5 * PSD_RTOL, 0.0]))
-        require_psd(np.diag([-0.5 * PSD_RTOL * 1e4, 1e4]))
-        with pytest.raises(ValueError, match="semidefinite"):
-            require_psd(np.diag([-2.0 * PSD_RTOL * 1e4, 1e4]))
-        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, -1e-6])])
-        with pytest.raises(ValueError, match="semidefinite"):
-            require_psd(stack)
-
-    def test_inputs_come_back_as_float64_with_the_same_values(self):
-        m = [[2, 1], [1, 2]]
-        for check in (require_symmetric, require_psd):
-            out = check(m)
-            assert out.dtype == np.float64
-            assert np.array_equal(out, np.array(m, dtype=np.float64))

@@ -44,7 +44,7 @@ from stabilab.learners import (
 )
 from stabilab.stability import knn_gamma_1, stability_profile, y_norm
 
-from digests import workloads
+from references import workloads
 from test_acceptance import (
     ANALYTIC_SPEC,
     BERNOULLI_SPEC,
@@ -1037,20 +1037,6 @@ class TestCli:
         assert err.splitlines() == [err.strip()]
         assert err.startswith("precondition failure: OverflowError")
         assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_failed_regularised_solve_exit_three(self, tmp_path, capsys, monkeypatch):
-        # With a zero residual tolerance the first ridge fit's solve fails
-        # its check and raises ArithmeticError.
-        from stabilab import core_math
-
-        monkeypatch.setattr(core_math, "SOLVE_RESIDUAL_RTOL", 0.0)
-        cfg = make_config(out_dir=str(tmp_path / "out"))
-        path = self.write_config(tmp_path, cfg)
-        assert cli.main(["coverage", "--config", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.splitlines() == [err.strip()]
-        assert err.startswith("precondition failure: ArithmeticError: regularised solve residual")
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("emit", ["csv,jsn", "", " , ", "pdf"])

@@ -100,6 +100,77 @@ class TestRidgeFit:
             bound = spec.b_x / (data.n * lam) * float(np.sum(np.abs(data.ys)))
             assert np.linalg.norm(beta) <= bound * (1 + 1e-10)
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3, 8]),
+        n=st.sampled_from([2, 3, 20, 50]),
+        m=st.integers(1, 16),
+        lam=st.floats(1e-3, 10.0),
+        collinear=st.booleans(),
+    )
+    def test_stacked_fit_solves_the_normal_equations(self, seed, d, n, m, lam, collinear):
+        # The solve checks nothing about X'X/n: it is symmetric PSD because
+        # the fit builds it so, and this pins what that buys on random
+        # stacks, rank-deficient ones included (each sample's rows on one
+        # line through the origin, so X'X has rank 1).
+        rng = np.random.default_rng(seed)
+        if collinear:
+            direction = rng.standard_normal((m, 1, d))
+            direction /= np.linalg.norm(direction, axis=2, keepdims=True)
+            xs = rng.uniform(-1.0, 1.0, size=(m, n, 1)) * direction
+        else:
+            xs = rng.uniform(-1.0, 1.0, size=(m, n, d)) / math.sqrt(d)
+        ys = rng.standard_normal((m, n))
+        betas = ridge_fit_stacked(xs, ys, lam)
+        gram = xs.swapaxes(1, 2) @ xs / n
+        rhs = np.einsum("mnd,mn->md", xs, ys) / n
+        residual = np.einsum("mde,me->md", gram, betas) + lam * betas - rhs
+        scale = np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+        assert (np.linalg.norm(residual, axis=1) <= 1e-10 * scale).all()
+        for r in range(m):
+            assert np.array_equal(betas[r], ridge_fit(Dataset(xs[r], ys[r]), lam))
+
+
+class TestRidgeFitBoundary:
+    """``ridge_fit(data, lam)`` is the one way outside input reaches the
+    unchecked ridge solve, so ``Dataset`` must refuse what the solve's own
+    shape and finiteness checks used to: the fit never sees it."""
+
+    def test_inputs_come_back_as_float64_with_the_same_values(self):
+        data = Dataset([[1, 0], [0, 2], [3, 1]], [1, -2, 4])
+        assert data.xs.dtype == np.float64 and data.ys.dtype == np.float64
+        assert data.xs.tolist() == [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]
+        assert data.ys.tolist() == [1.0, -2.0, 4.0]
+        floats = Dataset(np.array(data.xs.tolist()), np.array(data.ys.tolist()))
+        assert np.array_equal(ridge_fit(data, 0.5), ridge_fit(floats, 0.5))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("xs", math.nan), ("xs", math.inf), ("ys", math.nan), ("ys", -math.inf)],
+    )
+    def test_non_finite_entries_are_rejected(self, field, value):
+        arrays = {"xs": np.ones((3, 2)), "ys": np.ones(3)}
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(**arrays)
+
+    @pytest.mark.parametrize(
+        "xs_shape, ys_shape, message",
+        [
+            ((3,), (3,), "must be"),
+            ((1, 3, 2), (3,), "must be"),
+            ((3, 2), (3, 1), "must be"),
+            ((3, 2), (4,), "disagree on n"),
+            ((0, 2), (0,), "n >= 1"),
+            ((3, 0), (3,), "d >= 1"),
+        ],
+        ids=["xs_1d", "xs_3d", "ys_2d", "n_mismatch", "no_rows", "no_columns"],
+    )
+    def test_bad_shapes_are_rejected(self, xs_shape, ys_shape, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.ones(xs_shape), np.ones(ys_shape))
+
 
 class TestPredict:
     def test_zero_coefficients(self):

@@ -282,6 +282,22 @@ class TestStabilityOnAFiniteLaw:
         for q, (value, std_error) in profile.items():
             assert abs(value - exact[q]) <= 3.0 * std_error, (q, value, exact[q], std_error)
 
+    @pytest.mark.parametrize("lam, n", [(0.5, 8), (1.0, 8), (2.0, 12), (10.0, 8)])
+    def test_exact_hierarchy_is_monotone_and_under_gamma_q(self, lam, n):
+        # s_q is a power mean of the same cost differences, so it cannot
+        # fall as q grows: s_1 is hypothesis stability, and s_q climbs
+        # towards the uniform end.  The closed form gamma_q bounds every
+        # order, and its slack narrows as q grows: over these four cases
+        # s_1 / gamma_1 reads 0.009 to 0.097, and s_64 / gamma_64 0.049 to
+        # 0.435.
+        qs = (1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
+        exact = exact_ridge_stability(FINITE_LAW, lam, n, qs)
+        values = [exact[q] for q in qs]
+        assert values == sorted(values), values
+        for q in qs:
+            gamma = ridge_gamma_q(FINITE_LAW.b_x, lam, 0.5, n, y_norm(FINITE_LAW, 2.0 * q))
+            assert exact[q] <= gamma, (q, exact[q], gamma)
+
 
 class TestStackedKernels:
     @settings(deadline=None, max_examples=60)
