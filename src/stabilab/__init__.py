@@ -4,7 +4,6 @@ from .bounds import (
     KAPPA,
     BoundsRow,
     GammaSet,
-    efron_stein_moment_check,
     gamma_set,
     moment_bound_generic,
     pac_bound_bounded,
@@ -32,11 +31,6 @@ from .harness import (
     run_experiment,
 )
 from .learners import (
-    KnnAlgorithm,
-    RidgeAlgorithm,
-    knn_classify,
-    loo_estimate,
-    predict,
     prediction_error_mc,
     ridge_fit,
     ridge_loo_fast,
@@ -46,7 +40,6 @@ from .stability import (
     knn_gamma_1,
     ridge_gamma_q,
     ridge_param_diff_check,
-    stability_profile,
     y_norm,
 )
 

@@ -203,14 +203,9 @@ def efron_stein_moment_check(
     same draws feed the lhs and the inner norm to cut comparison noise;
     EZ is estimated on an independent stream of doubled size.  The row
     passes when lhs is at most rhs plus three standard errors of each side
-    (and the noise floor).
+    (and the noise floor).  The config has checked every input: f names a
+    ``STAT_REGISTRY`` entry, 2 <= q <= 8 and reps >= 2.
     """
-    if f not in STAT_REGISTRY:
-        raise ValueError(f"unknown statistic tag {f!r}; known: {sorted(STAT_REGISTRY)}")
-    if q < 2.0:
-        raise ValueError("q must be >= 2")
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
     stat = STAT_REGISTRY[f]
 
     # Every dataset is drawn from its own seed stream, exactly as it would

@@ -51,8 +51,6 @@ from .datagen import (
     sample_stack,
 )
 from .learners import (
-    KnnAlgorithm,
-    RidgeAlgorithm,
     _ridge_loo_sq_residuals_stacked,
     prediction_error_mc,
     ridge_fit_stacked,
@@ -214,7 +212,7 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} requires the ridge algorithm with one lambda value")
         if self.kind == "rate":
             _require_geometric(self.n_grid)
-        elif self.kind in ("coverage", "bounds_table"):
+        if self.kind in ("coverage", "rate", "bounds_table"):
             violations = [
                 v for n in self.n_grid
                 for v in ridge_corollary_violations(spec.b_x, alg.lam[0], alg.eta, n)
@@ -509,9 +507,8 @@ def run_stability_sweep(config: ExperimentConfig) -> Report:
                     for q in config.q_grid
                 ]
                 continue
-            algorithm = RidgeAlgorithm(param) if alg.name == "ridge" else KnnAlgorithm(param)
             profile = stability_profile(
-                algorithm, spec, n, config.reps, root.child(ni).child(pi), config.q_grid
+                alg.name, param, spec, n, config.reps, root.child(ni).child(pi), config.q_grid
             )
             for q in config.q_grid:
                 s_q_hat, std_error = profile[q]

@@ -6,12 +6,13 @@ Ridge regression is fit in closed form from the objective
 
 whose minimiser solves (X'X + n*lam*I) beta = X'y.  Because of the 1/n
 factor, refitting on a leave-one-out sample of size n-1 uses the
-regulariser (n-1)*lam; both the naive and the accelerated leave-one-out
-paths honour this normalisation.
+regulariser (n-1)*lam, which the rank-one downdate below honours.
 
 The kNN classifier votes over the k nearest training points in Euclidean
-distance, with distance ties broken by lowest index, and classifies the
-boundary case (label sum exactly k/2) as 1.
+distance, with distance ties broken by lowest index (``neighbor_order``),
+and classifies the boundary case (label sum exactly k/2) as 1.  The naive
+n-refit leave-one-out references of both algorithms are test oracles
+(``tests/oracles.py``); no experiment runs them.
 
 Every ridge leave-one-out shortcut runs one rank-one downdate
 (``_loo_downdate_stacked``): with A = X'X + (n-1)*lam*I, g = A^-1 X'y and
@@ -37,7 +38,6 @@ shape (m, n, d), and round every sample as its per-dataset twin does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ from .datagen import (
     DataSpec,
     Dataset,
     SeedSpec,
-    _as_float,
-    _as_integer,
-    leave_one_out,
     sample_dataset,
 )
 
@@ -56,30 +53,6 @@ from .datagen import (
 DOWNDATE_CONDITION_LIMIT = 1e12
 # For s_j >= 0, 1 - s_j <= s_j / L is s_j >= L / (L + 1); for s_j < 0 neither fires.
 _SINGULAR_S = DOWNDATE_CONDITION_LIMIT / (DOWNDATE_CONDITION_LIMIT + 1.0)
-
-
-@dataclass(frozen=True)
-class RidgeAlgorithm:
-    """Algorithm selector: ridge regression at a fixed lam."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _as_float(self.lam, "lam"))
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be a positive real")
-
-
-@dataclass(frozen=True)
-class KnnAlgorithm:
-    """Algorithm selector: kNN classification at a fixed k."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _as_integer(self.k, "k"))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 def ridge_fit_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
@@ -94,14 +67,6 @@ def ridge_fit(data: Dataset, lam: float) -> np.ndarray:
     """Closed-form ridge coefficients, shape (d,); symmetric in the
     training points."""
     return ridge_fit_stacked(data.xs[None], data.ys[None], lam)[0]
-
-
-def predict(beta: np.ndarray, x) -> float:
-    """Inner product of the fitted coefficients with x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != beta.shape:
-        raise ValueError(f"dimension mismatch: beta {beta.shape}, x {x.shape}")
-    return float(beta @ x)
 
 
 def neighbor_order(data: Dataset, x) -> np.ndarray:
@@ -131,18 +96,6 @@ def knn_loo_flips_stacked(xs: np.ndarray, ys: np.ndarray, x: np.ndarray, k: int)
     flips = np.zeros(ys.shape)
     np.put_along_axis(flips, nearest, flipped, axis=1)
     return flips
-
-
-def knn_classify(data: Dataset, algorithm: KnnAlgorithm, x) -> float:
-    """Majority vote of the k nearest labels; boundary (sum == k/2) goes to 1."""
-    k = algorithm.k
-    if not 1 <= k <= data.n - 1:
-        raise ValueError(f"k={k} out of range 1..{data.n - 1}")
-    if not np.all((data.ys == 0.0) | (data.ys == 1.0)):
-        raise ValueError("kNN requires labels in {0, 1}")
-    order = neighbor_order(data, x)
-    vote = float(np.sum(data.ys[order[:k]]))
-    return 1.0 if vote >= k / 2.0 else 0.0
 
 
 def _loo_downdate_stacked(xs: np.ndarray, ys: np.ndarray, lam: float):
@@ -195,33 +148,6 @@ def _ridge_loo_betas(data: Dataset, lam: float) -> np.ndarray:
     return np.ascontiguousarray(ridge_loo_betas_stacked(data.xs[None], data.ys[None], lam)[0])
 
 
-def loo_estimate(algorithm, data: Dataset) -> float:
-    """Leave-one-out risk: average cost at each point of the model refit
-    on the sample without it, squared error for ridge and 0-1 loss for
-    kNN.  Naive implementation (n full refits)."""
-    n = data.n
-    if isinstance(algorithm, RidgeAlgorithm):
-        if n < 2:
-            raise ValueError("ridge leave-one-out needs n >= 2")
-        total = 0.0
-        for j in range(1, n + 1):
-            beta = ridge_fit(leave_one_out(data, j), algorithm.lam)
-            y_hat = predict(beta, data.xs[j - 1])
-            y = float(data.ys[j - 1])
-            total += float((y_hat - y) ** 2)
-        return total / n
-    if isinstance(algorithm, KnnAlgorithm):
-        if n < algorithm.k + 2:
-            raise ValueError("kNN leave-one-out needs n >= k + 2")
-        total = 0.0
-        for j in range(1, n + 1):
-            y_hat = knn_classify(leave_one_out(data, j), algorithm, data.xs[j - 1])
-            y = float(data.ys[j - 1])
-            total += float(y_hat != y)
-        return total / n
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def _ridge_loo_sq_residuals_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) -> np.ndarray:
     """Squared shortcut residuals ((y_j - x_j'g) / (1 - s_j))^2, shape (m, n),
     of each sample of a stack xs (m, n, d), ys (m, n); a row's sum over n
@@ -236,7 +162,7 @@ def _ridge_loo_sq_residuals_stacked(xs: np.ndarray, ys: np.ndarray, lam: float) 
 def ridge_loo_fast(data: Dataset, lam: float) -> float:
     """Rank-one-downdate leave-one-out risk for ridge with squared cost.
 
-    Equals loo_estimate(RidgeAlgorithm(lam), data), from the shortcut
+    Equals the mean squared error of n naive refits, from the shortcut
     residuals (y_j - x_j'g)/(1 - s_j).
     """
     if not (math.isfinite(lam) and lam > 0):

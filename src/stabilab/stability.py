@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -39,13 +38,10 @@ from .datagen import (
     DataSpec,
     Dataset,
     SeedSpec,
-    _as_integer,
     _chunk_reps,
     sample_stack,
 )
 from .learners import (
-    KnnAlgorithm,
-    RidgeAlgorithm,
     _ridge_loo_betas,
     knn_loo_flips_stacked,
     ridge_fit,
@@ -100,8 +96,8 @@ def _ridge_cost_diffs_stacked(
 ) -> np.ndarray:
     """|squared cost of the full fit - that of each LoO refit| at the test
     point of every sample of a stack, shape (m, n)."""
-    # The stacked matmul rounds as predict()'s beta @ x (einsum does not),
-    # and loo_estimate squares a Python float with libm's pow, which
+    # The stacked matmul rounds as one sample's beta @ x (einsum does not),
+    # and squaring that as a Python float calls libm's pow, which
     # np.float_power calls too; x * x differs on ~0.1% of values.
     full = ridge_fit_stacked(xs, ys, lam)
     c_full = np.float_power((full[:, None, :] @ x[..., None])[:, 0, 0] - y, 2.0)
@@ -128,35 +124,23 @@ def power_mean_root(
 
 
 def stability_profile(
-    algorithm,
+    algo: str,
+    param: float,
     spec: DataSpec,
     n: int,
     reps: int,
     seed: SeedSpec,
-    qs: Iterable[float],
+    qs: tuple[float, ...],
 ) -> dict[float, tuple[float, float]]:
     """Empirical stability ``{q: (s_q_hat, std_error)}`` at several q values
     sharing the same ``reps`` draws of n training points.
 
-    Sharing draws makes the power-mean monotonicity in q hold exactly on
-    the empirical measure.
+    ``algo`` is ``"ridge"``, with ``param`` its lambda, or ``"knn"``, with
+    ``param`` its k, as in ``harness.AlgorithmConfig``.  The config has
+    checked every input: n >= 2, reps >= 2, q >= 1, and for kNN 0/1 labels
+    and n >= k + 2.  Sharing draws makes the power-mean monotonicity in q
+    hold exactly on the empirical measure.
     """
-    n, reps = _as_integer(n, "n"), _as_integer(reps, "reps")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    qs = tuple(float(q) for q in qs)
-    if any(q < 1.0 for q in qs):
-        raise ValueError("all q must be >= 1")
-    if isinstance(algorithm, KnnAlgorithm):
-        if n < algorithm.k + 2:
-            raise ValueError("kNN stability needs n >= k + 2")
-        if spec.y_model != "bernoulli_label":
-            raise ValueError("kNN stability needs labels in {0, 1} (y_model 'bernoulli_label')")
-    elif not isinstance(algorithm, RidgeAlgorithm):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
     # Every replication is drawn from its own seed streams, exactly as it
     # would be alone: the training sample from seed.child(r).child(0) and
     # the test point from seed.child(r).child(1).  A chunk of draws is
@@ -168,10 +152,10 @@ def stability_profile(
         xs, ys = sample_stack(spec, n, seed.grandchild_seeds(start, start + m, 0))
         x, y = sample_stack(spec, 1, seed.grandchild_seeds(start, start + m, 1))
         x, y = x[:, 0], y[:, 0]
-        if isinstance(algorithm, RidgeAlgorithm):
-            diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, algorithm.lam)
+        if algo == "ridge":
+            diffs = _ridge_cost_diffs_stacked(xs, ys, x, y, param)
         else:
-            diffs = knn_loo_flips_stacked(xs, ys, x, algorithm.k)
+            diffs = knn_loo_flips_stacked(xs, ys, x, param)
         for q in qs:
             per_rep[q][start:start + m] = np.mean(diffs**q, axis=1)
 

@@ -13,6 +13,11 @@ two-term specs whose thresholds ``pac_bound_bounded`` and
 ``pac_bound_subgaussian`` must reproduce.  ``ridge_objective`` is the
 objective whose minimiser ``ridge_fit`` must return.
 
+``naive_ridge_loo`` and ``naive_knn_loo`` are the leave-one-out risks by
+n full refits, squared cost for ridge and 0-1 cost for kNN, that the
+rank-one downdate and the stacked kNN flips must reproduce;
+``knn_classify`` is the kNN vote they refit.
+
 ``finite_support`` and ``multiset_samples`` make an expectation over
 n-point samples of a finite law, such as ``FINITE_LAW``, an exact weighted
 sum: a statistic that depends on a sample only through its multiset (a
@@ -29,8 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from stabilab.bounds import GammaSet
-from stabilab.datagen import DataSpec, Dataset
-from stabilab.learners import ridge_fit_stacked, ridge_loo_betas_stacked
+from stabilab.datagen import DataSpec, Dataset, leave_one_out
+from stabilab.learners import (
+    neighbor_order,
+    ridge_fit,
+    ridge_fit_stacked,
+    ridge_loo_betas_stacked,
+)
 
 # Sign-pattern features and 0/1 labels at d = 2: a law with 8 support points.
 FINITE_LAW = DataSpec(d=2, x_family="rademacher_coords", b_x=1.0, y_model="bernoulli_label",
@@ -108,6 +118,30 @@ def ridge_objective(data: Dataset, lam: float, beta) -> float:
     beta = np.asarray(beta, dtype=np.float64)
     residuals = data.ys - data.xs @ beta
     return float(np.mean(residuals**2) + lam * float(beta @ beta))
+
+
+def knn_classify(data: Dataset, k: int, x) -> float:
+    """Majority vote of the k nearest labels; boundary (sum == k/2) goes to 1."""
+    vote = float(np.sum(data.ys[neighbor_order(data, x)[:k]]))
+    return 1.0 if vote >= k / 2.0 else 0.0
+
+
+def naive_ridge_loo(data: Dataset, lam: float) -> float:
+    """Mean squared error at each point of the ridge refit without it."""
+    total = 0.0
+    for j in range(1, data.n + 1):
+        beta = ridge_fit(leave_one_out(data, j), lam)
+        total += (float(beta @ data.xs[j - 1]) - float(data.ys[j - 1])) ** 2
+    return total / data.n
+
+
+def naive_knn_loo(data: Dataset, k: int) -> float:
+    """Fraction of points that the kNN vote without them misclassifies."""
+    wrong = sum(
+        knn_classify(leave_one_out(data, j), k, data.xs[j - 1]) != data.ys[j - 1]
+        for j in range(1, data.n + 1)
+    )
+    return wrong / data.n
 
 
 def finite_support(spec: DataSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

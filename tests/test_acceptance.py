@@ -12,8 +12,15 @@ import pytest
 
 import references
 from references import workloads
-from oracles import bounded_tail_spec, ridge_objective, subgaussian_tail_spec, tail_threshold
+from oracles import (
+    bounded_tail_spec,
+    naive_ridge_loo,
+    ridge_objective,
+    subgaussian_tail_spec,
+    tail_threshold,
+)
 
+from stabilab import bounds, harness
 from stabilab.bounds import (
     KAPPA,
     efron_stein_moment_check,
@@ -30,13 +37,8 @@ from stabilab.harness import (
     run_rate,
     run_stability_sweep,
 )
-from stabilab.learners import (
-    RidgeAlgorithm,
-    loo_estimate,
-    ridge_fit,
-    ridge_loo_fast,
-)
-from stabilab.stability import knn_gamma_1, ridge_param_diff_check
+from stabilab.learners import ridge_fit, ridge_loo_fast
+from stabilab.stability import knn_gamma_1, ridge_gamma_q, ridge_param_diff_check
 
 # The benchmark's data specs (perfbench/workloads.py).  ANALYTIC_SPEC has
 # clipped linear labels over sign-pattern features: |Y| has exactly two
@@ -116,7 +118,7 @@ def test_criterion_2_loo_oracle_equivalence():
         data, rng = _random_instance(seed)
         lam = float(rng.uniform(0.05, 3.0))
         fast = ridge_loo_fast(data, lam)
-        naive = loo_estimate(RidgeAlgorithm(lam), data)
+        naive = naive_ridge_loo(data, lam)
         worst = max(worst, abs(fast - naive) / max(naive, 1e-300))
     assert worst <= 1e-9
 
@@ -127,9 +129,7 @@ def test_criterion_2_loo_oracle_equivalence():
     hand_oracle = ((0.0 - 2.0 / 2.0) ** 2 + (2.0 - 0.0 / 2.0) ** 2) / 2.0
     assert hand_oracle == 2.5
     assert ridge_loo_fast(hand, 1.0) == pytest.approx(hand_oracle, rel=1e-12)
-    assert loo_estimate(RidgeAlgorithm(1.0), hand) == pytest.approx(
-        hand_oracle, rel=1e-12
-    )
+    assert naive_ridge_loo(hand, 1.0) == pytest.approx(hand_oracle, rel=1e-12)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _report(
@@ -184,6 +184,34 @@ def test_criterion_5_knn_stability_dominance(tmp_path):
     elapsed = time.monotonic() - start
     assert elapsed < 180.0
     _report("criterion 5 kNN dominance", f"9 rows dominated in {elapsed:.2f}s")
+
+
+# Negative controls: the runner of a criterion with one named fault
+# injected must fail its gate.  The gamma factors lie below the smallest
+# measured s_q / gamma_q of each config (0.0030 on c4, 0.215 on c5), and
+# every s_q there is at least 18 standard errors above 0.
+@pytest.mark.parametrize(
+    "label, name, scaled",
+    [
+        ("c4_ridge_sweep", "ridge_gamma_q", lambda *args: ridge_gamma_q(*args) * 1e-3),
+        ("c5_knn_sweep", "knn_gamma_1", lambda *args: knn_gamma_1(*args) * 0.1),
+    ],
+    ids=["criterion_4", "criterion_5"],
+)
+def test_stability_gate_fails_when_gamma_is_below_s_q(monkeypatch, label, name, scaled):
+    monkeypatch.setattr(harness, name, scaled)
+    report = run_stability_sweep(references.benchmark_configs()[label])
+    assert report.rows and all(r.dominated == "false" for r in report.rows)
+    assert not report.all_pass
+
+
+def test_efron_stein_gate_fails_when_kappa_is_scaled_down(monkeypatch):
+    # At q = 2 the mean of n signs reads lhs/rhs = 1/sqrt(8 KAPPA) = 0.314
+    # in expectation, so KAPPA / 16 puts lhs at 1.25 rhs.  At 1,000 reps
+    # seeds 0-99 all fail, with lhs/rhs 1.19-1.33.
+    monkeypatch.setattr(bounds, "KAPPA", KAPPA / 16)
+    row = efron_stein_moment_check("mean", RADEMACHER_Y_SPEC, 20, 2.0, 1000, SeedSpec(0))
+    assert not row.passed
 
 
 def test_criterion_6_generalized_efron_stein(tmp_path):

@@ -308,14 +308,6 @@ class TestEfronStein:
         assert res.lhs <= res.rhs + 3.0 * (res.lhs_std_error + res.rhs_std_error)
         assert res.passed
 
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown statistic"):
-            efron_stein_moment_check("median", RADEMACHER_Y_SPEC, 10, 2.0, 10, SeedSpec(45))
-
-    def test_q_below_two(self):
-        with pytest.raises(ValueError, match="q"):
-            efron_stein_moment_check("mean", RADEMACHER_Y_SPEC, 10, 1.0, 10, SeedSpec(46))
-
 
 def _reference_efron_stein(f, spec, n, q, reps, seed, ridge_lam=1.0):
     """efron_stein_moment_check one dataset at a time: each drawn alone

@@ -35,14 +35,8 @@ from stabilab.harness import (
 )
 from stabilab import datagen
 from stabilab.datagen import DataSpec, SeedSpec, sample_dataset
-from stabilab.learners import (
-    KnnAlgorithm,
-    RidgeAlgorithm,
-    prediction_error_mc,
-    ridge_fit,
-    ridge_loo_fast,
-)
-from stabilab.stability import knn_gamma_1, stability_profile, y_norm
+from stabilab.learners import prediction_error_mc, ridge_fit, ridge_loo_fast
+from stabilab.stability import knn_gamma_1, y_norm
 
 from references import workloads
 from test_acceptance import (
@@ -120,10 +114,6 @@ FIELD_CASES = [
     (ExperimentConfig, EXPERIMENT, {"kind": STR_BAD, "n_grid": INT_BAD, "q_grid": FLOAT_BAD,
                                     "x_grid": FLOAT_BAD, "reps": INT_BAD, "test_m": INT_BAD,
                                     "base_seed": INT_BAD, "out_dir": STR_BAD}),
-    (stability_profile, dict(algorithm=RidgeAlgorithm(1.0), spec=NOISY_SPEC, n=10, reps=10,
-                             seed=SeedSpec(0), qs=(2.0,)), {"n": INT_BAD, "reps": INT_BAD}),
-    (RidgeAlgorithm, dict(lam=1.0), {"lam": FLOAT_BAD}),
-    (KnnAlgorithm, dict(k=3), {"k": INT_BAD}),
 ]
 FIELD_PARAMS = [
     pytest.param(cls, base, field, bad, id=f"{cls.__name__}.{field}={bad!r}")
@@ -176,8 +166,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=json_key):
             cls(**{**base, field: bad})
         where = {DataSpec: "spec", AlgorithmConfig: "algorithm", ExperimentConfig: None}
-        if cls not in where:
-            return
         experiment, command = (
             (KNN_EXPERIMENT, "stability") if base is KNN else (EXPERIMENT, "coverage")
         )
@@ -376,7 +364,7 @@ class TestRate:
         cfg = make_config(
             kind="rate",
             spec=spec,
-            algorithm=AlgorithmConfig(name="ridge", lam=(0.05,), eta=0.5),
+            algorithm=AlgorithmConfig(name="ridge", lam=(0.5,), eta=0.5),
             n_grid=(8, 16, 32, 64),
             reps=100,
             test_m=400,
@@ -618,7 +606,7 @@ class TestEmission:
         cfg = make_config(
             kind="rate",
             spec=spec,
-            algorithm=AlgorithmConfig(name="ridge", lam=(0.2,), eta=0.5),
+            algorithm=AlgorithmConfig(name="ridge", lam=(0.5,), eta=0.5),
             n_grid=(8, 16, 32, 64),
             reps=100,
             test_m=300,
@@ -760,6 +748,10 @@ CONFIG_ONLY_FAILURES = [
     pytest.param("bounds_table", "algorithm", "lambda", [0.001], "invalid lambda domain",
                  id="bounds_table_lambda_outside_domain"),
     pytest.param("bounds_table", None, "n_grid", [2], "n >= 3 required", id="bounds_table_n_2"),
+    # The 1/sqrt(n) rate is proved on the corollary domain too; lambda
+    # 1e-300 used to exit 0 with all_pass true.
+    pytest.param("rate", "algorithm", "lambda", [1e-300], "invalid lambda domain",
+                 id="rate_lambda_outside_domain"),
     pytest.param("rate", None, "n_grid", [8, 16, 32], "at least 4 sample sizes",
                  id="rate_three_sizes"),
     pytest.param("rate", None, "n_grid", [8, 16, 24, 30], "geometrically spaced",
@@ -767,6 +759,10 @@ CONFIG_ONLY_FAILURES = [
     pytest.param("rate", None, "reps", 60, "rate requires reps >= 100", id="rate_60_reps"),
     pytest.param("stability_sweep", None, "q_grid", [10.0], "supports q in [1, 8]",
                  id="sweep_q_10"),
+    pytest.param("stability_sweep", None, "q_grid", [0.5], "supports q in [1, 8]",
+                 id="sweep_q_0.5"),
+    pytest.param("stability_sweep", None, "n_grid", [1, 20], "all n_grid entries must be >= 2",
+                 id="sweep_n_1"),
     # A sweep whose every row would be skipped checks nothing, and used to
     # exit 0 with all_pass=True.  lambda 0.01 at n 20 is below 1/(eta(n-1)).
     pytest.param("stability_sweep", None, "algorithm",

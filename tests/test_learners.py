@@ -17,13 +17,8 @@ from stabilab.datagen import (
     sample_stack,
 )
 from stabilab.learners import (
-    KnnAlgorithm,
-    RidgeAlgorithm,
     _ridge_loo_betas,
     _ridge_loo_sq_residuals_stacked,
-    knn_classify,
-    loo_estimate,
-    predict,
     prediction_error_mc,
     ridge_fit,
     ridge_fit_stacked,
@@ -31,7 +26,14 @@ from stabilab.learners import (
     ridge_loo_fast,
 )
 
-from oracles import FINITE_LAW, finite_support, multiset_samples
+from oracles import (
+    FINITE_LAW,
+    finite_support,
+    knn_classify,
+    multiset_samples,
+    naive_knn_loo,
+    naive_ridge_loo,
+)
 
 
 def random_instance(seed, max_d=8, max_n=64, y_scale=1.0):
@@ -172,34 +174,15 @@ class TestRidgeFitBoundary:
             Dataset(np.ones(xs_shape), np.ones(ys_shape))
 
 
-class TestPredict:
-    def test_zero_coefficients(self):
-        assert predict(np.zeros(2), np.array([5.0, -2.0])) == 0.0
-
-    def test_simple_inner_product(self):
-        assert predict(np.array([1.0, 1.0]), np.array([2.0, 3.0])) == 5.0
-
-    def test_matches_manual_dot(self):
-        rng = np.random.default_rng(3)
-        beta = rng.standard_normal(4)
-        x = rng.standard_normal(4)
-        manual = sum(b * xi for b, xi in zip(beta, x))
-        assert predict(beta, x) == pytest.approx(manual, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict(np.array([1.0]), np.array([1.0, 2.0]))
-
-
 class TestKnnClassify:
     def test_exact_match_single_neighbor(self):
         data = Dataset(np.array([[0.0], [5.0], [9.0]]), np.array([1.0, 0.0, 0.0]))
-        assert knn_classify(data, KnnAlgorithm(1), np.array([0.0])) == 1.0
+        assert knn_classify(data, 1, np.array([0.0])) == 1.0
 
     def test_boundary_vote_goes_positive(self):
         # k=2 with neighbor labels {1, 0}: sum 1 >= k/2 classifies as 1.
         data = Dataset(np.array([[0.0], [1.0], [50.0]]), np.array([1.0, 0.0, 0.0]))
-        assert knn_classify(data, KnnAlgorithm(2), np.array([0.5])) == 1.0
+        assert knn_classify(data, 2, np.array([0.5])) == 1.0
 
     def test_five_point_line_against_brute_force(self):
         xs = np.array([[0.0], [1.0], [2.5], [4.0], [6.0]])
@@ -211,36 +194,28 @@ class TestKnnClassify:
             dists.sort()
             vote = sum(ys[i] for _, i in dists[:3])
             expected = 1.0 if vote >= 1.5 else 0.0
-            assert knn_classify(data, KnnAlgorithm(3), x) == expected
+            assert knn_classify(data, 3, x) == expected
 
     def test_distance_ties_break_to_lowest_index(self):
         data = Dataset(np.array([[1.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]))
         # Both of the first two points are at distance zero; index 0 wins.
-        assert knn_classify(data, KnnAlgorithm(1), np.array([1.0])) == 0.0
+        assert knn_classify(data, 1, np.array([1.0])) == 0.0
 
     def test_prediction_invariant_under_permutation(self):
         rng = np.random.default_rng(11)
         data = Dataset(rng.uniform(-1, 1, (20, 2)), (rng.random(20) < 0.5) * 1.0)
         x = rng.uniform(-1, 1, 2)
-        base = knn_classify(data, KnnAlgorithm(5), x)
+        base = knn_classify(data, 5, x)
         for seed in range(10):
             perm = np.random.default_rng(seed).permutation(20)
             shuffled = Dataset(data.xs[perm], data.ys[perm])
-            assert knn_classify(shuffled, KnnAlgorithm(5), x) == base
-
-    def test_errors(self):
-        data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            knn_classify(data, KnnAlgorithm(2), np.array([0.0]))  # k > n-1
-        bad = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 2.0, 1.0]))
-        with pytest.raises(ValueError):
-            knn_classify(bad, KnnAlgorithm(1), np.array([0.0]))
+            assert knn_classify(shuffled, 5, x) == base
 
 
 class TestLooEstimate:
     def test_ridge_zero_labels(self):
         data = Dataset(np.random.default_rng(4).uniform(-1, 1, (6, 2)), np.zeros(6))
-        assert loo_estimate(RidgeAlgorithm(1.0), data) == 0.0
+        assert naive_ridge_loo(data, 1.0) == 0.0
 
     def test_two_point_hand_case(self):
         # d=1, X=(1,1), Y=(0,2), lam=1.  A one-point fit solves
@@ -251,37 +226,27 @@ class TestLooEstimate:
         b_without_2 = 0.0 / 2.0
         expected = ((0.0 - b_without_1 * 1.0) ** 2 + (2.0 - b_without_2 * 1.0) ** 2) / 2
         assert expected == 2.5
-        assert loo_estimate(RidgeAlgorithm(1.0), data) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert naive_ridge_loo(data, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_knn_clustered_labels(self):
         xs = np.array([[0.0], [0.1], [10.0], [10.1]])
         ys = np.array([0.0, 0.0, 1.0, 1.0])
         data = Dataset(xs, ys)
-        assert loo_estimate(KnnAlgorithm(1), data) == 0.0
+        assert naive_knn_loo(data, 1) == 0.0
 
     def test_invariant_under_permutation(self):
         rng = np.random.default_rng(17)
         data = Dataset(rng.uniform(-1, 1, (12, 2)), rng.standard_normal(12))
-        base = loo_estimate(RidgeAlgorithm(0.4), data)
+        base = naive_ridge_loo(data, 0.4)
         labels = (rng.random(12) < 0.5) * 1.0
         knn_data = Dataset(data.xs, labels)
-        knn_base = loo_estimate(KnnAlgorithm(3), knn_data)
+        knn_base = naive_knn_loo(knn_data, 3)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(12)
             shuffled = Dataset(data.xs[perm], data.ys[perm])
-            assert loo_estimate(RidgeAlgorithm(0.4), shuffled) == pytest.approx(base, rel=1e-12)
+            assert naive_ridge_loo(shuffled, 0.4) == pytest.approx(base, rel=1e-12)
             knn_shuffled = Dataset(knn_data.xs[perm], knn_data.ys[perm])
-            assert loo_estimate(KnnAlgorithm(3), knn_shuffled) == knn_base
-
-    def test_preconditions(self):
-        single = Dataset(np.array([[1.0]]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            loo_estimate(RidgeAlgorithm(1.0), single)
-        small = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            loo_estimate(KnnAlgorithm(1), small)
+            assert naive_knn_loo(knn_shuffled, 3) == knn_base
 
     def test_cost_is_squared_for_ridge_and_zero_one_for_knn(self):
         # d=1, X=(1,1,1), Y=(0,0,3), lam=1: a two-point fit solves
@@ -289,22 +254,11 @@ class TestLooEstimate:
         # 0, and the squared errors (3/4)^2, (3/4)^2 and 3^2 average to 27/8.
         ones = np.ones((3, 1))
         ridge_data = Dataset(ones, np.array([0.0, 0.0, 3.0]))
-        assert loo_estimate(RidgeAlgorithm(1.0), ridge_data) == pytest.approx(27 / 8, rel=1e-12)
+        assert naive_ridge_loo(ridge_data, 1.0) == pytest.approx(27 / 8, rel=1e-12)
         # 1-NN over 0, 1, 3, 10 with labels 0, 1, 1, 1: the held-out points
         # take the labels of 1, 0, 1 and 3, so points 0 and 1 are wrong.
         knn_data = Dataset(np.array([[0.0], [1.0], [3.0], [10.0]]), np.array([0.0, 1.0, 1.0, 1.0]))
-        assert loo_estimate(KnnAlgorithm(1), knn_data) == 0.5
-
-    def test_knn_requires_binary_labels(self):
-        # A label outside {0, 1} is rejected wherever it sits, the held-out
-        # point included: it is a training label of every other refit.
-        xs = np.array([[0.0], [1.0], [2.0], [3.0]])
-        for bad in (0.5, 2.0):
-            for j in range(4):
-                ys = np.array([0.0, 1.0, 0.0, 1.0])
-                ys[j] = bad
-                with pytest.raises(ValueError, match="labels in"):
-                    loo_estimate(KnnAlgorithm(1), Dataset(xs, ys))
+        assert naive_knn_loo(knn_data, 1) == 0.5
 
 
 class TestRidgeLooFast:

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from stabilab import datagen, harness, stability
 from stabilab.datagen import DataSpec, Dataset, SeedSpec, leave_one_out, sample_dataset
 from stabilab.learners import (
-    KnnAlgorithm,
-    RidgeAlgorithm,
-    knn_classify,
     knn_loo_flips_stacked,
     neighbor_order,
     ridge_fit,
@@ -31,7 +28,7 @@ from stabilab.stability import (
     y_norm,
 )
 
-from oracles import FINITE_LAW, exact_ridge_stability
+from oracles import FINITE_LAW, exact_ridge_stability, knn_classify
 from test_acceptance import ANALYTIC_SPEC, BERNOULLI_SPEC, NOISY_SPEC
 
 # Three features: the stacks hold fewer replications per chunk than at d = 2.
@@ -81,7 +78,7 @@ class TestEmpiricalStability:
             noise_scale=0.0,
             b_y=1.0,
         )
-        est = stability_profile(RidgeAlgorithm(1.0), spec, 10, 20, SeedSpec(1), (2.0,))[2.0]
+        est = stability_profile("ridge", 1.0, spec, 10, 20, SeedSpec(1), (2.0,))[2.0]
         assert est == (0.0, 0.0)
 
     def test_knn_q1_equals_disagreement_frequency(self):
@@ -89,19 +86,18 @@ class TestEmpiricalStability:
         # the full-sample and leave-one-out predictions differ; recount it
         # by refitting on explicit reduced datasets over the same draws.
         k, n, reps = 3, 20, 150
-        algorithm = KnnAlgorithm(k)
         seed = SeedSpec(21)
-        s_1_hat, _ = stability_profile(algorithm, BERNOULLI_SPEC, n, reps, seed, (1.0,))[1.0]
+        s_1_hat, _ = stability_profile("knn", k, BERNOULLI_SPEC, n, reps, seed, (1.0,))[1.0]
         total = 0.0
         for r in range(reps):
             seed_r = seed.child(r)
             data = sample_dataset(BERNOULLI_SPEC, n, seed_r.child(0))
             test = sample_dataset(BERNOULLI_SPEC, 1, seed_r.child(1))
             x = test.xs[0]
-            full = knn_classify(data, algorithm, x)
+            full = knn_classify(data, k, x)
             disagreements = 0
             for j in range(1, n + 1):
-                if knn_classify(leave_one_out(data, j), algorithm, x) != full:
+                if knn_classify(leave_one_out(data, j), k, x) != full:
                     disagreements += 1
             total += disagreements / n
         assert s_1_hat == pytest.approx(total / reps, abs=1e-12)
@@ -144,12 +140,12 @@ class TestEmpiricalStability:
         exact = exact_pow ** (1.0 / q)
 
         s_q_hat, std_error = stability_profile(
-            RidgeAlgorithm(lam), spec, 2, 4000, SeedSpec(22), (q,))[q]
+            "ridge", lam, spec, 2, 4000, SeedSpec(22), (q,))[q]
         assert s_q_hat == pytest.approx(exact, abs=4 * std_error + 1e-12)
 
     def test_monotone_in_q_on_shared_draws(self):
         profile = stability_profile(
-            RidgeAlgorithm(0.5), NOISY_SPEC, 20, 100, SeedSpec(23), (1.0, 2.0, 4.0, 8.0)
+            "ridge", 0.5, NOISY_SPEC, 20, 100, SeedSpec(23), (1.0, 2.0, 4.0, 8.0)
         )
         values = [profile[q][0] for q in (1.0, 2.0, 4.0, 8.0)]
         for lo, hi in zip(values, values[1:]):
@@ -159,30 +155,10 @@ class TestEmpiricalStability:
     def test_knn_lq_is_the_qth_root_of_l1(self, k, n):
         # A 0-1 cost difference is 0 or 1, so |diff|^q = |diff| and
         # S_q = S_1^(1/q) exactly; the sweep checks q > 1 against that.
-        profile = stability_profile(
-            KnnAlgorithm(k), BERNOULLI_SPEC, n, 40, SeedSpec(26), (1.0, 2.0, 4.0))
+        profile = stability_profile("knn", k, BERNOULLI_SPEC, n, 40, SeedSpec(26), (1.0, 2.0, 4.0))
         assert profile[1.0][0] > 0.0
         for q in (2.0, 4.0):
             assert profile[q][0] == profile[1.0][0] ** (1.0 / q)
-
-    def test_algorithm_preconditions(self):
-        # The algorithm alone fixes the cost, so only its own preconditions
-        # are checked: a known algorithm, and 0/1 labels and n >= k + 2 for kNN.
-        draws = (10, 10, SeedSpec(25))
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            stability_profile(object(), NOISY_SPEC, *draws, (1.0,))
-        with pytest.raises(ValueError, match="labels in"):
-            stability_profile(KnnAlgorithm(3), NOISY_SPEC, *draws, (1.0,))
-        with pytest.raises(ValueError, match="n >= k"):
-            stability_profile(KnnAlgorithm(9), BERNOULLI_SPEC, *draws, (1.0,))
-        with pytest.raises(ValueError, match="q must be"):
-            stability_profile(RidgeAlgorithm(1.0), NOISY_SPEC, *draws, (2.0, 0.5))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="n must be"):
-            stability_profile(RidgeAlgorithm(1.0), NOISY_SPEC, 1, 10, SeedSpec(0), (1.0,))
-        with pytest.raises(ValueError, match="reps must be"):
-            stability_profile(RidgeAlgorithm(1.0), NOISY_SPEC, 10, 1, SeedSpec(0), (1.0,))
 
 
 # The estimator one replication at a time, with the per-dataset expressions:
@@ -241,7 +217,7 @@ def _reference_knn_diffs(data, k, x):
     return diffs
 
 
-def _reference_profile(algorithm, spec, n, reps, seed, qs):
+def _reference_profile(algo, param, spec, n, reps, seed, qs):
     """{q: (s_q_hat, std_error)}, one replication at a time."""
     per_rep = {q: np.empty(reps) for q in qs}
     for r in range(reps):
@@ -249,10 +225,10 @@ def _reference_profile(algorithm, spec, n, reps, seed, qs):
         data = sample_dataset(spec, n, seed_r.child(0))
         test = sample_dataset(spec, 1, seed_r.child(1))
         x, y = test.xs[0], float(test.ys[0])
-        if isinstance(algorithm, RidgeAlgorithm):
-            diffs = _reference_ridge_diffs(data, algorithm.lam, x, y)
+        if algo == "ridge":
+            diffs = _reference_ridge_diffs(data, param, x, y)
         else:
-            diffs = _reference_knn_diffs(data, algorithm.k, x)
+            diffs = _reference_knn_diffs(data, param, x)
         for q in qs:
             per_rep[q][r] = float(np.mean(diffs**q))
     return {q: power_mean_root(per_rep[q], q) for q in qs}
@@ -278,7 +254,7 @@ class TestStabilityOnAFiniteLaw:
     def test_ridge_profile_is_within_three_standard_errors_of_exact(self, n):
         exact = exact_ridge_stability(FINITE_LAW, 1.0, n, (1.0, 2.0, 4.0))
         assert exact == pytest.approx(self.EXACT[n], rel=1e-9)
-        profile = stability_profile(RidgeAlgorithm(1.0), FINITE_LAW, n, 4000, SeedSpec(0), exact)
+        profile = stability_profile("ridge", 1.0, FINITE_LAW, n, 4000, SeedSpec(0), tuple(exact))
         for q, (value, std_error) in profile.items():
             assert abs(value - exact[q]) <= 3.0 * std_error, (q, value, exact[q], std_error)
 
@@ -362,23 +338,23 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize(
-        "algorithm, spec",
+        "algo, param, spec",
         [
-            (RidgeAlgorithm(0.5), NOISY_SPEC),
-            (RidgeAlgorithm(0.5), NOISY_SPEC_D3),
-            (KnnAlgorithm(3), BERNOULLI_SPEC),
+            ("ridge", 0.5, NOISY_SPEC),
+            ("ridge", 0.5, NOISY_SPEC_D3),
+            ("knn", 3, BERNOULLI_SPEC),
         ],
         ids=["ridge", "ridge_d3", "knn"],
     )
     def test_profile_matches_per_replication_reference_around_chunk_size(
-        self, algorithm, spec, offset
+        self, algo, param, spec, offset
     ):
         n, qs = 50, (1.0, 1.5, 2.0, 4.0)
         chunk = datagen._CHUNK_BYTES // (8 * n * spec.d)
         assert chunk >= 2
         draws = (n, chunk + offset, SeedSpec(26))
-        profile = stability_profile(algorithm, spec, *draws, qs)
-        reference = _reference_profile(algorithm, spec, *draws, qs)
+        profile = stability_profile(algo, param, spec, *draws, qs)
+        reference = _reference_profile(algo, param, spec, *draws, qs)
         for q in qs:
             assert profile[q] == reference[q], q
 
@@ -537,13 +513,12 @@ class TestDominanceSmoke:
     def test_ridge_dominated_at_one_configuration(self):
         spec = ANALYTIC_SPEC
         n, lam, eta, q = 50, 1.0, 0.5, 2.0
-        s_q_hat, std_error = stability_profile(
-            RidgeAlgorithm(lam), spec, n, 300, SeedSpec(33), (q,))[q]
+        s_q_hat, std_error = stability_profile("ridge", lam, spec, n, 300, SeedSpec(33), (q,))[q]
         gamma = ridge_gamma_q(1.0, lam, eta, n, y_norm(spec, 2 * q))
         assert s_q_hat <= gamma + 3.0 * std_error
 
     def test_knn_dominated_at_one_configuration(self):
         k, n = 3, 50
         s_1_hat, std_error = stability_profile(
-            KnnAlgorithm(k), BERNOULLI_SPEC, n, 400, SeedSpec(34), (1.0,))[1.0]
+            "knn", k, BERNOULLI_SPEC, n, 400, SeedSpec(34), (1.0,))[1.0]
         assert s_1_hat <= knn_gamma_1(k, n) + 3.0 * std_error
