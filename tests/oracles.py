@@ -16,7 +16,10 @@ objective whose minimiser ``ridge_fit`` must return.
 ``naive_ridge_loo`` and ``naive_knn_loo`` are the leave-one-out risks by
 n full refits, squared cost for ridge and 0-1 cost for kNN, that the
 rank-one downdate and the stacked kNN flips must reproduce;
-``knn_classify`` is the kNN vote they refit.
+``predict`` and ``knn_classify`` are the ridge and kNN predictions they
+refit.  Each refuses an input outside its definition (n < 2 for ridge,
+k outside 1..n-1 or labels outside {0, 1} for kNN) rather than return a
+number that checks nothing.
 
 ``finite_support`` and ``multiset_samples`` make an expectation over
 n-point samples of a finite law, such as ``FINITE_LAW``, an exact weighted
@@ -120,18 +123,32 @@ def ridge_objective(data: Dataset, lam: float, beta) -> float:
     return float(np.mean(residuals**2) + lam * float(beta @ beta))
 
 
+def predict(beta: np.ndarray, x) -> float:
+    """Inner product of the fitted coefficients with x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != beta.shape:
+        raise ValueError(f"dimension mismatch: beta {beta.shape}, x {x.shape}")
+    return float(beta @ x)
+
+
 def knn_classify(data: Dataset, k: int, x) -> float:
     """Majority vote of the k nearest labels; boundary (sum == k/2) goes to 1."""
+    if not 1 <= k <= data.n - 1:
+        raise ValueError(f"k={k} out of range 1..{data.n - 1}")
+    if not np.all((data.ys == 0.0) | (data.ys == 1.0)):
+        raise ValueError("kNN requires labels in {0, 1}")
     vote = float(np.sum(data.ys[neighbor_order(data, x)[:k]]))
     return 1.0 if vote >= k / 2.0 else 0.0
 
 
 def naive_ridge_loo(data: Dataset, lam: float) -> float:
     """Mean squared error at each point of the ridge refit without it."""
+    if data.n < 2:
+        raise ValueError("ridge leave-one-out needs n >= 2")
     total = 0.0
     for j in range(1, data.n + 1):
         beta = ridge_fit(leave_one_out(data, j), lam)
-        total += (float(beta @ data.xs[j - 1]) - float(data.ys[j - 1])) ** 2
+        total += (predict(beta, data.xs[j - 1]) - float(data.ys[j - 1])) ** 2
     return total / data.n
 
 

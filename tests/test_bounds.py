@@ -16,6 +16,13 @@ from stabilab.bounds import (
     ridge_variance_term_bound,
 )
 from stabilab import bounds, datagen
+from stabilab.harness import (
+    _MIN_REPS,
+    _Q_RANGE,
+    EFRON_STEIN_STATS,
+    AlgorithmConfig,
+    ExperimentConfig,
+)
 from stabilab.datagen import DataSpec, SeedSpec, replace_point, sample_dataset
 from stabilab.stability import power_mean_root, ridge_gamma_q
 
@@ -307,6 +314,23 @@ class TestEfronStein:
         assert (res.f, res.n, res.q) == ("ridge_loo", 20, 2.0)
         assert res.lhs <= res.rhs + 3.0 * (res.lhs_std_error + res.rhs_std_error)
         assert res.passed
+
+    @pytest.mark.parametrize("f", EFRON_STEIN_STATS)
+    def test_runs_at_every_edge_a_config_admits(self, f):
+        # The config is the only check of n, q and reps, so each statistic
+        # must give finite sides at n = 2, the fewest reps and both ends of
+        # the q range that an efron_stein config admits.
+        qs = _Q_RANGE["efron_stein"]
+        reps = _MIN_REPS["efron_stein"]
+        ExperimentConfig(kind="efron_stein", spec=NOISY_SPEC,
+                         algorithm=AlgorithmConfig(name="ridge", lam=(1.0,), eta=0.5),
+                         n_grid=(2,), q_grid=qs, x_grid=(1.0,), reps=reps, test_m=300,
+                         base_seed=0, out_dir="out")
+        for q in qs:
+            res = efron_stein_moment_check(f, NOISY_SPEC, 2, q, reps, SeedSpec(45))
+            assert (res.f, res.n, res.q) == (f, 2, q)
+            for side in (res.lhs, res.rhs, res.lhs_std_error, res.rhs_std_error):
+                assert math.isfinite(side) and side >= 0.0
 
 
 def _reference_efron_stein(f, spec, n, q, reps, seed, ridge_lam=1.0):

@@ -473,6 +473,23 @@ class TestStabilitySweep:
         assert flags[1.0] == "true"
         assert report.all_pass
 
+    def test_knn_rows_below_k_plus_2_skipped_not_aborted(self):
+        # stability_profile does not check n >= k + 2 itself: the runner
+        # must skip n = k + 1 and still run the edge n = k + 2.
+        cfg = make_config(
+            kind="stability_sweep",
+            spec=BERNOULLI_SPEC,
+            algorithm=AlgorithmConfig(name="knn", k=(3,)),
+            n_grid=(4, 5),
+            q_grid=(1.0,),
+            reps=20,
+        )
+        report = run_stability_sweep(cfg)
+        flags = {r.n: r.dominated for r in report.rows}
+        assert flags[4] == "skipped"
+        assert flags[5] in ("true", "false")
+        assert [r.s_q_hat for r in report.rows if r.n == 5][0] >= 0.0
+
 
 class TestEfronSteinRunner:
     def test_rows_cover_registry_and_grids(self):
@@ -752,6 +769,11 @@ CONFIG_ONLY_FAILURES = [
     # 1e-300 used to exit 0 with all_pass true.
     pytest.param("rate", "algorithm", "lambda", [1e-300], "invalid lambda domain",
                  id="rate_lambda_outside_domain"),
+    # stability_profile runs kNN for any name but "ridge", so a misspelt
+    # name must stop at the config.
+    pytest.param("stability_sweep", None, "algorithm",
+                 {"name": "Ridge", "lambda": [1.0], "eta": 0.5},
+                 "unknown algorithm name 'Ridge'", id="unknown_algorithm_name"),
     pytest.param("rate", None, "n_grid", [8, 16, 32], "at least 4 sample sizes",
                  id="rate_three_sizes"),
     pytest.param("rate", None, "n_grid", [8, 16, 24, 30], "geometrically spaced",
@@ -776,6 +798,12 @@ CONFIG_ONLY_FAILURES = [
                  id="knn_sweep_real_valued_labels"),
     pytest.param("efron_stein", None, "q_grid", [1.5], "supports q in [2, 8]",
                  id="efron_stein_q_1.5"),
+    # The estimators do not check n or q themselves: each bound of each
+    # kind that runs them is refused here, before any draw.
+    pytest.param("efron_stein", None, "q_grid", [10.0], "supports q in [2, 8]",
+                 id="efron_stein_q_10"),
+    pytest.param("efron_stein", None, "n_grid", [1], "all n_grid entries must be >= 2",
+                 id="efron_stein_n_1"),
     pytest.param("coverage", None, "n_grid", [20, 20], "n_grid entries must be distinct",
                  id="repeated_n"),
     pytest.param("stability_sweep", None, "q_grid", [1.0, 1.0], "q_grid entries must be distinct",

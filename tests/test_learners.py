@@ -33,6 +33,7 @@ from oracles import (
     multiset_samples,
     naive_knn_loo,
     naive_ridge_loo,
+    predict,
 )
 
 
@@ -174,6 +175,25 @@ class TestRidgeFitBoundary:
             Dataset(np.ones(xs_shape), np.ones(ys_shape))
 
 
+class TestPredict:
+    def test_zero_coefficients(self):
+        assert predict(np.zeros(2), np.array([5.0, -2.0])) == 0.0
+
+    def test_simple_inner_product(self):
+        assert predict(np.array([1.0, 1.0]), np.array([2.0, 3.0])) == 5.0
+
+    def test_matches_manual_dot(self):
+        rng = np.random.default_rng(3)
+        beta = rng.standard_normal(4)
+        x = rng.standard_normal(4)
+        manual = sum(b * xi for b, xi in zip(beta, x))
+        assert predict(beta, x) == pytest.approx(manual, rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            predict(np.array([1.0]), np.array([1.0, 2.0]))
+
+
 class TestKnnClassify:
     def test_exact_match_single_neighbor(self):
         data = Dataset(np.array([[0.0], [5.0], [9.0]]), np.array([1.0, 0.0, 0.0]))
@@ -210,6 +230,14 @@ class TestKnnClassify:
             perm = np.random.default_rng(seed).permutation(20)
             shuffled = Dataset(data.xs[perm], data.ys[perm])
             assert knn_classify(shuffled, 5, x) == base
+
+    def test_errors(self):
+        data = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            knn_classify(data, 2, np.array([0.0]))  # k > n-1
+        bad = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 2.0, 1.0]))
+        with pytest.raises(ValueError):
+            knn_classify(bad, 1, np.array([0.0]))
 
 
 class TestLooEstimate:
@@ -248,6 +276,14 @@ class TestLooEstimate:
             knn_shuffled = Dataset(knn_data.xs[perm], knn_data.ys[perm])
             assert naive_knn_loo(knn_shuffled, 3) == knn_base
 
+    def test_preconditions(self):
+        single = Dataset(np.array([[1.0]]), np.array([1.0]))
+        with pytest.raises(ValueError):
+            naive_ridge_loo(single, 1.0)
+        small = Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            naive_knn_loo(small, 1)
+
     def test_cost_is_squared_for_ridge_and_zero_one_for_knn(self):
         # d=1, X=(1,1,1), Y=(0,0,3), lam=1: a two-point fit solves
         # (2 + 2) b = sum y, so the held-out predictions are 3/4, 3/4 and
@@ -259,6 +295,17 @@ class TestLooEstimate:
         # take the labels of 1, 0, 1 and 3, so points 0 and 1 are wrong.
         knn_data = Dataset(np.array([[0.0], [1.0], [3.0], [10.0]]), np.array([0.0, 1.0, 1.0, 1.0]))
         assert naive_knn_loo(knn_data, 1) == 0.5
+
+    def test_knn_requires_binary_labels(self):
+        # A label outside {0, 1} is rejected wherever it sits, the held-out
+        # point included: it is a training label of every other refit.
+        xs = np.array([[0.0], [1.0], [2.0], [3.0]])
+        for bad in (0.5, 2.0):
+            for j in range(4):
+                ys = np.array([0.0, 1.0, 0.0, 1.0])
+                ys[j] = bad
+                with pytest.raises(ValueError, match="labels in"):
+                    naive_knn_loo(Dataset(xs, ys), 1)
 
 
 class TestRidgeLooFast:

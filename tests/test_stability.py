@@ -160,6 +160,31 @@ class TestEmpiricalStability:
         for q in (2.0, 4.0):
             assert profile[q][0] == profile[1.0][0] ** (1.0 / q)
 
+    @pytest.mark.parametrize(
+        "algorithm, spec, n",
+        [
+            (harness.AlgorithmConfig(name="ridge", lam=(2.0,), eta=0.9), NOISY_SPEC, 2),
+            (harness.AlgorithmConfig(name="knn", k=(3,)), BERNOULLI_SPEC, 5),
+        ],
+        ids=["ridge_n_2", "knn_n_k_plus_2"],
+    )
+    def test_runs_at_every_edge_a_sweep_config_admits(self, algorithm, spec, n):
+        # The config is the only check of n, reps and q, so the estimator
+        # must give a finite profile at the fewest reps, the smallest
+        # unskipped n and both ends of the q range that a sweep admits.
+        qs = harness._Q_RANGE["stability_sweep"]
+        reps = harness._MIN_REPS["stability_sweep"]
+        harness.ExperimentConfig(kind="stability_sweep", spec=spec, algorithm=algorithm,
+                                 n_grid=(n,), q_grid=qs, x_grid=(1.0,), reps=reps,
+                                 test_m=300, base_seed=0, out_dir="out")
+        (param,) = algorithm.params()
+        assert not algorithm.sweep_skips(spec.b_x, n, param)
+        profile = stability_profile(algorithm.name, param, spec, n, reps, SeedSpec(25), qs)
+        assert sorted(profile) == sorted(qs)
+        for value, std_error in profile.values():
+            assert math.isfinite(value) and value >= 0.0
+            assert math.isfinite(std_error) and std_error >= 0.0
+
 
 # The estimator one replication at a time, with the per-dataset expressions:
 # the reference that stability_profile's stacked chunks match bit for bit.
